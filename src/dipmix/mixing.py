@@ -62,18 +62,27 @@ class MixConfig:
             raise ConfigurationError(f"sample count s must be >= 1, got {self.s}")
 
 
-def mix(x, x_prime, lam: float) -> np.ndarray:
+def mix(x, x_prime, lam) -> np.ndarray:
     """Convex combination lam * x + (1 - lam) * x_prime.
 
-    Endpoints are exact: lam=1 returns x, lam=0 returns x_prime.
+    ``lam`` is a scalar or an array that broadcasts against the operands
+    without enlarging them, e.g. a column holding one ratio per row. Endpoints
+    are exact: lam=1 returns x, lam=0 returns x_prime.
     """
     x = np.asarray(x, dtype=float)
     x_prime = np.asarray(x_prime, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     if x.shape != x_prime.shape:
         raise ShapeError(f"mix operands differ in shape: {x.shape} vs {x_prime.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"mixing ratio must lie in [0, 1], got {lam}")
-    return lam * x + (1.0 - lam) * x_prime
+    # min/max rather than an elementwise mask: this runs on every training step
+    if lam.size and not (lam.min() >= 0.0 and lam.max() <= 1.0):
+        raise DomainError(
+            f"mixing ratios must lie in [0, 1], got values in [{lam.min()}, {lam.max()}]"
+        )
+    mixed = lam * x + (1.0 - lam) * x_prime
+    if mixed.shape != x.shape:
+        raise ShapeError(f"ratios of shape {lam.shape} do not fit operands of shape {x.shape}")
+    return mixed
 
 
 def lambda_prior(mode: str, alpha: float) -> BetaParams | None:

@@ -208,6 +208,13 @@ def _backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ParamGrads:
     return ParamGrads(grads_w, grads_b)
 
 
+def log_softmax(logits) -> np.ndarray:
+    """Log-softmax along the last axis, max-shift stabilized."""
+    z = np.asarray(logits, dtype=float)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def softmax_xent(logits, soft_labels):
     """Mean softmax cross-entropy and its gradient in the logits.
 
@@ -221,8 +228,7 @@ def softmax_xent(logits, soft_labels):
         raise ShapeError(f"logits {z.shape} and soft_labels {y.shape} must match and be 2-D")
     if not np.isfinite(z).all() or not np.isfinite(y).all():
         raise NumericError("softmax_xent received non-finite input")
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(z)
     m = z.shape[0]
     loss = -(y * log_probs).sum() / m
     dlogits = (np.exp(log_probs) - y) / m

@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, DomainError, ShapeError
-from .mixing import BetaParams, MixConfig, beta_pdf, lambda_prior, sample_lambda, sample_partners
+from .errors import ConfigurationError, ShapeError
+from .mixing import BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda, sample_partners
 from .nn import (
     Batch,
     ModelParams,
@@ -25,6 +25,7 @@ from .nn import (
     _forward_cached,
     backward,
     forward,
+    log_softmax,
     sgd_step,
     softmax_xent,
 )
@@ -51,45 +52,14 @@ class EpochMetrics(NamedTuple):
 
 
 def _xent_rows(logits: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
-    """Per-row softmax cross-entropy, max-shift stabilized."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -(soft_labels * log_probs).sum(axis=1)
+    """Per-row softmax cross-entropy."""
+    return -(soft_labels * log_softmax(logits)).sum(axis=1)
 
 
 def plain_loss(params: ModelParams, batch: Batch) -> float:
     """Mean softmax cross-entropy on the raw features."""
     loss, _ = softmax_xent(forward(params, batch.features), batch.soft_labels)
     return loss
-
-
-def _check_lam(lam, m: int) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[0] != m:
-        raise ShapeError(f"lam must have one entry per example, got shape {lam.shape}")
-    if np.any(lam < 0) or np.any(lam > 1):
-        raise DomainError("mixing ratios must lie in [0, 1]")
-    return lam
-
-
-def _mixup_core(params, batch, alpha, rng, lam, partners, with_grads):
-    x, y = batch.features, batch.soft_labels
-    m = x.shape[0]
-    if lam is None:
-        lam = sample_lambda(lambda_prior("label_mixing", alpha), rng, size=m)
-    else:
-        lam = _check_lam(lam, m)
-    if partners is None:
-        partners = sample_partners(m, m, "batch_permutation", rng)
-    col = lam[:, None]
-    mixed_x = col * x + (1.0 - col) * x[partners]
-    mixed_y = col * y + (1.0 - col) * y[partners]
-    if not with_grads:
-        loss, _ = softmax_xent(forward(params, mixed_x), mixed_y)
-        return loss, None
-    logits, cache = _forward_cached(params, mixed_x)
-    loss, dlogits = softmax_xent(logits, mixed_y)
-    return loss, _backprop(params, cache, dlogits)
 
 
 def mixup_loss(params: ModelParams, batch: Batch, alpha: float, rng, *,
@@ -99,22 +69,30 @@ def mixup_loss(params: ModelParams, batch: Batch, alpha: float, rng, *,
 
     ``lam`` and ``partners`` override the random draws when given.
     """
-    loss, _ = _mixup_core(params, batch, alpha, rng, lam, partners, with_grads=False)
-    return loss
+    return mixup_loss_grad(params, batch, alpha, rng, lam=lam, partners=partners)[0]
 
 
 def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
                     lam=None, partners=None):
     """mixup_loss together with its analytic parameter gradients."""
-    return _mixup_core(params, batch, alpha, rng, lam, partners, with_grads=True)
+    x, y = batch.features, batch.soft_labels
+    m = x.shape[0]
+    if lam is None:
+        lam = sample_lambda(lambda_prior("label_mixing", alpha), rng, size=m)
+    else:
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (m,):
+            raise ShapeError(f"lam must have one entry per example, got shape {lam.shape}")
+    if partners is None:
+        partners = sample_partners(m, m, "batch_permutation", rng)
+    col = lam[:, None]
+    logits, cache = _forward_cached(params, mix(x, x[partners], col))
+    loss, dlogits = softmax_xent(logits, mix(y, y[partners], col))
+    return loss, _backprop(params, cache, dlogits)
 
 
 def _dip_draws(m: int, cfg: MixConfig, rng):
-    prior = lambda_prior(cfg.mode, cfg.alpha)
-    if prior is None:
-        lam = np.ones((m, cfg.s))
-    else:
-        lam = sample_lambda(prior, rng, size=m * cfg.s).reshape(m, cfg.s)
+    lam = sample_lambda(lambda_prior(cfg.mode, cfg.alpha), rng, size=m * cfg.s).reshape(m, cfg.s)
     if cfg.partner == "batch_permutation":
         partners = np.column_stack(
             [sample_partners(m, m, "batch_permutation", rng) for _ in range(cfg.s)]
@@ -122,35 +100,6 @@ def _dip_draws(m: int, cfg: MixConfig, rng):
     else:
         partners = sample_partners(m, m * cfg.s, "dataset_uniform", rng).reshape(m, cfg.s)
     return lam, partners
-
-
-def _dip_core(params, batch, cfg, rng, lam, partners, with_grads):
-    if cfg.mode == "label_mixing":
-        raise ConfigurationError(
-            "label_mixing is handled by mixup_loss; this objective preserves labels"
-        )
-    x, y = batch.features, batch.soft_labels
-    m, k = y.shape
-    s = cfg.s
-    if lam is None and partners is None:
-        lam, partners = _dip_draws(m, cfg, rng)
-    elif lam is None or partners is None:
-        raise ConfigurationError("lam and partners must be overridden together")
-    lam = np.asarray(lam, dtype=float).reshape(m, s)
-    partners = np.asarray(partners).reshape(m, s)
-    col = lam.reshape(-1, 1)
-    own = np.repeat(np.arange(m), s)
-    mixed = col * x[own] + (1.0 - col) * x[partners.reshape(-1)]
-    if not with_grads:
-        avg_logits = forward(params, mixed).reshape(m, s, k).mean(axis=1)
-        loss, _ = softmax_xent(avg_logits, y)
-        return loss, None
-    logits, cache = _forward_cached(params, mixed)
-    avg_logits = logits.reshape(m, s, k).mean(axis=1)
-    loss, davg = softmax_xent(avg_logits, y)
-    # each of the s branches of one example carries an equal share of its gradient
-    dlogits = np.repeat(davg / s, s, axis=0)
-    return loss, _backprop(params, cache, dlogits)
 
 
 def dip_loss_preserving(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
@@ -162,14 +111,32 @@ def dip_loss_preserving(params: ModelParams, batch: Batch, cfg: MixConfig, rng, 
     are averaged in logit space before the cross-entropy. With cfg.mode
     "none" the ratios are pinned at 1 and the value equals plain_loss.
     """
-    loss, _ = _dip_core(params, batch, cfg, rng, lam, partners, with_grads=False)
-    return loss
+    return dip_loss_preserving_grad(params, batch, cfg, rng, lam=lam, partners=partners)[0]
 
 
 def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
                              lam=None, partners=None):
     """dip_loss_preserving with analytic gradients flowing through all s branches."""
-    return _dip_core(params, batch, cfg, rng, lam, partners, with_grads=True)
+    if cfg.mode == "label_mixing":
+        raise ConfigurationError(
+            "label_mixing is handled by mixup_loss; this objective preserves labels"
+        )
+    x, y = batch.features, batch.soft_labels
+    m, k = y.shape
+    s = cfg.s
+    if lam is None and partners is None:
+        lam, partners = _dip_draws(m, cfg, rng)
+    elif lam is None or partners is None:
+        raise ConfigurationError("lam and partners must be overridden together")
+    col = np.asarray(lam, dtype=float).reshape(m * s, 1)
+    own = np.repeat(np.arange(m), s)
+    mixed = mix(x[own], x[np.asarray(partners).reshape(m * s)], col)
+    logits, cache = _forward_cached(params, mixed)
+    avg_logits = logits.reshape(m, s, k).mean(axis=1)
+    loss, davg = softmax_xent(avg_logits, y)
+    # each of the s branches of one example carries an equal share of its gradient
+    dlogits = np.repeat(davg / s, s, axis=0)
+    return loss, _backprop(params, cache, dlogits)
 
 
 def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
@@ -211,8 +178,8 @@ def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
     rhs = 0.0
     for q in range(quad_nodes):
         lam = lam_nodes[q]
-        logits = forward(params, lam * xi + (1.0 - lam) * xk)
-        mixed_labels = lam * yi + (1.0 - lam) * yk
+        logits = forward(params, mix(xi, xk, lam))
+        mixed_labels = mix(yi, yk, lam)
         lhs += w[q] * pdf_mixing[q] * float(loss_rows(logits, mixed_labels).mean())
         rhs += w[q] * pdf_preserving[q] * float(loss_rows(logits, yi).mean())
     return lhs, rhs, abs(lhs - rhs)
@@ -251,7 +218,7 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
             lam = sample_lambda(prior, rng, size=rows)[:, None]
             partners = rng.integers(0, n, size=rows)
             own = np.tile(own_one, r)
-            mixed = lam * x[own] + (1.0 - lam) * x[partners]
+            mixed = mix(x[own], x[partners], lam)
             avg_logits = forward(params, mixed).reshape(r, n, s, k).mean(axis=2)
             losses = loss_rows(avg_logits.reshape(r * n, k), np.tile(y, (r, 1)))
             vals[done:done + r] = losses.reshape(r, n).mean(axis=1)

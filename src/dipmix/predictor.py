@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
-from .mixing import BetaParams, sample_lambda
-from .nn import ModelParams, forward
+from .mixing import BetaParams, mix, sample_lambda
+from .nn import ModelParams, forward, log_softmax
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
@@ -55,38 +55,27 @@ class EvalMetrics(NamedTuple):
     mean_loss: float
 
 
-def _softmax_row(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _predict_one(params: ModelParams, x: np.ndarray, cfg: PredictorConfig,
-                 item: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if cfg.mode == "raw" or cfg.prior is None:
-        # the degenerate prior marginalizes over nothing: f == h exactly
-        return _softmax_row(forward(params, x)[0])
-    rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
-    lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)[:, None]
-    partners = rng.integers(0, len(cfg.partner_pool), size=cfg.s_test)
-    mixed = lam * x + (1.0 - lam) * cfg.partner_pool[partners]
-    return _softmax_row(forward(params, mixed).mean(axis=0))
-
-
 def predict(params: ModelParams, x, cfg: PredictorConfig) -> np.ndarray:
     """Class probabilities for one feature vector; they sum to 1."""
-    return _predict_one(params, x, cfg, item=0)
+    return predict_batch(params, np.asarray(x, dtype=float).reshape(1, -1), cfg)[0]
 
 
 def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
     """Probabilities for each row, one derived stream per row position."""
     features = np.asarray(features, dtype=float)
     if cfg.mode == "raw" or cfg.prior is None:
-        return _softmax_row(forward(params, features))
-    return np.stack(
-        [_predict_one(params, row, cfg, item=i) for i, row in enumerate(features)]
-    )
+        # the degenerate prior marginalizes over nothing: f == h exactly
+        logits = forward(params, features)
+    else:
+        pool = cfg.partner_pool
+        logits = np.empty((len(features), params.n_outputs))
+        for item, x in enumerate(features):
+            rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
+            lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)[:, None]
+            partners = pool[rng.integers(0, len(pool), size=cfg.s_test)]
+            mixed = mix(np.broadcast_to(x, partners.shape), partners, lam)
+            logits[item] = forward(params, mixed).mean(axis=0)
+    return np.exp(log_softmax(logits))
 
 
 def evaluate(params: ModelParams, dataset: Dataset, cfg: PredictorConfig) -> EvalMetrics:
@@ -114,17 +103,9 @@ def decision_grid(params: ModelParams, cfg: PredictorConfig, x_range, y_range,
         raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[1], y_range[0], resolution)
-    classes = np.empty((resolution, resolution), dtype=int)
-    max_probs = np.empty((resolution, resolution))
-    if cfg.mode == "raw" or cfg.prior is None:
-        gx, gy = np.meshgrid(xs, ys)
-        probs = _softmax_row(forward(params, np.column_stack([gx.ravel(), gy.ravel()])))
-        classes[:] = probs.argmax(axis=1).reshape(resolution, resolution)
-        max_probs[:] = probs.max(axis=1).reshape(resolution, resolution)
-        return xs, ys, classes, max_probs
-    for r, yv in enumerate(ys):
-        for c, xv in enumerate(xs):
-            probs = _predict_one(params, np.array([xv, yv]), cfg, item=r * resolution + c)
-            classes[r, c] = int(probs.argmax())
-            max_probs[r, c] = float(probs.max())
+    gx, gy = np.meshgrid(xs, ys)
+    # row-major cells: cell (r, c) is item r * resolution + c of the batch
+    probs = predict_batch(params, np.column_stack([gx.ravel(), gy.ravel()]), cfg)
+    classes = probs.argmax(axis=1).reshape(resolution, resolution)
+    max_probs = probs.max(axis=1).reshape(resolution, resolution)
     return xs, ys, classes, max_probs

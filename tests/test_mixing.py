@@ -23,6 +23,12 @@ class TestMix:
             xp = rng.normal(size=5)
             assert np.array_equal(mix(x, xp, 1.0), x)
             assert np.array_equal(mix(x, xp, 0.0), xp)
+        # one ratio per row, as a broadcasting column
+        x = rng.normal(size=(4, 3))
+        xp = rng.normal(size=(4, 3))
+        out = mix(x, xp, np.array([[1.0], [0.0], [1.0], [0.0]]))
+        assert np.array_equal(out[[0, 2]], x[[0, 2]])
+        assert np.array_equal(out[[1, 3]], xp[[1, 3]])
 
     def test_midpoint(self):
         assert np.array_equal(mix([2.0, 0.0], [0.0, 2.0], 0.5), [1.0, 1.0])
@@ -43,6 +49,12 @@ class TestMix:
             mix([1.0], [2.0], -0.1)
         with pytest.raises(ShapeError):
             mix([1.0, 2.0], [1.0], 0.5)
+        rows = np.zeros((3, 2))
+        for bad in (1.2, -0.5, np.nan):
+            with pytest.raises(DomainError):
+                mix(rows, rows + 1.0, np.array([[0.5], [bad], [0.0]]))
+        with pytest.raises(ShapeError):
+            mix(rows, rows, np.full((2, 3, 1), 0.5))
 
 
 class TestLambdaPrior:

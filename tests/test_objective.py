@@ -9,6 +9,7 @@ from dipmix import (
     BetaParams,
     ConfigurationError,
     Dataset,
+    DomainError,
     MixConfig,
     OptimState,
     beta_pdf,
@@ -114,6 +115,14 @@ class TestDipLossPreserving:
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - marginal_risk) < 3 * se
 
+    def test_out_of_range_ratio_rejected(self, small_net, tiny_batch):
+        m = len(tiny_batch)
+        lam = np.ones((m, 1))
+        lam[3] = 1.5
+        with pytest.raises(DomainError):
+            dip_loss_preserving(small_net, tiny_batch, MixConfig("label_preserving", 1.0, 1),
+                                None, lam=lam, partners=np.zeros((m, 1), dtype=int))
+
     def test_label_mixing_mode_rejected(self, small_net, tiny_batch):
         with pytest.raises(ConfigurationError):
             dip_loss_preserving(small_net, tiny_batch, MixConfig("label_mixing", 1.0, 1),
@@ -126,6 +135,13 @@ class TestMixupLoss:
         loss = mixup_loss(small_net, tiny_batch, 1.0, None,
                           lam=np.ones(m), partners=np.arange(m))
         assert loss == plain_loss(small_net, tiny_batch)
+
+    def test_out_of_range_ratio_rejected(self, small_net, tiny_batch):
+        m = len(tiny_batch)
+        lam = np.full(m, 0.5)
+        lam[0] = -0.25
+        with pytest.raises(DomainError):
+            mixup_loss(small_net, tiny_batch, 1.0, None, lam=lam, partners=np.arange(m))
 
     def test_self_mix_is_fixed_point(self, small_net, tiny_batch):
         m = len(tiny_batch)

@@ -54,6 +54,13 @@ class TestPredict:
         b = predict(params, test_set.features[0], cfg)
         assert np.array_equal(a, b)
 
+    def test_single_row_is_batch_of_one(self, mixup_spirals_model):
+        params, train_set, test_set = mixup_spirals_model
+        x = test_set.features[5]
+        for cfg in (PredictorConfig("raw"),
+                    PredictorConfig("dip", 100, BetaParams(2, 1), train_set.features, seed=2)):
+            assert np.array_equal(predict(params, x, cfg), predict_batch(params, x[None], cfg)[0])
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
             PredictorConfig("dip", 10, BetaParams(2, 1), None, seed=0)
@@ -133,6 +140,15 @@ class TestDecisionGrid:
         _, _, raw_classes, _ = decision_grid(params, raw_cfg, *box, 16)
         _, _, dip_classes, _ = decision_grid(params, dip_cfg, *box, 16)
         assert (raw_classes != dip_classes).sum() > 0
+
+    def test_dip_cells_are_row_major_batch_items(self, mixup_spirals_model):
+        params, train_set, _ = mixup_spirals_model
+        cfg = PredictorConfig("dip", 30, BetaParams(2, 1), train_set.features, seed=6)
+        xs, ys, classes, max_probs = decision_grid(params, cfg, (-2.0, 1.0), (-1.0, 2.0), 5)
+        rows = np.array([[xv, yv] for yv in ys for xv in xs])
+        probs = predict_batch(params, rows, cfg)
+        assert np.array_equal(classes.ravel(), probs.argmax(axis=1))
+        assert np.array_equal(max_probs.ravel(), probs.max(axis=1))
 
     def test_non_planar_model_rejected(self):
         params = mlp_init([3, 4, 2], "relu", seed=0)
