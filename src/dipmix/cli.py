@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report, generalization_gap
-from .data import Dataset, apply_stats, gen_spirals, load_csv, save_csv, split, standardize
+from .data import (Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv,
+                   split, standardize)
 from .errors import ConfigurationError, DomainError, NumericError, ParseError, ShapeError
 from .mixing import MODES, BetaParams, MixConfig, lambda_prior
 from .nn import OptimState, load_model, mlp_init, save_model
@@ -28,6 +29,7 @@ from .objective import train as train_loop
 from .predictor import PredictorConfig, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
+PARTNER_DATA_HELP = "CSV whose features form the mix pool; required by --mode dip"
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -131,13 +133,18 @@ def resolve_config(doc: dict) -> dict:
     return cfg
 
 
+def _read_json(path, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}",
+                             line=exc.lineno) from exc
+
+
 def load_config(path) -> dict:
     """Read a config file; a train manifest is accepted and unwrapped."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "config")
     if isinstance(doc, dict) and "config" in doc and "command" in doc:
         doc = doc["config"]
     return doc
@@ -273,34 +280,54 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_stats(path):
-    from .data import StandardizeStats
+def _load_stats(path) -> StandardizeStats:
+    doc = _read_json(path, "stats file")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"stats file {path} must hold a JSON object with mean and std")
+    fields = {}
+    for name in ("mean", "std"):
+        if name not in doc:
+            raise ConfigurationError(f"stats file {path} has no {name!r} field")
+        try:
+            fields[name] = np.asarray(doc[name], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"stats file {path}: {name!r} must be a list of numbers"
+            ) from None
+    return StandardizeStats(**fields)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return StandardizeStats(np.asarray(doc["mean"]), np.asarray(doc["std"]))
+
+def _predictor_from_args(args):
+    """The --stats moments (or None) and the PredictorConfig of eval and grid.
+
+    The dip mixing pool is the --partner-data features, standardized like the
+    scored points.
+    """
+    stats = _load_stats(args.stats) if args.stats else None
+    pool = None
+    if args.mode == "dip":
+        if not args.partner_data:
+            raise ConfigurationError("--mode dip requires --partner-data for the mix pool")
+        pool_ds = load_csv(args.partner_data)
+        if stats is not None:
+            pool_ds = apply_stats(pool_ds, stats)
+        pool = pool_ds.features
+    cfg = PredictorConfig(
+        mode=args.mode,
+        s_test=args.s_test,
+        prior=_predictor_prior(args.mode, args.alpha),
+        partner_pool=pool,
+        seed=args.seed,
+    )
+    return stats, cfg
 
 
 def cmd_eval(args) -> int:
     params = load_model(args.model)
     ds = load_csv(args.data)
-    stats = _load_stats(args.stats) if args.stats else None
+    stats, cfg = _predictor_from_args(args)
     if stats is not None:
         ds = apply_stats(ds, stats)
-    if args.partner_data:
-        pool_ds = load_csv(args.partner_data)
-        if stats is not None:
-            pool_ds = apply_stats(pool_ds, stats)
-        pool = pool_ds.features
-    else:
-        pool = ds.features
-    cfg = PredictorConfig(
-        mode=args.mode,
-        s_test=args.s_test,
-        prior=_predictor_prior(args.mode, args.alpha),
-        partner_pool=pool if args.mode == "dip" else None,
-        seed=args.seed,
-    )
     result = evaluate(params, ds, cfg)
     print(json.dumps({
         "accuracy": result.accuracy,
@@ -422,21 +449,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_grid(args) -> int:
     params = load_model(args.model)
-    pool = None
-    if args.mode == "dip":
-        if not args.partner_data:
-            raise ConfigurationError("--mode dip requires --partner-data for the mix pool")
-        pool_ds = load_csv(args.partner_data)
-        if args.stats:
-            pool_ds = apply_stats(pool_ds, _load_stats(args.stats))
-        pool = pool_ds.features
-    cfg = PredictorConfig(
-        mode=args.mode,
-        s_test=args.s_test,
-        prior=_predictor_prior(args.mode, args.alpha),
-        partner_pool=pool,
-        seed=args.seed,
-    )
+    _, cfg = _predictor_from_args(args)
     xs, ys, classes, max_probs = decision_grid(
         params, cfg, (args.xmin, args.xmax), (args.ymin, args.ymax), args.res
     )
@@ -487,8 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-test", type=int, default=500)
     p.add_argument("--alpha", type=float, default=1.0,
                    help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")
-    p.add_argument("--partner-data", default=None,
-                   help="CSV whose features form the mix pool (default: --data)")
+    p.add_argument("--partner-data", default=None, help=PARTNER_DATA_HELP)
     p.add_argument("--stats", default=None, help="standardize.json from training")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
@@ -523,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("raw", "dip"), default="raw")
     p.add_argument("--s-test", type=int, default=500)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--partner-data", default=None)
+    p.add_argument("--partner-data", default=None, help=PARTNER_DATA_HELP)
     p.add_argument("--stats", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)

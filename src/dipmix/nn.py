@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError, ParseError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -280,6 +280,8 @@ def to_dict(params: ModelParams) -> dict:
 
 
 def from_dict(doc: dict) -> ModelParams:
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
         return ModelParams(
             layer_sizes=list(doc["layer_sizes"]),
@@ -300,4 +302,9 @@ def save_model(params: ModelParams, path) -> None:
 
 def load_model(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"model file {path} is not valid JSON: {exc.msg}",
+                             line=exc.lineno) from exc
+    return from_dict(doc)

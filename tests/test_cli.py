@@ -142,7 +142,8 @@ class TestEval:
                 "--stats", trained_run["stats"]]
         assert main(["eval"] + base + ["--mode", "raw"]) == 0
         raw_out = json.loads(capsys.readouterr().out)
-        assert main(["eval"] + base + ["--mode", "dip", "--alpha", "0"]) == 0
+        assert main(["eval"] + base + ["--mode", "dip", "--alpha", "0",
+                                       "--partner-data", trained_run["data"]]) == 0
         dip_out = json.loads(capsys.readouterr().out)
         for key in ("accuracy", "misclassification_rate", "mean_loss"):
             assert raw_out[key] == dip_out[key]
@@ -150,11 +151,36 @@ class TestEval:
     def test_fixed_seed_identical_json(self, trained_run, capsys):
         args = ["eval", "--model", trained_run["model"], "--data", trained_run["data"],
                 "--stats", trained_run["stats"], "--mode", "dip", "--alpha", "1",
-                "--s-test", "50", "--seed", "3"]
+                "--s-test", "50", "--seed", "3", "--partner-data", trained_run["data"]]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_dip_without_pool_exits_two(self, trained_run, capsys):
+        assert main(["eval", "--model", trained_run["model"], "--data", trained_run["data"],
+                     "--mode", "dip"]) == 2
+        assert "--partner-data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,field", [
+        ('{"mean": [0.0, 0.0]}', "'std'"),
+        ('{"mean": [0, 0], "std": [1.0]}', "std"),
+        ('{"mean": [0, 0], "std": ["a", 1]}', "'std'"),
+        ('{"mean": [0, 0], ', "not valid JSON"),
+    ])
+    def test_bad_stats_file_exits_two(self, trained_run, tmp_path, capsys, doc, field):
+        bad = tmp_path / "stats.json"
+        bad.write_text(doc)
+        assert main(["eval", "--model", trained_run["model"], "--data", trained_run["data"],
+                     "--stats", str(bad)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ['{"layer_sizes": [2, 2', "[1, 2, 3]"])
+    def test_bad_model_file_exits_two(self, trained_run, tmp_path, capsys, doc):
+        bad = tmp_path / "model.json"
+        bad.write_text(doc)
+        assert main(["eval", "--model", str(bad), "--data", trained_run["data"]]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_incompatible_model_exits_two(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
