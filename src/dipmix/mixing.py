@@ -102,51 +102,15 @@ def lambda_prior(mode: str, alpha: float) -> BetaParams | None:
     return BetaParams(alpha + 1.0, alpha)
 
 
-def _gamma_mt(shape: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized Marsaglia-Tsang gamma variates, unit scale.
-
-    Squeeze/rejection for shape >= 1; shapes below 1 use the standard
-    boost G(a) = G(a+1) * U^(1/a).
-    """
-    if shape < 1.0:
-        g = _gamma_mt(shape + 1.0, rng, size)
-        u = rng.random(size)
-        return g * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        x = rng.standard_normal(pending.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(pending.size)
-        pos = v > 0
-        vs = np.where(pos, v, 1.0)  # placeholder keeps log finite; masked out below
-        accept = pos & (
-            (u < 1.0 - 0.0331 * x**4)
-            | (np.log(u) < 0.5 * x**2 + d * (1.0 - vs + np.log(vs)))
-        )
-        out[pending[accept]] = d * v[accept]
-        pending = pending[~accept]
-    return out
-
-
 def sample_lambda(prior: BetaParams | None, rng: np.random.Generator, size=None):
-    """Draw mixing ratios from the prior.
+    """Draw mixing ratios from the prior with numpy's ``Generator.beta``.
 
-    Beta draws come from two Marsaglia-Tsang gamma variates, clamped to [0, 1]
-    against rounding. The degenerate prior (None) yields exactly 1. With
-    ``size=None`` returns a scalar, otherwise an array of that length.
+    The degenerate prior (None) yields exactly 1 and consumes no randomness.
+    With ``size=None`` returns a scalar, otherwise an array of that length.
     """
     scalar = size is None
     n = 1 if scalar else int(size)
-    if prior is None:
-        lam = np.ones(n)
-    else:
-        ga = _gamma_mt(prior.a, rng, n)
-        gb = _gamma_mt(prior.b, rng, n)
-        lam = ga / (ga + gb)
-        np.clip(lam, 0.0, 1.0, out=lam)
+    lam = np.ones(n) if prior is None else rng.beta(prior.a, prior.b, size=n)
     return float(lam[0]) if scalar else lam
 
 
