@@ -282,18 +282,13 @@ def cmd_train(args) -> int:
 
 def _load_stats(path) -> StandardizeStats:
     doc = _read_json(path, "stats file")
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"stats file {path} must hold a JSON object with mean and std")
     fields = {}
     for name in ("mean", "std"):
-        if name not in doc:
-            raise ConfigurationError(f"stats file {path} has no {name!r} field")
         try:
             fields[name] = np.asarray(doc[name], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"stats file {path}: {name!r} must be a list of numbers"
-            ) from None
+        except (KeyError, TypeError, ValueError):
+            raise ConfigurationError(f"stats file {path} needs a list of numbers "
+                                     f"under {name!r}") from None
     return StandardizeStats(**fields)
 
 

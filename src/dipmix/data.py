@@ -69,14 +69,9 @@ class StandardizeStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.std = np.asarray(self.std, dtype=float)
-        if self.mean.ndim != 1:
-            raise ConfigurationError(
-                f"standardization mean must be 1-D, got shape {self.mean.shape}"
-            )
-        if self.std.shape != self.mean.shape:
-            raise ConfigurationError(
-                f"standardization std has shape {self.std.shape}, mean has {self.mean.shape}"
-            )
+        if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
+            raise ConfigurationError("standardization mean and std must be 1-D of equal length, "
+                                     f"got shapes {self.mean.shape} and {self.std.shape}")
         if np.any(self.std <= 0):
             raise ConfigurationError("standardization std entries must be positive")
 

@@ -76,9 +76,7 @@ def mix(x, x_prime, lam) -> np.ndarray:
         raise ShapeError(f"mix operands differ in shape: {x.shape} vs {x_prime.shape}")
     # min/max rather than an elementwise mask: this runs on every training step
     if lam.size and not (lam.min() >= 0.0 and lam.max() <= 1.0):
-        raise DomainError(
-            f"mixing ratios must lie in [0, 1], got values in [{lam.min()}, {lam.max()}]"
-        )
+        raise DomainError(f"mixing ratios must lie in [0, 1], got [{lam.min()}, {lam.max()}]")
     mixed = lam * x + (1.0 - lam) * x_prime
     if mixed.shape != x.shape:
         raise ShapeError(f"ratios of shape {lam.shape} do not fit operands of shape {x.shape}")

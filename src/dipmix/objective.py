@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, ShapeError
-from .mixing import BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda, sample_partners
+from .mixing import (BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda,
+                     sample_partners)
 from .nn import (
     Batch,
     ModelParams,

@@ -165,6 +165,7 @@ class TestEval:
     @pytest.mark.parametrize("doc,field", [
         ('{"mean": [0.0, 0.0]}', "'std'"),
         ('{"mean": [0, 0], "std": [1.0]}', "std"),
+        ('[[0, 0], [1, 1]]', "'mean'"),
         ('{"mean": [0, 0], "std": ["a", 1]}', "'std'"),
         ('{"mean": [0, 0], ', "not valid JSON"),
     ])
