@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import os
 import sys
@@ -24,12 +25,11 @@ from .data import (Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv
                    split, standardize)
 from .errors import ConfigurationError, DomainError, NumericError, ParseError, ShapeError
 from .mixing import MODES, BetaParams, MixConfig, lambda_prior
-from .nn import OptimState, load_model, mlp_init, save_model
+from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
 from .predictor import PredictorConfig, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
-PARTNER_DATA_HELP = "CSV whose features form the mix pool; required by --mode dip"
 
 DEFAULT_CONFIG = {
     "dataset": {
@@ -50,83 +50,78 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, errors: list, path: str = "") -> dict:
+    """Defaults overlaid with override; unknown keys and sections that are not
+    objects are reported in errors and leave the default in place."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
+        name = path + key
+        if key not in base:
+            errors.append(f"unknown config key {name!r}")
+        elif not isinstance(base[key], dict):
             out[key] = copy.deepcopy(val)
+        elif isinstance(val, dict):
+            out[key] = _merge(base[key], val, errors, name + ".")
+        else:
+            errors.append(f"{name} must be a JSON object")
     return out
 
 
+def _is_seed(value) -> bool:
+    return isinstance(value, int) and value >= 0
+
+
 def resolve_config(doc: dict) -> dict:
-    """Fill defaults and validate, reporting every problem at once."""
+    """Fill defaults and validate, reporting every problem at once.
+
+    The model, mix and optim sections are validated by the objects built from
+    them; this function checks the sections no object owns.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    unknown = set(doc) - set(DEFAULT_CONFIG)
-    cfg = _merge(DEFAULT_CONFIG, {k: v for k, v in doc.items() if k in DEFAULT_CONFIG})
-    errors = [f"unknown config key {k!r}" for k in sorted(unknown)]
+    errors = []
+    cfg = _merge(DEFAULT_CONFIG, doc, errors)
 
     def check(cond, msg):
         if not cond:
             errors.append(msg)
-        return cond
 
     ds = cfg["dataset"]
-    if ds.get("csv") is None:
+    if not ds["csv"]:
         gen = ds["generator"]
-        check(isinstance(gen.get("n_per_class"), int) and gen["n_per_class"] >= 1,
+        check(isinstance(gen["n_per_class"], int) and gen["n_per_class"] >= 1,
               "dataset.generator.n_per_class must be a positive integer")
-        check(isinstance(gen.get("noise_std"), (int, float)) and gen["noise_std"] >= 0,
+        check(isinstance(gen["noise_std"], (int, float)) and gen["noise_std"] >= 0,
               "dataset.generator.noise_std must be >= 0")
-        check(isinstance(gen.get("turns"), (int, float)) and gen["turns"] > 0,
+        check(isinstance(gen["turns"], (int, float)) and gen["turns"] > 0,
               "dataset.generator.turns must be > 0")
-    frac = ds.get("test_fraction")
+        check(_is_seed(gen["seed"]), "dataset.generator.seed must be a nonnegative integer")
+    frac = ds["test_fraction"]
     check(frac is None or (isinstance(frac, (int, float)) and 0 < frac < 1),
           "dataset.test_fraction must be in (0, 1) or null")
-    model = cfg["model"]
-    sizes = model.get("layer_sizes")
-    check(isinstance(sizes, list) and len(sizes) >= 2
-          and all(isinstance(s, int) and s >= 1 for s in sizes),
-          "model.layer_sizes must be a list of >= 2 positive integers")
-    check(model.get("activation") in ("relu", "tanh"),
-          "model.activation must be 'relu' or 'tanh'")
-    mix = cfg["mix"]
-    if check(mix.get("mode") in MODES, f"mix.mode must be one of {MODES}"):
-        alpha = mix.get("alpha", 0.0)
-        check(isinstance(alpha, (int, float)) and alpha >= 0, "mix.alpha must be >= 0")
-        if mix["mode"] != "none":
-            check(alpha > 0, f"mix.mode {mix['mode']!r} requires mix.alpha > 0")
-        check(isinstance(mix.get("s"), int) and mix["s"] >= 1, "mix.s must be a positive integer")
-    optim = cfg["optim"]
-    check(isinstance(optim.get("learning_rate"), (int, float)) and optim["learning_rate"] > 0,
-          "optim.learning_rate must be > 0")
-    check(isinstance(optim.get("momentum"), (int, float)) and 0 <= optim["momentum"] < 1,
-          "optim.momentum must be in [0, 1)")
-    sched = optim.get("schedule", [])
-    ok_sched = isinstance(sched, list) and all(
-        isinstance(e, (list, tuple)) and len(e) == 2 for e in sched
-    )
-    check(ok_sched, "optim.schedule must be a list of [epoch, multiplier] pairs")
-    if ok_sched:
-        epochs_in_sched = [e for e, _ in sched]
-        check(all(b > a for a, b in zip(epochs_in_sched, epochs_in_sched[1:])),
-              "optim.schedule epochs must be strictly increasing")
-    check(isinstance(cfg.get("epochs"), int) and cfg["epochs"] >= 1,
+    check(_is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
+    for section, build in (
+        ("model", lambda m: _check_architecture(m["layer_sizes"], m["activation"])),
+        ("mix", lambda m: MixConfig(**m)),
+        ("optim", lambda m: OptimState(**m)),
+    ):
+        try:
+            build(cfg[section])
+        except ConfigurationError as exc:
+            errors.append(f"{section}: {exc}")
+    check(isinstance(cfg["epochs"], int) and cfg["epochs"] >= 1,
           "epochs must be a positive integer")
-    check(isinstance(cfg.get("batch_size"), int) and cfg["batch_size"] >= 1,
+    check(isinstance(cfg["batch_size"], int) and cfg["batch_size"] >= 1,
           "batch_size must be a positive integer")
     pred = cfg["predictor"]
-    check(pred.get("mode") in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")
-    check(isinstance(pred.get("s_test"), int) and pred["s_test"] >= 1,
+    check(pred["mode"] in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")
+    check(isinstance(pred["s_test"], int) and pred["s_test"] >= 1,
           "predictor.s_test must be a positive integer")
-    pa = pred.get("alpha")
+    pa = pred["alpha"]
     check(pa is None or (isinstance(pa, (int, float)) and pa >= 0),
           "predictor.alpha must be >= 0 or null (inherit mix.alpha)")
-    seeds = cfg.get("seeds")
-    check(isinstance(seeds, list) and len(seeds) >= 1
-          and all(isinstance(s, int) and s >= 0 for s in seeds),
+    seeds = cfg["seeds"]
+    check(isinstance(seeds, list) and len(seeds) >= 1 and all(_is_seed(s) for s in seeds),
           "seeds must be a nonempty list of nonnegative integers")
     if errors:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(errors))
@@ -167,16 +162,6 @@ def build_datasets(cfg: dict):
         train_set, stats = standardize(train_set)
         if test_set is not None:
             test_set = apply_stats(test_set, stats)
-    sizes = cfg["model"]["layer_sizes"]
-    problems = []
-    if train_set.d != sizes[0]:
-        problems.append(f"model input width {sizes[0]} != data dimension {train_set.d}")
-    if train_set.k != sizes[-1]:
-        problems.append(f"model output width {sizes[-1]} != class count {train_set.k}")
-    if cfg["batch_size"] > train_set.n:
-        problems.append(f"batch_size {cfg['batch_size']} exceeds train size {train_set.n}")
-    if problems:
-        raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
     return train_set, test_set, stats
 
 
@@ -205,13 +190,9 @@ def run_training(cfg: dict, seed: int):
     """Train one model under a resolved config; returns params and metrics."""
     train_set, test_set, stats = build_datasets(cfg)
     params = mlp_init(cfg["model"]["layer_sizes"], cfg["model"]["activation"], seed=seed)
-    mix = MixConfig(cfg["mix"]["mode"], cfg["mix"]["alpha"], cfg["mix"]["s"],
-                    cfg["mix"]["partner"])
-    optim = OptimState(cfg["optim"]["learning_rate"], cfg["optim"]["momentum"],
-                       [tuple(e) for e in cfg["optim"]["schedule"]])
     rng = np.random.default_rng([seed, 1])
-    params, metrics = train_loop(params, train_set, mix, optim,
-                                 cfg["epochs"], cfg["batch_size"], rng)
+    params, metrics = train_loop(params, train_set, MixConfig(**cfg["mix"]),
+                                 OptimState(**cfg["optim"]), cfg["epochs"], cfg["batch_size"], rng)
     return params, metrics, train_set, test_set, stats
 
 
@@ -395,6 +376,10 @@ def cmd_sweep(args) -> int:
     out_dir = _output_dir(cfg, args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     progress_path = out_dir / "sweep_progress.json"
+    # a cell is reused only if it was computed under this config
+    digest = hashlib.sha256(json.dumps(
+        {k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}, sort_keys=True
+    ).encode()).hexdigest()
     progress = {}
     if progress_path.exists():
         with open(progress_path, "r", encoding="utf-8") as fh:
@@ -404,10 +389,10 @@ def cmd_sweep(args) -> int:
         for s in s_values:
             for seed in seeds:
                 key = f"alpha={alpha:g},S={s},seed={seed}"
-                if key in progress and "error" not in progress[key]:
+                if progress.get(key, {}).get("config_sha256") == digest:
                     continue
                 try:
-                    progress[key] = _sweep_cell(cfg, alpha, s, seed)
+                    progress[key] = {**_sweep_cell(cfg, alpha, s, seed), "config_sha256": digest}
                 except Exception as exc:  # keep sweeping; record the failure
                     failures += 1
                     progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -488,16 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_train)
 
+    def add_predictor_flags(p):
+        """The prediction flags eval and grid share; _predictor_from_args reads them."""
+        p.add_argument("--mode", choices=("raw", "dip"), default="raw")
+        p.add_argument("--s-test", type=int, default=500)
+        p.add_argument("--alpha", type=float, default=1.0,
+                       help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")
+        p.add_argument("--partner-data", default=None,
+                       help="CSV whose features form the mix pool; required by --mode dip")
+        p.add_argument("--stats", default=None, help="standardize.json from training")
+        p.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("eval", help="evaluate a model on a CSV dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--mode", choices=("raw", "dip"), default="raw")
-    p.add_argument("--s-test", type=int, default=500)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")
-    p.add_argument("--partner-data", default=None, help=PARTNER_DATA_HELP)
-    p.add_argument("--stats", default=None, help="standardize.json from training")
-    p.add_argument("--seed", type=int, default=0)
+    add_predictor_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bound", help="complexity bound report for a dataset")
@@ -527,12 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ymin", type=float, default=-1.5)
     p.add_argument("--ymax", type=float, default=1.5)
     p.add_argument("--res", type=int, default=128)
-    p.add_argument("--mode", choices=("raw", "dip"), default="raw")
-    p.add_argument("--s-test", type=int, default=500)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--partner-data", default=None, help=PARTNER_DATA_HELP)
-    p.add_argument("--stats", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    add_predictor_flags(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_grid)
     return parser

@@ -10,6 +10,7 @@ base network.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +49,15 @@ class MixConfig:
     partner: str = "batch_permutation"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mix mode {self.mode!r}, expected one of {MODES}")
         if self.partner not in PARTNER_STRATEGIES:
             raise ConfigurationError(
                 f"unknown partner strategy {self.partner!r}, expected one of {PARTNER_STRATEGIES}"
             )
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.mode != "none" and not self.alpha > 0:
-            raise ConfigurationError(f"mode {self.mode!r} requires alpha > 0, got {self.alpha}")
-        if self.s < 1:
-            raise ConfigurationError(f"sample count s must be >= 1, got {self.s}")
+        if not (isinstance(self.alpha, numbers.Real) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha must be a nonnegative number, got {self.alpha!r}")
+        if not (isinstance(self.s, numbers.Integral) and self.s >= 1):
+            raise ConfigurationError(f"s must be a positive integer, got {self.s!r}")
+        lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
 
 
 def mix(x, x_prime, lam) -> np.ndarray:
@@ -92,7 +90,7 @@ def lambda_prior(mode: str, alpha: float) -> BetaParams | None:
     if mode == "none":
         return None
     if mode not in MODES:
-        raise ConfigurationError(f"unknown mix mode {mode!r}")
+        raise ConfigurationError(f"unknown mix mode {mode!r}, expected one of {MODES}")
     if not alpha > 0:
         raise ConfigurationError(f"mode {mode!r} requires alpha > 0, got {alpha}")
     if mode == "label_mixing":

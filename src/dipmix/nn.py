@@ -9,6 +9,7 @@ arithmetic is float64.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,10 +116,16 @@ class OptimState:
     velocity_biases: list = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"learning rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not (isinstance(self.learning_rate, numbers.Real) and self.learning_rate > 0):
+            raise ConfigurationError(f"learning_rate must be a positive number, "
+                                     f"got {self.learning_rate!r}")
+        if not (isinstance(self.momentum, numbers.Real) and 0.0 <= self.momentum < 1.0):
+            raise ConfigurationError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
+        if not (isinstance(self.schedule, (list, tuple)) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2
+                and all(isinstance(v, numbers.Real) for v in e) for e in self.schedule)):
+            raise ConfigurationError(f"schedule must be a list of [epoch, multiplier] number "
+                                     f"pairs, got {self.schedule!r}")
         epochs = [e for e, _ in self.schedule]
         if any(b <= a for a, b in zip(epochs, epochs[1:])):
             raise ConfigurationError(f"schedule epochs must be strictly increasing: {epochs}")
@@ -132,10 +139,10 @@ class OptimState:
 
 
 def _check_architecture(layer_sizes, activation):
-    if len(layer_sizes) < 2:
-        raise ConfigurationError(f"need at least input and output layers, got {list(layer_sizes)}")
-    if any(int(s) != s or s < 1 for s in layer_sizes):
-        raise ConfigurationError(f"layer sizes must be positive integers, got {list(layer_sizes)}")
+    if not (isinstance(layer_sizes, (list, tuple)) and len(layer_sizes) >= 2
+            and all(isinstance(s, numbers.Integral) and s >= 1 for s in layer_sizes)):
+        raise ConfigurationError(f"layer_sizes must be a list of >= 2 positive integers, "
+                                 f"got {layer_sizes!r}")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
 
@@ -248,8 +255,6 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: i
     velocity <- momentum * velocity - lr(epoch) * grad; params <- params + velocity.
     Returns the mutated (params, state) pair.
     """
-    if not state.learning_rate > 0:
-        raise ConfigurationError(f"learning rate must be positive, got {state.learning_rate}")
     if len(grads.weights) != len(params.weights):
         raise ShapeError("gradient layer count does not match the model")
     for g, w in zip(grads.weights, params.weights):
@@ -283,14 +288,15 @@ def from_dict(doc: dict) -> ModelParams:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
-        return ModelParams(
-            layer_sizes=list(doc["layer_sizes"]),
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
-            activation=doc.get("activation", "relu"),
-        )
+        layer_sizes = list(doc["layer_sizes"])
+        weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
     except KeyError as exc:
         raise ConfigurationError(f"model document is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"model layer_sizes, weights and biases must be lists of "
+                                 f"numbers, each layer rectangular: {exc}") from None
+    return ModelParams(layer_sizes, weights, biases, doc.get("activation", "relu"))
 
 
 def save_model(params: ModelParams, path) -> None:

@@ -249,11 +249,9 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         )
     if train_set.d != params.n_inputs or train_set.k != params.n_outputs:
         raise ShapeError(
-            f"model is {params.n_inputs}->{params.n_outputs} but data is "
-            f"{train_set.d}->{train_set.k}"
+            f"model layer_sizes {params.layer_sizes} do not fit data with {train_set.d} "
+            f"features and {train_set.k} classes"
         )
-    if cfg.mode != "none" and not cfg.alpha > 0:
-        raise ConfigurationError(f"mode {cfg.mode!r} requires alpha > 0")
     x, y = train_set.features, train_set.labels
     n = train_set.n
     metrics = []

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 from .mixing import BetaParams, mix, sample_lambda
 from .nn import ModelParams, forward, log_softmax
 
@@ -68,6 +68,9 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         logits = forward(params, features)
     else:
         pool = cfg.partner_pool
+        if features.shape[1:] != (params.n_inputs,) or pool.shape[1:] != (params.n_inputs,):
+            raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
+                             f"{features.shape} and a partner pool of shape {pool.shape}")
         logits = np.empty((len(features), params.n_outputs))
         for item, x in enumerate(features):
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])

@@ -82,6 +82,23 @@ class TestTrain:
         assert "epochs" in err and "alpha" in err  # all failures listed at once
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"dataset": 5}, "dataset must be a JSON object"),
+        ({"mix": {"alpah": 1.0}}, "mix.alpah"),
+        ({"mix": {"s": 2.5}}, "mix: s must"),
+        ({"optim": {"schedule": [["a", 0.1]]}}, "optim: schedule"),
+        ({"dataset": {"generator": {"n_per_class": 30, "noise_std": 0.05, "turns": 1.25,
+                                    "seed": "x"}}}, "dataset.generator.seed"),
+        ({"batch_size": 31}, "batch_size"),  # the train half holds 30 rows
+        ({"model": {"layer_sizes": [3, 8, 2]}}, "layer_sizes"),
+    ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
+            "batch-too-large", "input-width"])
+    def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
+        cfg_path = tiny_config(tmp_path, **overrides)
+        assert main(["train", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_reproduces_metrics(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         main(["train", str(cfg_path)])
@@ -176,7 +193,10 @@ class TestEval:
                      "--stats", str(bad)]) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", ['{"layer_sizes": [2, 2', "[1, 2, 3]"])
+    @pytest.mark.parametrize("doc", [
+        '{"layer_sizes": [2, 2', "[1, 2, 3]",
+        '{"layer_sizes": [2, 2], "weights": [[[1, 2], [3]]], "biases": [[0, 0]]}',
+    ])
     def test_bad_model_file_exits_two(self, trained_run, tmp_path, capsys, doc):
         bad = tmp_path / "model.json"
         bad.write_text(doc)
@@ -187,6 +207,10 @@ class TestEval:
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,x3,label\n1,2,3,0\n4,5,6,1\n")
         assert main(["eval", "--model", trained_run["model"], "--data", str(bad)]) == 2
+        # dip mode: a 3-column partner pool, then 3-column scored points
+        for data, pool in ((trained_run["data"], str(bad)), (str(bad), trained_run["data"])):
+            assert main(["eval", "--model", trained_run["model"], "--data", data,
+                         "--mode", "dip", "--partner-data", pool]) == 2
 
     def test_missing_file_exits_one(self, trained_run):
         assert main(["eval", "--model", trained_run["model"],
@@ -253,6 +277,17 @@ class TestSweep:
         assert main(args) == 0
         assert csv_path.read_bytes() == first
         assert progress_path.read_text() == before
+
+    def test_resume_reruns_cells_of_changed_config(self, tmp_path):
+        args = ["sweep", "--alphas", "1", "--s-values", "1", "--seeds", "0,1",
+                "--output-dir", str(tmp_path / "sweep")]
+        assert main(args[:1] + [str(tiny_config(tmp_path))] + args[1:]) == 0
+        csv_path = tmp_path / "sweep" / "sweep.csv"
+        first = csv_path.read_bytes()
+        assert main(args[:1] + [str(tiny_config(tmp_path, epochs=40))] + args[1:]) == 0
+        assert csv_path.read_bytes() != first
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        assert len({cell["config_sha256"] for cell in progress.values()}) == 1
 
     def test_failed_cell_recorded_sweep_continues(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))

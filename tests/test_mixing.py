@@ -149,6 +149,8 @@ class TestMixConfig:
     def test_bad_s(self):
         with pytest.raises(ConfigurationError):
             MixConfig("label_preserving", 1.0, 0)
+        with pytest.raises(ConfigurationError):
+            MixConfig("label_preserving", 1.0, s=2.5)
 
 
 def test_beta_pdf_normalizes():

@@ -215,6 +215,8 @@ class TestSgdStep:
     def test_schedule_must_increase(self):
         with pytest.raises(ConfigurationError):
             OptimState(0.1, schedule=[(5, 0.1), (5, 0.1)])
+        with pytest.raises(ConfigurationError):
+            OptimState(0.1, schedule=[("a", 0.1)])
 
 
 class TestBatch:
