@@ -3,8 +3,9 @@
 Subcommands: gen-data, train, eval, bound, sweep, grid. Experiments are
 described by a single JSON config; flags override file values, and every
 training run writes a manifest echoing the fully resolved config and seed,
-so any artifact can be reproduced byte-for-byte from its manifest. Exit
-codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
+so any artifact can be reproduced byte-for-byte from its manifest. Output
+files are written through ``_write``, which renames a finished temp file into
+place. Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report, generalization_gap
-from .data import (Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv,
-                   split, standardize)
+from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv, split,
+                   standardize)
 from .errors import ConfigurationError, DomainError, NumericError, ParseError, ShapeError
-from .mixing import MODES, BetaParams, MixConfig, lambda_prior
+from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
 from .predictor import PredictorConfig, decision_grid, evaluate
@@ -100,6 +101,9 @@ def resolve_config(doc: dict) -> dict:
     check(frac is None or (isinstance(frac, (int, float)) and 0 < frac < 1),
           "dataset.test_fraction must be in (0, 1) or null")
     check(_is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
+    for name, path in (("dataset.csv", ds["csv"]), ("output_dir", cfg["output_dir"])):
+        check(path is None or (isinstance(path, str) and path != ""),
+              f"{name} must be null or a nonempty string")
     for section, build in (
         ("model", lambda m: _check_architecture(m["layer_sizes"], m["activation"])),
         ("mix", lambda m: MixConfig(**m)),
@@ -137,6 +141,18 @@ def _read_json(path, what: str):
                              line=exc.lineno) from exc
 
 
+def _write(path, text: str) -> None:
+    """Write text to a sibling temp file and rename it over path, so an
+    interrupted write leaves the previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_config(path) -> dict:
     """Read a config file; a train manifest is accepted and unwrapped."""
     doc = _read_json(path, "config")
@@ -165,25 +181,17 @@ def build_datasets(cfg: dict):
     return train_set, test_set, stats
 
 
-def _predictor_prior(mode: str, alpha) -> BetaParams | None:
-    """Prediction-time ratio prior: Beta(alpha+1, alpha), or None when alpha=0."""
-    if mode == "raw" or alpha is None or alpha == 0:
-        return None
-    return lambda_prior("label_preserving", float(alpha))
+def _prior(alpha):
+    """The ratio prior of prediction and of bound: Beta(alpha+1, alpha), or
+    None (no mixing) when alpha is 0."""
+    return lambda_prior("label_preserving", float(alpha)) if alpha else None
 
 
-def make_predictor_config(cfg: dict, train_set: Dataset, seed: int) -> PredictorConfig:
-    pred = cfg["predictor"]
-    alpha = pred.get("alpha")
-    if alpha is None:
-        alpha = cfg["mix"]["alpha"]
-    return PredictorConfig(
-        mode=pred["mode"],
-        s_test=pred["s_test"],
-        prior=_predictor_prior(pred["mode"], alpha),
-        partner_pool=train_set.features if pred["mode"] == "dip" else None,
-        seed=seed,
-    )
+def _predictor(mode: str, s_test: int, alpha, pool, seed: int) -> PredictorConfig:
+    """The PredictorConfig of eval, grid and sweep; pool is used by dip only."""
+    return PredictorConfig(mode=mode, s_test=s_test,
+                           prior=_prior(alpha) if mode == "dip" else None,
+                           partner_pool=pool if mode == "dip" else None, seed=seed)
 
 
 def run_training(cfg: dict, seed: int):
@@ -194,13 +202,6 @@ def run_training(cfg: dict, seed: int):
     params, metrics = train_loop(params, train_set, MixConfig(**cfg["mix"]),
                                  OptimState(**cfg["optim"]), cfg["epochs"], cfg["batch_size"], rng)
     return params, metrics, train_set, test_set, stats
-
-
-def write_metrics_csv(metrics, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,train_acc,lr\n")
-        for row in metrics:
-            fh.write(f"{row.epoch},{row.train_loss!r},{row.train_acc!r},{row.lr!r}\n")
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
@@ -233,13 +234,13 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.json"
     metrics_path = out_dir / "metrics.csv"
     save_model(params, model_path)
-    write_metrics_csv(metrics, metrics_path)
+    _write(metrics_path, "epoch,train_loss,train_acc,lr\n" + "".join(
+        f"{row.epoch},{row.train_loss!r},{row.train_acc!r},{row.lr!r}\n" for row in metrics))
     outputs = {"model": str(model_path), "metrics": str(metrics_path)}
     if stats is not None:
         stats_path = out_dir / "standardize.json"
-        with open(stats_path, "w", encoding="utf-8") as fh:
-            json.dump({"mean": stats.mean.tolist(), "std": stats.std.tolist()}, fh)
-            fh.write("\n")
+        _write(stats_path, json.dumps({"mean": stats.mean.tolist(),
+                                       "std": stats.std.tolist()}) + "\n")
         outputs["standardize"] = str(stats_path)
     train_prior = lambda_prior(cfg["mix"]["mode"], cfg["mix"]["alpha"])
     manifest = {
@@ -251,9 +252,7 @@ def cmd_train(args) -> int:
         "outputs": outputs,
     }
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     last = metrics[-1]
     print(f"trained {cfg['epochs']} epochs (mode={cfg['mix']['mode']}); "
           f"final train_loss={last.train_loss:.6f} train_acc={last.train_acc:.4f}")
@@ -288,14 +287,7 @@ def _predictor_from_args(args):
         if stats is not None:
             pool_ds = apply_stats(pool_ds, stats)
         pool = pool_ds.features
-    cfg = PredictorConfig(
-        mode=args.mode,
-        s_test=args.s_test,
-        prior=_predictor_prior(args.mode, args.alpha),
-        partner_pool=pool,
-        seed=args.seed,
-    )
-    return stats, cfg
+    return stats, _predictor(args.mode, args.s_test, args.alpha, pool, args.seed)
 
 
 def cmd_eval(args) -> int:
@@ -322,13 +314,11 @@ def cmd_bound(args) -> int:
     ds = load_csv(args.data)
     if args.standardize:
         ds, _ = standardize(ds)
-    prior = lambda_prior(args.mode, args.alpha) if args.mode != "none" else None
-    report = bound_report(ds.features, prior, rho=args.rho, c_h=args.c_h,
+    report = bound_report(ds.features, _prior(args.alpha), rho=args.rho, c_h=args.c_h,
                           loss_bound=args.loss_bound, delta=args.delta)
     text = report.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
     return 0
 
@@ -341,18 +331,15 @@ def _parse_num_list(text: str, cast):
 
 
 def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int):
-    cell_cfg = copy.deepcopy(cfg)
-    if alpha == 0:
-        cell_cfg["mix"] = {"mode": "none", "alpha": 0.0, "s": 1,
-                           "partner": cfg["mix"]["partner"]}
-    else:
-        mode = cfg["mix"]["mode"] if cfg["mix"]["mode"] != "none" else "label_mixing"
-        cell_cfg["mix"] = {"mode": mode, "alpha": float(alpha), "s": int(s),
-                           "partner": cfg["mix"]["partner"]}
+    """Train and score one cell: alpha 0 trains without mixing, any other
+    alpha in the config's mixing mode (label_mixing if that is none)."""
+    base = cfg["mix"]["mode"]
+    mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
+    cell_cfg = resolve_config({**cfg, "mix": {**cfg["mix"], "mode": mode, "alpha": alpha, "s": s}})
     params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
-    if test_set is None:
-        raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
-    pred_cfg = make_predictor_config(cell_cfg, train_set, seed)
+    pred = cell_cfg["predictor"]
+    pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
+    pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
     train_eval = evaluate(params, train_set, pred_cfg)
     test_eval = evaluate(params, test_set, pred_cfg)
     return {
@@ -373,6 +360,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_num_list(args.seeds, int) if args.seeds else cfg["seeds"]
     if not alphas or not s_values or not seeds:
         raise ConfigurationError("sweep needs nonempty --alphas, --s-values, and seeds")
+    if cfg["dataset"]["test_fraction"] is None:
+        raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     progress_path = out_dir / "sweep_progress.json"
@@ -380,10 +369,9 @@ def cmd_sweep(args) -> int:
     digest = hashlib.sha256(json.dumps(
         {k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}, sort_keys=True
     ).encode()).hexdigest()
-    progress = {}
-    if progress_path.exists():
-        with open(progress_path, "r", encoding="utf-8") as fh:
-            progress = json.load(fh)
+    progress = _read_json(progress_path, "progress file") if progress_path.exists() else {}
+    if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
+        raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
     failures = 0
     for alpha in alphas:
         for s in s_values:
@@ -397,31 +385,30 @@ def cmd_sweep(args) -> int:
                     failures += 1
                     progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
                     print(f"cell {key} failed: {exc}", file=sys.stderr)
-                with open(progress_path, "w", encoding="utf-8") as fh:
-                    json.dump(progress, fh, indent=2)
-    csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n")
-        for alpha in alphas:
-            for s in s_values:
-                rows = []
-                for seed in seeds:
-                    row = progress.get(f"alpha={alpha:g},S={s},seed={seed}")
-                    if row and "error" not in row:
-                        rows.append(row)
-                        fh.write(f"{row['alpha']:g},{row['S']},{row['mode']},{row['seed']},"
+                _write(progress_path, json.dumps(progress, indent=2))
+    lines = ["alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n"]
+    for alpha in alphas:
+        for s in s_values:
+            rows = []
+            for seed in seeds:
+                row = progress.get(f"alpha={alpha:g},S={s},seed={seed}")
+                if row and "error" not in row:
+                    rows.append(row)
+                    lines.append(f"{row['alpha']:g},{row['S']},{row['mode']},{row['seed']},"
                                  f"{row['train_err']!r},{row['test_err']!r},{row['gap']!r},,,\n")
-                if rows:
-                    agg = {}
-                    for fld in ("train_err", "test_err", "gap"):
-                        vals = np.array([r[fld] for r in rows])
-                        agg[fld] = float(vals.mean())
-                        agg[fld + "_se"] = (float(vals.std(ddof=1) / np.sqrt(len(vals)))
-                                            if len(vals) > 1 else 0.0)
-                    fh.write(f"{alpha:g},{s},{rows[0]['mode']},mean,"
+            if rows:
+                agg = {}
+                for fld in ("train_err", "test_err", "gap"):
+                    vals = np.array([r[fld] for r in rows])
+                    agg[fld] = float(vals.mean())
+                    agg[fld + "_se"] = (float(vals.std(ddof=1) / np.sqrt(len(vals)))
+                                        if len(vals) > 1 else 0.0)
+                lines.append(f"{alpha:g},{s},{rows[0]['mode']},mean,"
                              f"{agg['train_err']!r},{agg['test_err']!r},{agg['gap']!r},"
                              f"{agg['train_err_se']!r},{agg['test_err_se']!r},"
                              f"{agg['gap_se']!r}\n")
+    csv_path = out_dir / "sweep.csv"
+    _write(csv_path, "".join(lines))
     print(f"wrote {csv_path} ({len(alphas) * len(s_values) * len(seeds)} cells, "
           f"{failures} failed)")
     return 0
@@ -435,17 +422,12 @@ def cmd_grid(args) -> int:
     )
     csv_path = Path(f"{args.out_prefix}.csv")
     pgm_path = Path(f"{args.out_prefix}.pgm")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,class,prob\n")
-        for r in range(args.res):
-            for c in range(args.res):
-                fh.write(f"{float(xs[c])!r},{float(ys[r])!r},"
-                         f"{int(classes[r, c])},{float(max_probs[r, c])!r}\n")
+    _write(csv_path, "x,y,class,prob\n" + "".join(
+        f"{float(xs[c])!r},{float(ys[r])!r},{int(classes[r, c])},{float(max_probs[r, c])!r}\n"
+        for r in range(args.res) for c in range(args.res)))
     maxval = max(1, params.n_outputs - 1)
-    with open(pgm_path, "w", encoding="utf-8") as fh:
-        fh.write(f"P2\n{args.res} {args.res}\n{maxval}\n")
-        for r in range(args.res):
-            fh.write(" ".join(str(v) for v in classes[r]) + "\n")
+    _write(pgm_path, f"P2\n{args.res} {args.res}\n{maxval}\n" + "".join(
+        " ".join(str(v) for v in row) + "\n" for row in classes))
     print(f"wrote {csv_path} and {pgm_path}")
     return 0
 
@@ -492,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="complexity bound report for a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--mode", choices=MODES, default="label_preserving")
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="ratio prior is Beta(alpha+1, alpha); 0 disables mixing (C = 1)")
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--c-h", type=float, default=1.0)
     p.add_argument("--loss-bound", type=float, default=10.0)

@@ -40,7 +40,10 @@ class MixConfig:
     """How mixing enters training: mode, ratio prior, draw count, partners.
 
     ``s`` is the number of mix draws averaged inside the loss for
-    label-preserving training; it is ignored for the other modes.
+    label-preserving training. That mode takes its partners from the batch:
+    permutations of it, or with ``dataset_uniform`` i.i.d. uniform rows of the
+    batch, not of the dataset. label_mixing always pairs by one in-batch
+    permutation and ignores ``partner`` and ``s``.
     """
 
     mode: str = "none"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dipmix import cli
 from dipmix.cli import main
 from dipmix.nn import save_model
 from dipmix import mlp_init
@@ -74,6 +75,7 @@ class TestTrain:
         assert manifest["training_prior"] == {"a": 1.0, "b": 1.0}
         header = (run / "metrics.csv").read_text().splitlines()[0]
         assert header == "epoch,train_loss,train_acc,lr"
+        assert not list(run.glob("*.tmp"))
 
     def test_malformed_config_exits_two_no_outputs(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, epochs="many", mix={"alpha": -1.0})
@@ -91,8 +93,10 @@ class TestTrain:
                                     "seed": "x"}}}, "dataset.generator.seed"),
         ({"batch_size": 31}, "batch_size"),  # the train half holds 30 rows
         ({"model": {"layer_sizes": [3, 8, 2]}}, "layer_sizes"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"dataset": {"csv": 7}}, "dataset.csv"),
     ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
-            "batch-too-large", "input-width"])
+            "batch-too-large", "input-width", "output-dir-type", "csv-type"])
     def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
         cfg_path = tiny_config(tmp_path, **overrides)
         assert main(["train", str(cfg_path)]) == 2
@@ -239,6 +243,10 @@ class TestBound:
     def test_bad_constants_exit_two(self, trained_run):
         assert main(["bound", "--data", trained_run["data"], "--delta", "2.0"]) == 2
 
+    def test_alpha_zero_means_no_mixing(self, trained_run, capsys):
+        assert main(["bound", "--data", trained_run["data"], "--alpha", "0"]) == 0
+        assert '"c_lambda": 1.0' in capsys.readouterr().out
+
 
 class TestSweep:
     def test_grid_rows_and_aggregates(self, tmp_path, capsys):
@@ -300,6 +308,54 @@ class TestSweep:
         assert len(failed) == 2 and len(done) == 2
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 1  # header, two good runs, one aggregate
+
+    def test_no_test_split_exits_two_before_training(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, dataset={"test_fraction": None},
+                               output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1"]) == 2
+        assert "test_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_s_zero_cell_fails(self, tmp_path):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "0", "--s-values", "0",
+                     "--seeds", "0"]) == 0
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        (cell,) = progress.values()
+        assert "mix: s must" in cell["error"]
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert not any(line.startswith("0,0,") for line in lines)
+
+    @pytest.mark.parametrize("doc", ['{"a', "[]", '{"alpha=1,S=1,seed=0": []}'],
+                             ids=["not-json", "not-object", "cell-not-object"])
+    def test_bad_progress_file_exits_two(self, tmp_path, capsys, doc):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        (tmp_path / "sweep").mkdir()
+        (tmp_path / "sweep" / "sweep_progress.json").write_text(doc)
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1"]) == 2
+        assert "sweep_progress.json" in capsys.readouterr().err
+
+    def test_interrupted_write_keeps_previous_progress(self, tmp_path, monkeypatch):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        args = ["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1", "--seeds"]
+        assert main(args + ["0"]) == 0
+        progress_path = tmp_path / "sweep" / "sweep_progress.json"
+        before = progress_path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.os, "replace", crash)
+            assert main(args + ["0,1"]) == 1
+        assert progress_path.read_bytes() == before
+        assert not list(progress_path.parent.glob("*.tmp"))
+        trained = []
+        sweep_cell = cli._sweep_cell
+        monkeypatch.setattr(cli, "_sweep_cell", lambda cfg, alpha, s, seed: (
+            trained.append(seed) or sweep_cell(cfg, alpha, s, seed)))
+        assert main(args + ["0,1"]) == 0
+        assert trained == [1]  # the seed-0 cell is reused from the surviving file
 
 
 class TestGrid:
