@@ -41,7 +41,7 @@ DEFAULT_CONFIG = {
         "standardize": True,
     },
     "model": {"layer_sizes": [2, 64, 64, 2], "activation": "relu"},
-    "mix": {"mode": "none", "alpha": 0.0, "s": 1, "partner": "batch_permutation"},
+    "mix": {"mode": "none", "alpha": 0.0, "s": 1},
     "optim": {"learning_rate": 0.1, "momentum": 0.9, "schedule": [[100, 0.1], [150, 0.1]]},
     "epochs": 200,
     "batch_size": 64,
@@ -330,27 +330,34 @@ def _parse_num_list(text: str, cast):
         raise ConfigurationError(f"expected a comma-separated list of numbers, got {text!r}")
 
 
-def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int):
+def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
     """Train and score one cell: alpha 0 trains without mixing, any other
-    alpha in the config's mixing mode (label_mixing if that is none)."""
+    alpha in the config's mixing mode (label_mixing if that is none).
+
+    Modes none and label_mixing ignore S, so scored, which maps
+    (alpha, seed, S or None) to results, holds one model per (alpha, seed).
+    """
     base = cfg["mix"]["mode"]
     mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
     cell_cfg = resolve_config({**cfg, "mix": {**cfg["mix"], "mode": mode, "alpha": alpha, "s": s}})
-    params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
-    pred = cell_cfg["predictor"]
-    pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
-    pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
-    train_eval = evaluate(params, train_set, pred_cfg)
-    test_eval = evaluate(params, test_set, pred_cfg)
-    return {
-        "alpha": float(alpha),
-        "S": int(s),
-        "mode": cell_cfg["mix"]["mode"],
-        "seed": int(seed),
-        "train_err": train_eval.misclassification_rate,
-        "test_err": test_eval.misclassification_rate,
-        "gap": generalization_gap(train_eval, test_eval),
-    }
+    key = (alpha, seed, s if mode == "label_preserving" else None)
+    if key not in scored:
+        params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
+        pred = cell_cfg["predictor"]
+        pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
+        pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
+        train_eval = evaluate(params, train_set, pred_cfg)
+        test_eval = evaluate(params, test_set, pred_cfg)
+        scored[key] = {
+            "alpha": float(alpha),
+            "S": int(s),
+            "mode": mode,
+            "seed": int(seed),
+            "train_err": train_eval.misclassification_rate,
+            "test_err": test_eval.misclassification_rate,
+            "gap": generalization_gap(train_eval, test_eval),
+        }
+    return {**scored[key], "S": int(s)}
 
 
 def cmd_sweep(args) -> int:
@@ -373,6 +380,7 @@ def cmd_sweep(args) -> int:
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
     failures = 0
+    scored = {}
     for alpha in alphas:
         for s in s_values:
             for seed in seeds:
@@ -380,7 +388,8 @@ def cmd_sweep(args) -> int:
                 if progress.get(key, {}).get("config_sha256") == digest:
                     continue
                 try:
-                    progress[key] = {**_sweep_cell(cfg, alpha, s, seed), "config_sha256": digest}
+                    progress[key] = {**_sweep_cell(cfg, alpha, s, seed, scored),
+                                     "config_sha256": digest}
                 except Exception as exc:  # keep sweeping; record the failure
                     failures += 1
                     progress[key] = {"error": f"{type(exc).__name__}: {exc}"}

@@ -1,7 +1,7 @@
 """Sample-mixing primitives.
 
 The convex-combination map between two feature vectors, Beta priors over the
-mixing ratio, draws from those priors, and partner selection. A prior of
+mixing ratio, draws from those priors, and in-batch partner draws. A prior of
 ``None`` stands everywhere for the degenerate distribution with all mass at
 ratio 1, i.e. no mixing at all; under it a mixed classifier collapses to its
 base network.
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, ShapeError
 
 MODES = ("none", "label_mixing", "label_preserving")
-PARTNER_STRATEGIES = ("batch_permutation", "dataset_uniform")
 
 
 @dataclass(frozen=True)
@@ -37,25 +36,19 @@ class BetaParams:
 
 @dataclass
 class MixConfig:
-    """How mixing enters training: mode, ratio prior, draw count, partners.
+    """How mixing enters training: mode, ratio prior and draw count.
 
     ``s`` is the number of mix draws averaged inside the loss for
-    label-preserving training. That mode takes its partners from the batch:
-    permutations of it, or with ``dataset_uniform`` i.i.d. uniform rows of the
-    batch, not of the dataset. label_mixing always pairs by one in-batch
-    permutation and ignores ``partner`` and ``s``.
+    label-preserving training; each draw pairs the batch by its own in-batch
+    permutation. label_mixing pairs by one in-batch permutation and ignores
+    ``s``.
     """
 
     mode: str = "none"
     alpha: float = 0.0
     s: int = 1
-    partner: str = "batch_permutation"
 
     def __post_init__(self):
-        if self.partner not in PARTNER_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partner strategy {self.partner!r}, expected one of {PARTNER_STRATEGIES}"
-            )
         if not (isinstance(self.alpha, numbers.Real) and self.alpha >= 0):
             raise ConfigurationError(f"alpha must be a nonnegative number, got {self.alpha!r}")
         if not (isinstance(self.s, numbers.Integral) and self.s >= 1):
@@ -113,22 +106,11 @@ def sample_lambda(prior: BetaParams | None, rng: np.random.Generator, size=None)
     return float(lam[0]) if scalar else lam
 
 
-def sample_partners(n: int, m: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
-    """Indices of mix partners for m items drawn against a pool of size n.
-
-    batch_permutation: a uniform random permutation of 0..m-1 (requires that
-    m is the batch size itself). dataset_uniform: i.i.d. uniform indices in
-    0..n-1, the empirical feature distribution.
-    """
-    if n < 1:
-        raise ConfigurationError("partner pool is empty")
+def sample_partners(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Mix partners for a batch of m rows: a uniform random permutation of 0..m-1."""
     if m < 1:
-        raise ConfigurationError(f"need at least one partner index, got m={m}")
-    if strategy == "batch_permutation":
-        return rng.permutation(m)
-    if strategy == "dataset_uniform":
-        return rng.integers(0, n, size=m)
-    raise ConfigurationError(f"unknown partner strategy {strategy!r}")
+        raise ConfigurationError(f"need at least one row to pair, got m={m}")
+    return rng.permutation(m)
 
 
 def beta_pdf(lam, a: float, b: float) -> np.ndarray:

@@ -23,13 +23,13 @@ from .nn import (
     ModelParams,
     OptimState,
     _backprop,
-    _forward_cached,
     backward,
     forward,
     log_softmax,
     sgd_step,
     softmax_xent,
 )
+from .predictor import dip_logits
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,11 @@ def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
         if lam.shape != (m,):
             raise ShapeError(f"lam must have one entry per example, got shape {lam.shape}")
     if partners is None:
-        partners = sample_partners(m, m, "batch_permutation", rng)
-    col = lam[:, None]
-    logits, cache = _forward_cached(params, mix(x, x[partners], col))
-    loss, dlogits = softmax_xent(logits, mix(y, y[partners], col))
+        partners = sample_partners(m, rng)
+    # one draw per example: the mixed classifier at S = 1
+    logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True)
+    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]))
     return loss, _backprop(params, cache, dlogits)
-
-
-def _dip_draws(m: int, cfg: MixConfig, rng):
-    lam = sample_lambda(lambda_prior(cfg.mode, cfg.alpha), rng, size=m * cfg.s).reshape(m, cfg.s)
-    if cfg.partner == "batch_permutation":
-        partners = np.column_stack(
-            [sample_partners(m, m, "batch_permutation", rng) for _ in range(cfg.s)]
-        )
-    else:
-        partners = sample_partners(m, m * cfg.s, "dataset_uniform", rng).reshape(m, cfg.s)
-    return lam, partners
 
 
 def dip_loss_preserving(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
@@ -108,9 +97,10 @@ def dip_loss_preserving(params: ModelParams, batch: Batch, cfg: MixConfig, rng, 
     """Jensen surrogate of the marginalized risk, labels preserved.
 
     For each example, cfg.s (ratio, partner) pairs are drawn with
-    ratio ~ Beta(alpha+1, alpha); the s network outputs of the mixed inputs
-    are averaged in logit space before the cross-entropy. With cfg.mode
-    "none" the ratios are pinned at 1 and the value equals plain_loss.
+    ratio ~ Beta(alpha+1, alpha) and partners from cfg.s in-batch
+    permutations; the s network outputs of the mixed inputs are averaged in
+    logit space before the cross-entropy. With cfg.mode "none" the ratios are
+    pinned at 1 and the value equals plain_loss.
     """
     return dip_loss_preserving_grad(params, batch, cfg, rng, lam=lam, partners=partners)[0]
 
@@ -123,17 +113,14 @@ def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, 
             "label_mixing is handled by mixup_loss; this objective preserves labels"
         )
     x, y = batch.features, batch.soft_labels
-    m, k = y.shape
-    s = cfg.s
+    m, s = len(batch), cfg.s
     if lam is None and partners is None:
-        lam, partners = _dip_draws(m, cfg, rng)
+        lam = sample_lambda(lambda_prior(cfg.mode, cfg.alpha), rng, size=m * s)
+        partners = np.column_stack([sample_partners(m, rng) for _ in range(s)])
     elif lam is None or partners is None:
         raise ConfigurationError("lam and partners must be overridden together")
-    col = np.asarray(lam, dtype=float).reshape(m * s, 1)
-    own = np.repeat(np.arange(m), s)
-    mixed = mix(x[own], x[np.asarray(partners).reshape(m * s)], col)
-    logits, cache = _forward_cached(params, mixed)
-    avg_logits = logits.reshape(m, s, k).mean(axis=1)
+    avg_logits, cache = dip_logits(params, x, x[np.asarray(partners).reshape(m * s)], lam,
+                                   with_cache=True)
     loss, davg = softmax_xent(avg_logits, y)
     # each of the s branches of one example carries an equal share of its gradient
     dlogits = np.repeat(davg / s, s, axis=0)
@@ -206,22 +193,19 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
         loss_rows = _xent_rows
     prior = BetaParams(alpha + 1.0, alpha)
     x, y = dataset.features, dataset.labels
-    n, k = y.shape
+    n = dataset.n
 
     def estimate(s: int, n_reps: int) -> LossEstimate:
         vals = np.empty(n_reps)
         chunk = max(1, 200_000 // (n * s))
-        own_one = np.repeat(np.arange(n), s)
         done = 0
         while done < n_reps:
             r = min(chunk, n_reps - done)
             rows = r * n * s
-            lam = sample_lambda(prior, rng, size=rows)[:, None]
+            lam = sample_lambda(prior, rng, size=rows)
             partners = rng.integers(0, n, size=rows)
-            own = np.tile(own_one, r)
-            mixed = mix(x[own], x[partners], lam)
-            avg_logits = forward(params, mixed).reshape(r, n, s, k).mean(axis=2)
-            losses = loss_rows(avg_logits.reshape(r * n, k), np.tile(y, (r, 1)))
+            avg_logits = dip_logits(params, np.tile(x, (r, 1)), x[partners], lam)
+            losses = loss_rows(avg_logits, np.tile(y, (r, 1)))
             vals[done:done + r] = losses.reshape(r, n).mean(axis=1)
             done += r
         return LossEstimate(float(vals.mean()),

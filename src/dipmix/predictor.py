@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigurationError, ShapeError
 from .mixing import BetaParams, mix, sample_lambda
-from .nn import ModelParams, forward, log_softmax
+from .nn import ModelParams, _forward_cached, forward, log_softmax
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
@@ -55,6 +55,28 @@ class EvalMetrics(NamedTuple):
     mean_loss: float
 
 
+def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = False):
+    """Logits of the mixed classifier estimated from s draws per row.
+
+    Row i of x is mixed with partners[i*s:(i+1)*s] at ratios
+    lam[i*s:(i+1)*s], where s = len(lam) // len(x); the network outputs of
+    the mixed rows are averaged over s. Training, prediction and the Jensen
+    check all estimate the marginalized classifier through this one step.
+    With ``with_cache`` the forward cache of the len(x)*s mixed rows is returned
+    too, as (logits, cache), for backpropagation through every branch.
+    """
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(lam, dtype=float).reshape(-1, 1)
+    s = len(lam) // len(x)
+    mixed = mix(x.repeat(s, axis=0), partners, lam)
+    if with_cache:
+        out, cache = _forward_cached(params, mixed)
+    else:
+        out = forward(params, mixed)
+    avg = out.reshape(len(x), s, -1).sum(axis=1) / s  # what mean() computes, with less overhead
+    return (avg, cache) if with_cache else avg
+
+
 def predict(params: ModelParams, x, cfg: PredictorConfig) -> np.ndarray:
     """Class probabilities for one feature vector; they sum to 1."""
     return predict_batch(params, np.asarray(x, dtype=float).reshape(1, -1), cfg)[0]
@@ -74,10 +96,9 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         logits = np.empty((len(features), params.n_outputs))
         for item, x in enumerate(features):
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
-            lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)[:, None]
+            lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)
             partners = pool[rng.integers(0, len(pool), size=cfg.s_test)]
-            mixed = mix(np.broadcast_to(x, partners.shape), partners, lam)
-            logits[item] = forward(params, mixed).mean(axis=0)
+            logits[item] = dip_logits(params, x[None], partners, lam)[0]
     return np.exp(log_softmax(logits))
 
 

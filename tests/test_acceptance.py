@@ -212,8 +212,7 @@ def test_criterion_7_gap_trend(tmp_path):
             "standardize": True,
         },
         "model": {"layer_sizes": [2, 64, 64, 2], "activation": "relu"},
-        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1,
-                "partner": "batch_permutation"},
+        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1},
         "optim": {"learning_rate": 0.1, "momentum": 0.9,
                   "schedule": [[200, 0.1], [300, 0.1]]},
         "epochs": 400,
@@ -281,8 +280,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
             "split_seed": 0,
             "standardize": True,
         },
-        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1,
-                "partner": "batch_permutation"},
+        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1},
         "seeds": [3],
         "output_dir": str(tmp_path / "first"),
     }

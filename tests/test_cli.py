@@ -20,7 +20,7 @@ def tiny_config(tmp_path, **overrides):
             "standardize": True,
         },
         "model": {"layer_sizes": [2, 8, 2], "activation": "relu"},
-        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1, "partner": "batch_permutation"},
+        "mix": {"mode": "label_mixing", "alpha": 1.0, "s": 1},
         "optim": {"learning_rate": 0.1, "momentum": 0.9, "schedule": [[5, 0.1]]},
         "epochs": 8,
         "batch_size": 16,
@@ -95,8 +95,9 @@ class TestTrain:
         ({"model": {"layer_sizes": [3, 8, 2]}}, "layer_sizes"),
         ({"output_dir": 5}, "output_dir"),
         ({"dataset": {"csv": 7}}, "dataset.csv"),
+        ({"mix": {"partner": "batch_permutation"}}, "mix.partner"),
     ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
-            "batch-too-large", "input-width", "output-dir-type", "csv-type"])
+            "batch-too-large", "input-width", "output-dir-type", "csv-type", "removed-partner"])
     def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
         cfg_path = tiny_config(tmp_path, **overrides)
         assert main(["train", str(cfg_path)]) == 2
@@ -272,6 +273,24 @@ class TestSweep:
         assert abs(float(agg[9]) - expected_se) < 1e-12
         assert abs(float(agg[6]) - gaps.mean()) < 1e-12
 
+    def test_s_ignoring_modes_train_once_per_alpha_and_seed(self, tmp_path, monkeypatch):
+        modes = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: modes.append(cfg["mix"]["mode"]) or real(cfg, seed))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1,2,4",
+                     "--seeds", "0"]) == 0
+        assert modes == ["none", "label_mixing"]
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        rows = [l.split(",")[:7] for l in lines if l.split(",")[3] == "0"]
+        assert [r[:3] for r in rows] == [["0", "1", "none"], ["0", "2", "none"],
+                                         ["0", "4", "none"], ["1", "1", "label_mixing"],
+                                         ["1", "2", "label_mixing"], ["1", "4", "label_mixing"]]
+        # every S of one (alpha, seed) reports the scores of its one model
+        assert rows[0][4:] == rows[1][4:] == rows[2][4:]
+        assert rows[3][4:] == rows[4][4:] == rows[5][4:]
+
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         args = ["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1",
@@ -352,8 +371,8 @@ class TestSweep:
         assert not list(progress_path.parent.glob("*.tmp"))
         trained = []
         sweep_cell = cli._sweep_cell
-        monkeypatch.setattr(cli, "_sweep_cell", lambda cfg, alpha, s, seed: (
-            trained.append(seed) or sweep_cell(cfg, alpha, s, seed)))
+        monkeypatch.setattr(cli, "_sweep_cell", lambda cfg, alpha, s, seed, scored: (
+            trained.append(seed) or sweep_cell(cfg, alpha, s, seed, scored)))
         assert main(args + ["0,1"]) == 0
         assert trained == [1]  # the seed-0 cell is reused from the surviving file
 

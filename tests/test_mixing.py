@@ -117,23 +117,12 @@ class TestSamplePartners:
     def test_batch_permutation_is_bijection(self):
         rng = np.random.default_rng(0)
         for m in (1, 4, 17):
-            idx = sample_partners(m, m, "batch_permutation", rng)
+            idx = sample_partners(m, rng)
             assert np.array_equal(np.sort(idx), np.arange(m))
-
-    def test_singleton_pool(self):
-        rng = np.random.default_rng(0)
-        idx = sample_partners(1, 50, "dataset_uniform", rng)
-        assert np.all(idx == 0)
-
-    def test_uniform_frequencies(self):
-        rng = np.random.default_rng(3)
-        idx = sample_partners(10, 100_000, "dataset_uniform", rng)
-        freqs = np.bincount(idx, minlength=10) / idx.size
-        assert np.all(np.abs(freqs - 0.1) < 0.005)
 
     def test_empty_pool_error(self):
         with pytest.raises(ConfigurationError):
-            sample_partners(0, 4, "dataset_uniform", np.random.default_rng(0))
+            sample_partners(0, np.random.default_rng(0))
 
 
 class TestMixConfig:

@@ -108,7 +108,7 @@ class TestDipLossPreserving:
             f_logits += (w_q[q] * pdf[q] / n) * forward(p, mixed).reshape(n, n, 2).sum(axis=1)
         marginal_risk = float(_xent_rows(f_logits, y).mean())
 
-        cfg = MixConfig("label_preserving", 1.0, 256, partner="dataset_uniform")
+        cfg = MixConfig("label_preserving", 1.0, 256)
         batch = Batch(x, y)
         rng = np.random.default_rng(99)
         draws = np.array([dip_loss_preserving(p, batch, cfg, rng) for _ in range(48)])

@@ -16,12 +16,32 @@ from dipmix import (
     predict_batch,
 )
 from dipmix.nn import ModelParams
+from dipmix.predictor import dip_logits
 
 
 def linear_net(w, b=None):
     w = np.asarray(w, dtype=float)
     b = np.zeros(w.shape[1]) if b is None else np.asarray(b, dtype=float)
     return ModelParams([w.shape[0], w.shape[1]], [w], [b], "relu")
+
+
+class TestDipLogits:
+    def test_row_is_mean_of_its_mixed_forwards(self):
+        m, s = 3, 4
+        rng = np.random.default_rng(0)
+        params = mlp_init([2, 8, 3], "relu", seed=0)
+        x = rng.normal(size=(m, 2))
+        partners = rng.normal(size=(m * s, 2))
+        lam = rng.uniform(size=m * s)
+        logits = dip_logits(params, x, partners, lam)
+        for i in range(m):
+            j = range(i * s, (i + 1) * s)
+            hand = sum(forward(params, (lam[r] * x[i] + (1 - lam[r]) * partners[r])[None])[0]
+                       for r in j) / s
+            np.testing.assert_allclose(logits[i], hand, rtol=1e-12, atol=1e-12)
+        cached, (layer_inputs, _) = dip_logits(params, x, partners, lam, with_cache=True)
+        assert np.array_equal(cached, logits)
+        assert layer_inputs[0].shape == (m * s, 2)
 
 
 class TestPredict:
