@@ -8,7 +8,7 @@ diagnostic that quantifies how mixing shrinks the model class. A CLI drives
 two-spirals experiments end to end.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bounds import (
     BoundReport,
@@ -19,7 +19,8 @@ from .bounds import (
     rademacher_bracket,
 )
 from .data import Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv, split, standardize
-from .errors import ConfigurationError, DomainError, NumericError, ParseError, ShapeError
+from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
+                     ShapeError)
 from .mixing import (
     BetaParams,
     MixConfig,
@@ -45,13 +46,10 @@ from .nn import (
 from .objective import (
     EpochMetrics,
     LossEstimate,
-    dip_loss_preserving,
     dip_loss_preserving_grad,
     jensen_check,
-    mixup_loss,
     mixup_loss_grad,
-    plain_loss,
     prop1_check,
     train,
 )
-from .predictor import EvalMetrics, PredictorConfig, decision_grid, evaluate, predict, predict_batch
+from .predictor import EvalMetrics, PredictorConfig, decision_grid, evaluate, predict_batch

@@ -38,23 +38,6 @@ class BoundReport:
     confidence_term: float
     loss_bound: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.c_lambda <= 1.0:
-            raise ConfigurationError(f"c_lambda must lie in [0, 1], got {self.c_lambda}")
-        slack = _JENSEN_SLACK * max(1.0, abs(self.mean_sq_norm))
-        if self.mean_sq_norm < self.sq_norm_mean - slack:
-            raise ConfigurationError(
-                "mean squared norm is below the squared norm of the mean; "
-                "the data moments are inconsistent"
-            )
-        expected = math.sqrt(
-            self.c_lambda * self.mean_sq_norm + (1.0 - self.c_lambda) * self.sq_norm_mean
-        )
-        if abs(self.bracket - expected) > 1e-12 * max(1.0, expected):
-            raise ConfigurationError(
-                f"bracket {self.bracket} does not match its defining formula {expected}"
-            )
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 

@@ -4,8 +4,9 @@ Subcommands: gen-data, train, eval, bound, sweep, grid. Experiments are
 described by a single JSON config; flags override file values, and every
 training run writes a manifest echoing the fully resolved config and seed,
 so any artifact can be reproduced byte-for-byte from its manifest. Output
-files are written through ``_write``, which renames a finished temp file into
-place. Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
+files are written through ``data.write_file``, which renames a finished temp
+file into place. Exit codes: 0 success, 1 runtime failure (i/o, diverged
+training), 2 invalid config or arguments.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report, generalization_gap
-from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv, split,
-                   standardize)
-from .errors import ConfigurationError, DomainError, NumericError, ParseError, ShapeError
+from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, read_json, save_csv,
+                   split, standardize, write_file)
+from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
+                     ShapeError)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
@@ -132,30 +134,9 @@ def resolve_config(doc: dict) -> dict:
     return cfg
 
 
-def _read_json(path, what: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}",
-                             line=exc.lineno) from exc
-
-
-def _write(path, text: str) -> None:
-    """Write text to a sibling temp file and rename it over path, so an
-    interrupted write leaves the previous file intact."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def load_config(path) -> dict:
     """Read a config file; a train manifest is accepted and unwrapped."""
-    doc = _read_json(path, "config")
+    doc = read_json(path, "config")
     if isinstance(doc, dict) and "config" in doc and "command" in doc:
         doc = doc["config"]
     return doc
@@ -234,13 +215,13 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.json"
     metrics_path = out_dir / "metrics.csv"
     save_model(params, model_path)
-    _write(metrics_path, "epoch,train_loss,train_acc,lr\n" + "".join(
+    write_file(metrics_path, "epoch,train_loss,train_acc,lr\n" + "".join(
         f"{row.epoch},{row.train_loss!r},{row.train_acc!r},{row.lr!r}\n" for row in metrics))
     outputs = {"model": str(model_path), "metrics": str(metrics_path)}
     if stats is not None:
         stats_path = out_dir / "standardize.json"
-        _write(stats_path, json.dumps({"mean": stats.mean.tolist(),
-                                       "std": stats.std.tolist()}) + "\n")
+        write_file(stats_path, json.dumps({"mean": stats.mean.tolist(),
+                                           "std": stats.std.tolist()}) + "\n")
         outputs["standardize"] = str(stats_path)
     train_prior = lambda_prior(cfg["mix"]["mode"], cfg["mix"]["alpha"])
     manifest = {
@@ -252,7 +233,7 @@ def cmd_train(args) -> int:
         "outputs": outputs,
     }
     manifest_path = out_dir / "manifest.json"
-    _write(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
     last = metrics[-1]
     print(f"trained {cfg['epochs']} epochs (mode={cfg['mix']['mode']}); "
           f"final train_loss={last.train_loss:.6f} train_acc={last.train_acc:.4f}")
@@ -261,7 +242,7 @@ def cmd_train(args) -> int:
 
 
 def _load_stats(path) -> StandardizeStats:
-    doc = _read_json(path, "stats file")
+    doc = read_json(path, "stats file")
     fields = {}
     for name in ("mean", "std"):
         try:
@@ -318,7 +299,7 @@ def cmd_bound(args) -> int:
                           loss_bound=args.loss_bound, delta=args.delta)
     text = report.to_json()
     if args.out:
-        _write(args.out, text + "\n")
+        write_file(args.out, text + "\n")
     print(text)
     return 0
 
@@ -376,48 +357,42 @@ def cmd_sweep(args) -> int:
     digest = hashlib.sha256(json.dumps(
         {k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}, sort_keys=True
     ).encode()).hexdigest()
-    progress = _read_json(progress_path, "progress file") if progress_path.exists() else {}
+    progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
     failures = 0
     scored = {}
-    for alpha in alphas:
-        for s in s_values:
-            for seed in seeds:
-                key = f"alpha={alpha:g},S={s},seed={seed}"
-                if progress.get(key, {}).get("config_sha256") == digest:
-                    continue
-                try:
-                    progress[key] = {**_sweep_cell(cfg, alpha, s, seed, scored),
-                                     "config_sha256": digest}
-                except Exception as exc:  # keep sweeping; record the failure
-                    failures += 1
-                    progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
-                    print(f"cell {key} failed: {exc}", file=sys.stderr)
-                _write(progress_path, json.dumps(progress, indent=2))
     lines = ["alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n"]
     for alpha in alphas:
         for s in s_values:
             rows = []
             for seed in seeds:
-                row = progress.get(f"alpha={alpha:g},S={s},seed={seed}")
-                if row and "error" not in row:
+                key = f"alpha={alpha:g},S={s},seed={seed}"
+                if progress.get(key, {}).get("config_sha256") != digest:
+                    try:
+                        progress[key] = {**_sweep_cell(cfg, alpha, s, seed, scored),
+                                         "config_sha256": digest}
+                    except Exception as exc:  # keep sweeping; record the failure
+                        failures += 1
+                        progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
+                        print(f"cell {key} failed: {exc}", file=sys.stderr)
+                    write_file(progress_path, json.dumps(progress, indent=2))
+                row = progress[key]
+                if "error" not in row:
                     rows.append(row)
                     lines.append(f"{row['alpha']:g},{row['S']},{row['mode']},{row['seed']},"
                                  f"{row['train_err']!r},{row['test_err']!r},{row['gap']!r},,,\n")
             if rows:
-                agg = {}
+                means, ses = [], []
                 for fld in ("train_err", "test_err", "gap"):
                     vals = np.array([r[fld] for r in rows])
-                    agg[fld] = float(vals.mean())
-                    agg[fld + "_se"] = (float(vals.std(ddof=1) / np.sqrt(len(vals)))
-                                        if len(vals) > 1 else 0.0)
+                    means.append(float(vals.mean()))
+                    ses.append(float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1
+                               else 0.0)
                 lines.append(f"{alpha:g},{s},{rows[0]['mode']},mean,"
-                             f"{agg['train_err']!r},{agg['test_err']!r},{agg['gap']!r},"
-                             f"{agg['train_err_se']!r},{agg['test_err_se']!r},"
-                             f"{agg['gap_se']!r}\n")
+                             + ",".join(repr(v) for v in means + ses) + "\n")
     csv_path = out_dir / "sweep.csv"
-    _write(csv_path, "".join(lines))
+    write_file(csv_path, "".join(lines))
     print(f"wrote {csv_path} ({len(alphas) * len(s_values) * len(seeds)} cells, "
           f"{failures} failed)")
     return 0
@@ -431,11 +406,11 @@ def cmd_grid(args) -> int:
     )
     csv_path = Path(f"{args.out_prefix}.csv")
     pgm_path = Path(f"{args.out_prefix}.pgm")
-    _write(csv_path, "x,y,class,prob\n" + "".join(
+    write_file(csv_path, "x,y,class,prob\n" + "".join(
         f"{float(xs[c])!r},{float(ys[r])!r},{int(classes[r, c])},{float(max_probs[r, c])!r}\n"
         for r in range(args.res) for c in range(args.res)))
     maxval = max(1, params.n_outputs - 1)
-    _write(pgm_path, f"P2\n{args.res} {args.res}\n{maxval}\n" + "".join(
+    write_file(pgm_path, f"P2\n{args.res} {args.res}\n{maxval}\n" + "".join(
         " ".join(str(v) for v in row) + "\n" for row in classes))
     print(f"wrote {csv_path} and {pgm_path}")
     return 0
@@ -522,6 +497,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,12 @@
-"""Synthetic two-spirals data, CSV persistence, standardization, splitting."""
+"""Synthetic two-spirals data, file reading and atomic writing, CSV
+persistence, standardization, splitting."""
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -106,14 +110,34 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     return Dataset(np.vstack(feats), np.vstack(labels), class_names=["0", "1"])
 
 
+def read_json(path, what: str):
+    """Parse a JSON file; malformed content raises ParseError naming ``what``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}",
+                             line=exc.lineno) from exc
+
+
+def write_file(path, text: str) -> None:
+    """Write text to a sibling temp file and rename it over path, so an
+    interrupted write leaves the previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write `x1,...,xd,label` rows; 17 significant digits keep floats lossless."""
     names = dataset.class_names or [str(i) for i in range(dataset.k)]
-    ids = dataset.class_ids()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(dataset.d)) + ",label\n")
-        for row, cid in zip(dataset.features, ids):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{names[cid]}\n")
+    write_file(path, ",".join(f"x{j + 1}" for j in range(dataset.d)) + ",label\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + f",{names[cid]}\n"
+        for row, cid in zip(dataset.features, dataset.class_ids())))
 
 
 def load_csv(path) -> Dataset:

@@ -17,6 +17,10 @@ class NumericError(ValueError):
     """Non-finite values where finite arithmetic is required."""
 
 
+class DivergenceError(RuntimeError):
+    """Training whose loss became non-finite or grew past its divergence bound."""
+
+
 class ParseError(ValueError):
     """Malformed input file; carries the offending line number when known."""
 

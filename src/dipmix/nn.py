@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ParseError, ShapeError
+from .data import read_json, write_file
+from .errors import ConfigurationError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -152,7 +153,7 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
 
     Deterministic per seed.
     """
-    _check_architecture(layer_sizes, activation)
+    _check_architecture(layer_sizes, activation)  # before the draws, which fail less clearly
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -300,17 +301,9 @@ def from_dict(doc: dict) -> ModelParams:
 
 
 def save_model(params: ModelParams, path) -> None:
-    """Write the model as JSON; float repr keeps the round trip lossless."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(params), fh)
-        fh.write("\n")
+    """Write the model as JSON, atomically; float repr keeps the round trip lossless."""
+    write_file(path, json.dumps(to_dict(params)) + "\n")
 
 
 def load_model(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"model file {path} is not valid JSON: {exc.msg}",
-                             line=exc.lineno) from exc
-    return from_dict(doc)
+    return from_dict(read_json(path, "model file"))

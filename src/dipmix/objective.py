@@ -1,7 +1,8 @@
 """Training objectives for mixed and unmixed classifiers.
 
-Plain empirical risk, the label-mixing (Mixup-style) loss, the S-draw
-label-preserving Jensen surrogate whose inner average runs over logits, and
+The label-mixing (Mixup-style) loss, the S-draw label-preserving Jensen
+surrogate whose inner average runs over logits, a training loop that also
+runs plain empirical risk through nn.backward and stops on divergence, and
 two verification oracles: a quadrature check of the label-mixing /
 label-preserving equivalence, and a Monte-Carlo check that the surrogate is
 monotone nonincreasing in the number of draws.
@@ -9,13 +10,14 @@ monotone nonincreasing in the number of draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError
 from .mixing import (BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda,
                      sample_partners)
 from .nn import (
@@ -30,6 +32,8 @@ from .nn import (
     softmax_xent,
 )
 from .predictor import dip_logits
+
+DIVERGENCE_FACTOR = 10.0  # healthy default-config runs peak near 1.1 x log(2), the uniform loss
 
 
 @dataclass(frozen=True)
@@ -57,25 +61,14 @@ def _xent_rows(logits: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
     return -(soft_labels * log_softmax(logits)).sum(axis=1)
 
 
-def plain_loss(params: ModelParams, batch: Batch) -> float:
-    """Mean softmax cross-entropy on the raw features."""
-    loss, _ = softmax_xent(forward(params, batch.features), batch.soft_labels)
-    return loss
-
-
-def mixup_loss(params: ModelParams, batch: Batch, alpha: float, rng, *,
-               lam=None, partners=None) -> float:
-    """Label-mixing loss: one Beta(alpha, alpha) ratio per example, partner by
-    in-batch permutation, loss on mixed features with mixed soft labels.
-
-    ``lam`` and ``partners`` override the random draws when given.
-    """
-    return mixup_loss_grad(params, batch, alpha, rng, lam=lam, partners=partners)[0]
-
-
 def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
                     lam=None, partners=None):
-    """mixup_loss together with its analytic parameter gradients."""
+    """Label-mixing loss and its analytic parameter gradients, as (loss, grads).
+
+    One Beta(alpha, alpha) ratio per example, partner by in-batch
+    permutation, loss on mixed features with mixed soft labels. ``lam`` and
+    ``partners`` override the random draws when given.
+    """
     x, y = batch.features, batch.soft_labels
     m = x.shape[0]
     if lam is None:
@@ -92,25 +85,21 @@ def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
     return loss, _backprop(params, cache, dlogits)
 
 
-def dip_loss_preserving(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
-                        lam=None, partners=None) -> float:
-    """Jensen surrogate of the marginalized risk, labels preserved.
+def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
+                             lam=None, partners=None):
+    """Jensen surrogate of the marginalized risk, labels preserved, and its
+    analytic gradients flowing through all s branches, as (loss, grads).
 
     For each example, cfg.s (ratio, partner) pairs are drawn with
     ratio ~ Beta(alpha+1, alpha) and partners from cfg.s in-batch
     permutations; the s network outputs of the mixed inputs are averaged in
     logit space before the cross-entropy. With cfg.mode "none" the ratios are
-    pinned at 1 and the value equals plain_loss.
+    pinned at 1 and the loss equals that of ``backward``. ``lam`` (m * s
+    ratios) and ``partners`` (m rows of s indices) override the draws together.
     """
-    return dip_loss_preserving_grad(params, batch, cfg, rng, lam=lam, partners=partners)[0]
-
-
-def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
-                             lam=None, partners=None):
-    """dip_loss_preserving with analytic gradients flowing through all s branches."""
     if cfg.mode == "label_mixing":
         raise ConfigurationError(
-            "label_mixing is handled by mixup_loss; this objective preserves labels"
+            "label_mixing is handled by mixup_loss_grad; this objective preserves labels"
         )
     x, y = batch.features, batch.soft_labels
     m, s = len(batch), cfg.s
@@ -223,7 +212,9 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
 
     Shuffles every epoch, draws fresh mixing tables per batch, and records
     (epoch, mean objective loss, raw-feature argmax accuracy, learning rate).
-    Configuration problems surface before any update runs.
+    Configuration problems surface before any update runs. An epoch whose
+    mean loss is non-finite or above DIVERGENCE_FACTOR * log(k), a multiple
+    of the uniform predictor's loss, raises DivergenceError naming it.
     """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
@@ -238,21 +229,28 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         )
     x, y = train_set.features, train_set.labels
     n = train_set.n
+    loss_cap = DIVERGENCE_FACTOR * math.log(train_set.k)
     metrics = []
     for epoch in range(epochs):
         order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            batch = Batch(x[idx], y[idx])
-            if cfg.mode == "label_mixing":
-                loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng)
-            elif cfg.mode == "label_preserving":
-                loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng)
-            else:
-                loss, grads = backward(params, batch)
-            sgd_step(params, grads, optim, epoch)
-            total += loss * len(batch)
+        try:
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                batch = Batch(x[idx], y[idx])
+                if cfg.mode == "label_mixing":
+                    loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng)
+                elif cfg.mode == "label_preserving":
+                    loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng)
+                else:
+                    loss, grads = backward(params, batch)
+                sgd_step(params, grads, optim, epoch)
+                total += loss * len(batch)
+        except NumericError as exc:
+            raise DivergenceError(f"training diverged in epoch {epoch}: {exc}") from exc
+        if not total / n <= loss_cap:  # also true for NaN
+            raise DivergenceError(f"training diverged in epoch {epoch}: mean loss {total / n:g} "
+                                  f"exceeds {loss_cap:g}, {DIVERGENCE_FACTOR:g} x log(k)")
         preds = forward(params, x).argmax(axis=1)
         acc = float((preds == train_set.class_ids()).mean())
         metrics.append(EpochMetrics(epoch, total / n, acc, optim.lr_at(epoch)))

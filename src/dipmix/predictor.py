@@ -77,11 +77,6 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     return (avg, cache) if with_cache else avg
 
 
-def predict(params: ModelParams, x, cfg: PredictorConfig) -> np.ndarray:
-    """Class probabilities for one feature vector; they sum to 1."""
-    return predict_batch(params, np.asarray(x, dtype=float).reshape(1, -1), cfg)[0]
-
-
 def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
     """Probabilities for each row, one derived stream per row position."""
     features = np.asarray(features, dtype=float)

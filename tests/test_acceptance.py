@@ -22,17 +22,14 @@ from dipmix import (
     backward,
     c_lambda_closed,
     c_lambda_mc,
-    dip_loss_preserving,
     dip_loss_preserving_grad,
     evaluate,
     gen_spirals,
     generalization_gap,
     jensen_check,
-    mixup_loss,
     mixup_loss_grad,
     mlp_init,
-    plain_loss,
-    predict,
+    predict_batch,
     prop1_check,
     rademacher_bracket,
     split,
@@ -107,20 +104,20 @@ def test_criterion_4_gradient_certification():
 
     params = mlp_init([2, 5, 3], "tanh", seed=41)
     _, grads = backward(params, batch)
-    numeric = fd_param_grads(lambda q: plain_loss(q, batch), params)
+    numeric = fd_param_grads(lambda q: backward(q, batch)[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     params = mlp_init([2, 5, 3], "tanh", seed=42)
     _, grads = mixup_loss_grad(params, batch, 1.0, np.random.default_rng(7))
     numeric = fd_param_grads(
-        lambda q: mixup_loss(q, batch, 1.0, np.random.default_rng(7)), params)
+        lambda q: mixup_loss_grad(q, batch, 1.0, np.random.default_rng(7))[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     params = mlp_init([2, 5, 3], "tanh", seed=43)
     cfg = MixConfig("label_preserving", 1.0, 4)
     _, grads = dip_loss_preserving_grad(params, batch, cfg, np.random.default_rng(8))
     numeric = fd_param_grads(
-        lambda q: dip_loss_preserving(q, batch, cfg, np.random.default_rng(8)), params)
+        lambda q: dip_loss_preserving_grad(q, batch, cfg, np.random.default_rng(8))[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     assert worst < 1e-4
@@ -250,19 +247,20 @@ def test_criterion_8_degenerate_collapses():
     ds, _ = standardize(gen_spirals(16, 0.05, 1.25, seed=2))
     params = mlp_init([2, 16, 2], "relu", seed=3)
     batch = Batch(ds.features, ds.labels)
-    reference = plain_loss(params, batch)
+    reference = backward(params, batch)[0]
     m = len(batch)
 
     rng = np.random.default_rng(0)
-    assert dip_loss_preserving(params, batch, MixConfig("none"), rng) == reference
-    assert dip_loss_preserving(params, batch, MixConfig("none", 0.0, 4), rng) == reference
-    assert mixup_loss(params, batch, 1.0, None,
-                      lam=np.ones(m), partners=rng.permutation(m)) == reference
+    assert dip_loss_preserving_grad(params, batch, MixConfig("none"), rng)[0] == reference
+    assert dip_loss_preserving_grad(params, batch, MixConfig("none", 0.0, 4), rng)[0] == reference
+    assert mixup_loss_grad(params, batch, 1.0, None,
+                           lam=np.ones(m), partners=rng.permutation(m))[0] == reference
 
     raw_cfg = PredictorConfig("raw", seed=0)
     dip_cfg = PredictorConfig("dip", 500, None, ds.features, seed=0)
     for x in ds.features[:4]:
-        assert np.array_equal(predict(params, x, dip_cfg), predict(params, x, raw_cfg))
+        assert np.array_equal(predict_batch(params, x[None], dip_cfg)[0],
+                              predict_batch(params, x[None], raw_cfg)[0])
     raw_eval = evaluate(params, ds, raw_cfg)
     dip_eval = evaluate(params, ds, dip_cfg)
     assert raw_eval == dip_eval

@@ -5,7 +5,6 @@ import pytest
 
 from dipmix import (
     BetaParams,
-    BoundReport,
     ConfigurationError,
     EvalMetrics,
     bound_report,
@@ -116,6 +115,11 @@ class TestRademacherBracket:
         with pytest.raises(ConfigurationError):
             rademacher_bracket(np.zeros((0, 2)), 0.5)
 
+    @pytest.mark.parametrize("c", [-0.1, 1.5])
+    def test_c_outside_unit_interval_rejected(self, c):
+        with pytest.raises(ConfigurationError):
+            rademacher_bracket(np.ones((3, 2)), c)
+
 
 class TestBoundReport:
     def test_three_point_hand_computation(self):
@@ -157,16 +161,6 @@ class TestBoundReport:
             bound_report(feats, None, rho=-1.0)
         with pytest.raises(ConfigurationError):
             bound_report(feats, None, delta=1.5)
-
-    def test_inconsistent_report_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BoundReport(c_lambda=0.5, mean_sq_norm=1.0, sq_norm_mean=2.0, bracket=1.0,
-                        rho=1.0, c_h=1.0, n=3, rad_bound=1.0, delta=0.05,
-                        confidence_term=1.0, loss_bound=10.0)
-        with pytest.raises(ConfigurationError):
-            BoundReport(c_lambda=0.5, mean_sq_norm=2.0, sq_norm_mean=1.0, bracket=9.0,
-                        rho=1.0, c_h=1.0, n=3, rad_bound=1.0, delta=0.05,
-                        confidence_term=1.0, loss_bound=10.0)
 
 
 class TestGeneralizationGap:

@@ -104,6 +104,19 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # 1e300 overflows the logits inside epoch 0, the others its mean loss
+    @pytest.mark.parametrize("lr", [1000.0, 1e4, 1e300], ids=["lr-1e3", "lr-1e4", "lr-1e300"])
+    def test_diverging_run_exits_one_without_model(self, tmp_path, capsys, lr):
+        cfg_path = tiny_config(tmp_path, optim={"learning_rate": lr}, epochs=3)
+        assert main(["train", str(cfg_path)]) == 1
+        assert "training diverged in epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        sweep_dir = tmp_path / "sweep"
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1",
+                     "--output-dir", str(sweep_dir)]) == 0
+        cell = json.loads((sweep_dir / "sweep_progress.json").read_text())["alpha=1,S=1,seed=0"]
+        assert cell["error"].startswith("DivergenceError: training diverged in epoch 0")
+
     def test_manifest_reproduces_metrics(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         main(["train", str(cfg_path)])

@@ -1,10 +1,16 @@
-"""Every file the CLI writes goes through ``cli._write``, which renames a
-finished temp file into place; a write anywhere else in cli.py fails here."""
+"""Every file the package writes goes through ``data.write_file``, which
+renames a finished temp file into place; a write anywhere else in
+src/dipmix fails here."""
 
 import ast
+import os
 from pathlib import Path
 
-CLI = Path(__file__).resolve().parents[1] / "src" / "dipmix" / "cli.py"
+import pytest
+
+from dipmix import mlp_init, save_model
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 
 
 def _writes(call: ast.Call) -> bool:
@@ -23,11 +29,29 @@ def _writes(call: ast.Call) -> bool:
                     and not set(m.value) & set("wax+")) for m in modes)
 
 
-def test_cli_writes_files_only_in_write():
-    tree = ast.parse(CLI.read_text())
-    writer = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "_write"]
-    inside = {id(node) for node in ast.walk(writer[0])} if writer else set()
-    stray = [f"line {node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and id(node) not in inside and _writes(node)]
-    assert writer and stray == []
+def test_files_are_written_only_in_write_file():
+    writers, stray = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        mine = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "write_file"]
+        writers += [f"{path.name}:{node.lineno}" for node in mine]
+        inside = {id(node) for writer in mine for node in ast.walk(writer)}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside and _writes(node)]
+    assert len(writers) == 1 and stray == []
+
+
+def test_interrupted_save_model_keeps_previous_model(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(mlp_init([2, 3, 2], "relu", seed=0), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("simulated interruption")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="simulated"):
+        save_model(mlp_init([2, 3, 2], "relu", seed=1), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]

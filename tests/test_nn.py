@@ -66,6 +66,9 @@ class TestInit:
             mlp_init([2], "relu", seed=0)
         with pytest.raises(ConfigurationError):
             mlp_init([2, 0, 2], "relu", seed=0)
+        for sizes in ([2, -1, 2], [2, 2.5, 2]):  # would fail inside the weight draws
+            with pytest.raises(ConfigurationError):
+                mlp_init(sizes, "relu", seed=0)
         with pytest.raises(ConfigurationError):
             mlp_init([2, 4, 2], "sigmoid", seed=0)
 

@@ -12,16 +12,14 @@ from dipmix import (
     DomainError,
     MixConfig,
     OptimState,
+    backward,
     beta_pdf,
-    dip_loss_preserving,
     dip_loss_preserving_grad,
     forward,
     gen_spirals,
     jensen_check,
-    mixup_loss,
     mixup_loss_grad,
     mlp_init,
-    plain_loss,
     prop1_check,
     sample_lambda,
     standardize,
@@ -47,12 +45,12 @@ def tiny_batch(tiny_spirals):
 
 class TestPlainLoss:
     def test_zero_net_gives_log2(self, tiny_batch):
-        assert abs(plain_loss(zero_net(2, 2), tiny_batch) - math.log(2)) < 1e-15
+        assert abs(backward(zero_net(2, 2), tiny_batch)[0] - math.log(2)) < 1e-15
 
     def test_equals_dip_with_mode_none(self, small_net, tiny_batch):
         rng = np.random.default_rng(0)
-        dip = dip_loss_preserving(small_net, tiny_batch, MixConfig("none", 0.0, 1), rng)
-        assert dip == plain_loss(small_net, tiny_batch)
+        dip = dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("none", 0.0, 1), rng)[0]
+        assert dip == backward(small_net, tiny_batch)[0]
 
     def test_hand_computed_two_sample_batch(self):
         # one linear layer: logits = x @ w + b, worked through by hand below
@@ -68,16 +66,16 @@ class TestPlainLoss:
             logsum = m + math.log(math.exp(z[0] - m) + math.exp(z[1] - m))
             expected += -(y[0] * (z[0] - logsum) + y[1] * (z[1] - logsum))
         expected /= 2
-        assert abs(plain_loss(p, Batch(feats, labels)) - expected) < 1e-12
+        assert abs(backward(p, Batch(feats, labels))[0] - expected) < 1e-12
 
 
 class TestDipLossPreserving:
     def test_forced_lambda_one_equals_plain(self, small_net, tiny_batch):
         m = len(tiny_batch)
         cfg = MixConfig("label_preserving", 1.0, 1)
-        loss = dip_loss_preserving(small_net, tiny_batch, cfg, None,
-                                   lam=np.ones((m, 1)), partners=np.zeros((m, 1), dtype=int))
-        assert loss == plain_loss(small_net, tiny_batch)
+        loss = dip_loss_preserving_grad(small_net, tiny_batch, cfg, None, lam=np.ones((m, 1)),
+                                        partners=np.zeros((m, 1), dtype=int))[0]
+        assert loss == backward(small_net, tiny_batch)[0]
 
     def test_single_draw_matches_manual_mix_step(self, small_net, tiny_batch):
         # S=1 with the labels kept is one label-preserving mix step
@@ -86,8 +84,8 @@ class TestDipLossPreserving:
         lam = sample_lambda(BetaParams(2.0, 1.0), rng, size=m)
         partners = rng.permutation(m)
         cfg = MixConfig("label_preserving", 1.0, 1)
-        loss = dip_loss_preserving(small_net, tiny_batch, cfg, None,
-                                   lam=lam.reshape(m, 1), partners=partners.reshape(m, 1))
+        loss = dip_loss_preserving_grad(small_net, tiny_batch, cfg, None, lam=lam.reshape(m, 1),
+                                        partners=partners.reshape(m, 1))[0]
         x = tiny_batch.features
         mixed = lam[:, None] * x + (1 - lam[:, None]) * x[partners]
         manual = float(_xent_rows(forward(small_net, mixed), tiny_batch.soft_labels).mean())
@@ -111,7 +109,7 @@ class TestDipLossPreserving:
         cfg = MixConfig("label_preserving", 1.0, 256)
         batch = Batch(x, y)
         rng = np.random.default_rng(99)
-        draws = np.array([dip_loss_preserving(p, batch, cfg, rng) for _ in range(48)])
+        draws = np.array([dip_loss_preserving_grad(p, batch, cfg, rng)[0] for _ in range(48)])
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - marginal_risk) < 3 * se
 
@@ -120,34 +118,34 @@ class TestDipLossPreserving:
         lam = np.ones((m, 1))
         lam[3] = 1.5
         with pytest.raises(DomainError):
-            dip_loss_preserving(small_net, tiny_batch, MixConfig("label_preserving", 1.0, 1),
-                                None, lam=lam, partners=np.zeros((m, 1), dtype=int))
+            dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("label_preserving", 1.0, 1),
+                                     None, lam=lam, partners=np.zeros((m, 1), dtype=int))
 
     def test_label_mixing_mode_rejected(self, small_net, tiny_batch):
         with pytest.raises(ConfigurationError):
-            dip_loss_preserving(small_net, tiny_batch, MixConfig("label_mixing", 1.0, 1),
-                                np.random.default_rng(0))
+            dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("label_mixing", 1.0, 1),
+                                     np.random.default_rng(0))
 
 
 class TestMixupLoss:
     def test_forced_lambda_one_equals_plain(self, small_net, tiny_batch):
         m = len(tiny_batch)
-        loss = mixup_loss(small_net, tiny_batch, 1.0, None,
-                          lam=np.ones(m), partners=np.arange(m))
-        assert loss == plain_loss(small_net, tiny_batch)
+        loss = mixup_loss_grad(small_net, tiny_batch, 1.0, None,
+                               lam=np.ones(m), partners=np.arange(m))[0]
+        assert loss == backward(small_net, tiny_batch)[0]
 
     def test_out_of_range_ratio_rejected(self, small_net, tiny_batch):
         m = len(tiny_batch)
         lam = np.full(m, 0.5)
         lam[0] = -0.25
         with pytest.raises(DomainError):
-            mixup_loss(small_net, tiny_batch, 1.0, None, lam=lam, partners=np.arange(m))
+            mixup_loss_grad(small_net, tiny_batch, 1.0, None, lam=lam, partners=np.arange(m))
 
     def test_self_mix_is_fixed_point(self, small_net, tiny_batch):
         m = len(tiny_batch)
-        loss = mixup_loss(small_net, tiny_batch, 1.0, None,
-                          lam=np.full(m, 0.5), partners=np.arange(m))
-        assert abs(loss - plain_loss(small_net, tiny_batch)) < 1e-12
+        loss = mixup_loss_grad(small_net, tiny_batch, 1.0, None,
+                               lam=np.full(m, 0.5), partners=np.arange(m))[0]
+        assert abs(loss - backward(small_net, tiny_batch)[0]) < 1e-12
 
     def test_matches_label_preserving_in_expectation(self, tiny_spirals):
         # the two estimators share their expectation when ratios follow
@@ -157,14 +155,15 @@ class TestMixupLoss:
         cfg = MixConfig("label_preserving", 1.0, 1)
         rng = np.random.default_rng(31)
         reps = 10_000
-        mix_vals = np.array([mixup_loss(p, batch, 1.0, rng) for _ in range(reps)])
-        pres_vals = np.array([dip_loss_preserving(p, batch, cfg, rng) for _ in range(reps)])
+        mix_vals = np.array([mixup_loss_grad(p, batch, 1.0, rng)[0] for _ in range(reps)])
+        pres_vals = np.array([dip_loss_preserving_grad(p, batch, cfg, rng)[0]
+                              for _ in range(reps)])
         se = np.sqrt(mix_vals.var(ddof=1) / reps + pres_vals.var(ddof=1) / reps)
         assert abs(mix_vals.mean() - pres_vals.mean()) < 3 * se
 
     def test_invalid_alpha(self, small_net, tiny_batch):
         with pytest.raises(ConfigurationError):
-            mixup_loss(small_net, tiny_batch, 0.0, np.random.default_rng(0))
+            mixup_loss_grad(small_net, tiny_batch, 0.0, np.random.default_rng(0))
 
 
 class TestGradients:
@@ -177,7 +176,7 @@ class TestGradients:
         batch = Batch(rng.normal(size=(6, 2)), np.eye(3)[rng.integers(0, 3, 6)])
         _, grads = mixup_loss_grad(p, batch, 1.0, np.random.default_rng(11))
         numeric = fd_param_grads(
-            lambda q: mixup_loss(q, batch, 1.0, np.random.default_rng(11)), p
+            lambda q: mixup_loss_grad(q, batch, 1.0, np.random.default_rng(11))[0], p
         )
         assert max_rel_err(flatten_grads(grads), numeric) < 1e-4
 
@@ -189,7 +188,7 @@ class TestGradients:
         cfg = MixConfig("label_preserving", 1.0, s)
         _, grads = dip_loss_preserving_grad(p, batch, cfg, np.random.default_rng(13))
         numeric = fd_param_grads(
-            lambda q: dip_loss_preserving(q, batch, cfg, np.random.default_rng(13)), p
+            lambda q: dip_loss_preserving_grad(q, batch, cfg, np.random.default_rng(13))[0], p
         )
         assert max_rel_err(flatten_grads(grads), numeric) < 1e-4
 
@@ -310,7 +309,7 @@ class TestTrain:
         lam = sample_lambda(BetaParams(1.0, 1.0), rng, size=n)
         partners = rng.permutation(n)
         batch = Batch(ds.features[order], ds.labels[order])
-        expected = mixup_loss(frozen, batch, 1.0, None, lam=lam, partners=partners)
+        expected = mixup_loss_grad(frozen, batch, 1.0, None, lam=lam, partners=partners)[0]
         assert metrics[0].train_loss == expected
 
     def test_config_errors_before_any_update(self, small_net):

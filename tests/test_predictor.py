@@ -12,7 +12,6 @@ from dipmix import (
     evaluate,
     forward,
     mlp_init,
-    predict,
     predict_batch,
 )
 from dipmix.nn import ModelParams
@@ -57,29 +56,23 @@ class TestPredict:
         raw = PredictorConfig("raw", seed=4)
         dip = PredictorConfig("dip", 500, None, train_set.features, seed=4)
         x = test_set.features[7]
-        assert np.array_equal(predict(params, x, dip), predict(params, x, raw))
+        assert np.array_equal(predict_batch(params, x[None], dip)[0],
+                              predict_batch(params, x[None], raw)[0])
 
     def test_self_pool_collapses_to_raw(self, mixup_spirals_model):
         params, _, test_set = mixup_spirals_model
         x = test_set.features[3]
         dip = PredictorConfig("dip", 200, BetaParams(2, 1), x.reshape(1, -1), seed=1)
         raw = PredictorConfig("raw", seed=1)
-        np.testing.assert_allclose(predict(params, x, dip), predict(params, x, raw),
-                                   atol=1e-12)
+        np.testing.assert_allclose(predict_batch(params, x[None], dip)[0],
+                                   predict_batch(params, x[None], raw)[0], atol=1e-12)
 
     def test_fixed_seed_deterministic(self, mixup_spirals_model):
         params, train_set, test_set = mixup_spirals_model
         cfg = PredictorConfig("dip", 100, BetaParams(2, 1), train_set.features, seed=9)
-        a = predict(params, test_set.features[0], cfg)
-        b = predict(params, test_set.features[0], cfg)
+        a = predict_batch(params, test_set.features[0][None], cfg)[0]
+        b = predict_batch(params, test_set.features[0][None], cfg)[0]
         assert np.array_equal(a, b)
-
-    def test_single_row_is_batch_of_one(self, mixup_spirals_model):
-        params, train_set, test_set = mixup_spirals_model
-        x = test_set.features[5]
-        for cfg in (PredictorConfig("raw"),
-                    PredictorConfig("dip", 100, BetaParams(2, 1), train_set.features, seed=2)):
-            assert np.array_equal(predict(params, x, cfg), predict_batch(params, x[None], cfg)[0])
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -181,7 +174,7 @@ def test_dip_average_runs_over_logits(mixup_spirals_model):
     params, train_set, test_set = mixup_spirals_model
     x = test_set.features[11]
     cfg = PredictorConfig("dip", 64, BetaParams(2, 1), train_set.features, seed=5)
-    probs = predict(params, x, cfg)
+    probs = predict_batch(params, x[None], cfg)[0]
     rng = np.random.default_rng([5, 2, 0])
     from dipmix import sample_lambda
 
