@@ -346,6 +346,8 @@ def cmd_sweep(args) -> int:
     alphas = _parse_num_list(args.alphas, float)
     s_values = _parse_num_list(args.s_values, int)
     seeds = _parse_num_list(args.seeds, int) if args.seeds else cfg["seeds"]
+    if not all(_is_seed(s) for s in seeds):
+        raise ConfigurationError(f"--seeds must list nonnegative integers, got {args.seeds!r}")
     if not alphas or not s_values or not seeds:
         raise ConfigurationError("sweep needs nonempty --alphas, --s-values, and seeds")
     if cfg["dataset"]["test_fraction"] is None:
@@ -493,6 +495,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and not _is_seed(args.seed):
+            raise ConfigurationError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,8 +113,8 @@ class OptimState:
     learning_rate: float
     momentum: float = 0.0
     schedule: list = field(default_factory=list)
-    velocity_weights: list = None
-    velocity_biases: list = None
+    velocity_weights: list = field(default=None, init=False)
+    velocity_biases: list = field(default=None, init=False)
 
     def __post_init__(self):
         if not (isinstance(self.learning_rate, numbers.Real) and self.learning_rate > 0):
@@ -163,19 +163,6 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     return ModelParams(list(layer_sizes), weights, biases, activation)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_deriv(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(float)
-    t = np.tanh(z)
-    return 1.0 - t * t
-
-
 def forward(params: ModelParams, features) -> np.ndarray:
     """Logits for a feature matrix; pure function of (params, features)."""
     logits, _ = _forward_cached(params, features)
@@ -183,36 +170,36 @@ def forward(params: ModelParams, features) -> np.ndarray:
 
 
 def _forward_cached(params: ModelParams, features):
-    """Forward pass that also returns the per-layer inputs and pre-activations."""
+    """Logits and the cache _backprop needs: each layer's input, that is the
+    features followed by every hidden layer's activation output."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(
             f"features must be (m, {params.n_inputs}), got {x.shape}"
         )
-    last = len(params.weights) - 1
-    layer_inputs = [x]
-    pre_acts = []
-    a = x
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre_acts.append(z)
-        a = _activate(z, params.activation) if l < last else z
-        layer_inputs.append(a)
-    return a, (layer_inputs, pre_acts)
+    outputs = [x]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = outputs[-1] @ w + b
+        outputs.append(np.maximum(z, 0.0) if params.activation == "relu" else np.tanh(z))
+    return outputs[-1] @ params.weights[-1] + params.biases[-1], outputs
 
 
-def _backprop(params: ModelParams, cache, dlogits: np.ndarray) -> ParamGrads:
-    """Chain rule back through the cached forward pass for a given output gradient."""
-    layer_inputs, pre_acts = cache
+def _backprop(params: ModelParams, outputs, dlogits: np.ndarray) -> ParamGrads:
+    """Chain rule back through the cached forward pass for a given output gradient.
+
+    Each activation's derivative is read from its cached output a: relu'(z) is
+    a > 0 and tanh'(z) is 1 - a^2, the same values the pre-activation z gives.
+    """
     n_layers = len(params.weights)
     grads_w = [None] * n_layers
     grads_b = [None] * n_layers
     dz = dlogits
     for l in range(n_layers - 1, -1, -1):
-        grads_w[l] = layer_inputs[l].T @ dz
+        a = outputs[l]
+        grads_w[l] = a.T @ dz
         grads_b[l] = dz.sum(axis=0)
         if l > 0:
-            dz = (dz @ params.weights[l].T) * _activate_deriv(pre_acts[l - 1], params.activation)
+            dz = (dz @ params.weights[l].T) * (a > 0 if params.activation == "relu" else 1 - a * a)
     return ParamGrads(grads_w, grads_b)
 
 

@@ -62,8 +62,9 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     lam[i*s:(i+1)*s], where s = len(lam) // len(x); the network outputs of
     the mixed rows are averaged over s. Training, prediction and the Jensen
     check all estimate the marginalized classifier through this one step.
-    With ``with_cache`` the forward cache of the len(x)*s mixed rows is returned
-    too, as (logits, cache), for backpropagation through every branch.
+    With ``with_cache`` the forward cache of the len(x)*s mixed rows (their
+    layer inputs, the mixed rows first) is returned too, as (logits, cache),
+    for backpropagation through every branch.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)

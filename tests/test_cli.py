@@ -105,7 +105,12 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     # 1e300 overflows the logits inside epoch 0, the others its mean loss
-    @pytest.mark.parametrize("lr", [1000.0, 1e4, 1e300], ids=["lr-1e3", "lr-1e4", "lr-1e300"])
+    @pytest.mark.parametrize("lr", [
+        pytest.param(1000.0, id="lr-1e3"),
+        pytest.param(1e4, id="lr-1e4"),
+        pytest.param(1e300, marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered:RuntimeWarning"), id="lr-1e300"),
+    ])
     def test_diverging_run_exits_one_without_model(self, tmp_path, capsys, lr):
         cfg_path = tiny_config(tmp_path, optim={"learning_rate": lr}, epochs=3)
         assert main(["train", str(cfg_path)]) == 1
@@ -169,6 +174,25 @@ def trained_run(tmp_path_factory):
         "data": str(data_csv),
         "dir": tmp,
     }
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["gen-data", "--seed", "-1", "--out", "{dir}/out.csv"], "--seed"),
+    (["train", "{config}", "--seed", "-1"], "--seed"),
+    (["eval", "--model", "{model}", "--data", "{data}", "--mode", "dip",
+      "--partner-data", "{data}", "--seed", "-1"], "--seed"),
+    (["grid", "--model", "{model}", "--res", "4", "--mode", "dip", "--partner-data", "{data}",
+      "--seed", "-1", "--out-prefix", "{dir}/out"], "--seed"),
+    (["sweep", "{config}", "--alphas", "1", "--s-values", "1", "--seeds=-1"], "--seeds"),
+], ids=["gen-data", "train", "eval", "grid", "sweep"])
+def test_negative_seed_exits_two_before_any_output(trained_run, tmp_path, capsys, command, flag):
+    names = {"dir": tmp_path, "config": tiny_config(tmp_path), "model": trained_run["model"],
+             "data": trained_run["data"]}
+    assert main([arg.format(**names) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert flag + " must" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestEval:

@@ -42,6 +42,9 @@ class TestGenSpirals:
             gen_spirals(0)
         with pytest.raises(ConfigurationError):
             gen_spirals(10, noise_std=-0.1)
+        for turns in (0, -1):
+            with pytest.raises(ConfigurationError, match="turns"):
+                gen_spirals(10, turns=turns)
 
 
 class TestCsv:

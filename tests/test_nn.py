@@ -158,6 +158,31 @@ class TestBackward:
         numeric = fd_param_grads(lambda q: backward(q, batch)[0], p)
         assert max_rel_err(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_differentiation_at_the_pre_activation(self, activation):
+        p = mlp_init([2, 5, 4, 3], activation, seed=11)
+        rng = np.random.default_rng(4)
+        feats = rng.normal(size=(6, 2))
+        feats[2] = 0.0  # with the zero initial biases, every pre-activation of this row is 0
+        batch = Batch(feats, np.eye(3)[rng.integers(0, 3, 6)])
+        _, grads = backward(p, batch)
+        # reference: recompute each pre-activation z and differentiate there
+        inputs, pre_acts = [batch.features], []
+        for w, b in zip(p.weights, p.biases):
+            pre_acts.append(inputs[-1] @ w + b)
+            inputs.append(np.maximum(pre_acts[-1], 0.0) if activation == "relu"
+                          else np.tanh(pre_acts[-1]))
+        assert np.all(pre_acts[0][2] == 0.0) and np.all(pre_acts[1][2] == 0.0)
+        _, dz = softmax_xent(pre_acts[-1], batch.soft_labels)
+        for l in range(len(p.weights) - 1, -1, -1):
+            assert np.array_equal(grads.weights[l], inputs[l].T @ dz)
+            assert np.array_equal(grads.biases[l], dz.sum(axis=0))
+            if l > 0:
+                z = pre_acts[l - 1]
+                t = np.tanh(z)
+                deriv = (z > 0).astype(float) if activation == "relu" else 1.0 - t * t
+                dz = (dz @ p.weights[l].T) * deriv
+
     def test_zero_gradient_at_saturated_minimum(self):
         # linear model, massively separated logits on correctly labeled points
         w = np.array([[50.0, -50.0], [0.0, 0.0]])

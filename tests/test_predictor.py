@@ -38,9 +38,11 @@ class TestDipLogits:
             hand = sum(forward(params, (lam[r] * x[i] + (1 - lam[r]) * partners[r])[None])[0]
                        for r in j) / s
             np.testing.assert_allclose(logits[i], hand, rtol=1e-12, atol=1e-12)
-        cached, (layer_inputs, _) = dip_logits(params, x, partners, lam, with_cache=True)
+        cached, layer_inputs = dip_logits(params, x, partners, lam, with_cache=True)
         assert np.array_equal(cached, logits)
-        assert layer_inputs[0].shape == (m * s, 2)
+        assert len(layer_inputs) == len(params.weights)
+        assert np.array_equal(layer_inputs[0], lam[:, None] * x.repeat(s, axis=0)
+                              + (1 - lam[:, None]) * partners)
 
 
 class TestPredict:
