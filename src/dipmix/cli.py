@@ -77,8 +77,8 @@ def _is_seed(value) -> bool:
 def resolve_config(doc: dict) -> dict:
     """Fill defaults and validate, reporting every problem at once.
 
-    The model, mix and optim sections are validated by the objects built from
-    them; this function checks the sections no object owns.
+    The model, mix and optim sections and predictor.s_test are validated by
+    the objects built from them; this function checks what no object owns.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -94,10 +94,10 @@ def resolve_config(doc: dict) -> dict:
         gen = ds["generator"]
         check(isinstance(gen["n_per_class"], int) and gen["n_per_class"] >= 1,
               "dataset.generator.n_per_class must be a positive integer")
-        check(isinstance(gen["noise_std"], (int, float)) and gen["noise_std"] >= 0,
-              "dataset.generator.noise_std must be >= 0")
-        check(isinstance(gen["turns"], (int, float)) and gen["turns"] > 0,
-              "dataset.generator.turns must be > 0")
+        check(isinstance(gen["noise_std"], (int, float)) and 0 <= gen["noise_std"] < np.inf,
+              "dataset.generator.noise_std must be a finite number >= 0")
+        check(isinstance(gen["turns"], (int, float)) and 0 < gen["turns"] < np.inf,
+              "dataset.generator.turns must be a finite number > 0")
         check(_is_seed(gen["seed"]), "dataset.generator.seed must be a nonnegative integer")
     frac = ds["test_fraction"]
     check(frac is None or (isinstance(frac, (int, float)) and 0 < frac < 1),
@@ -110,6 +110,7 @@ def resolve_config(doc: dict) -> dict:
         ("model", lambda m: _check_architecture(m["layer_sizes"], m["activation"])),
         ("mix", lambda m: MixConfig(**m)),
         ("optim", lambda m: OptimState(**m)),
+        ("predictor", lambda p: PredictorConfig(s_test=p["s_test"])),
     ):
         try:
             build(cfg[section])
@@ -121,8 +122,6 @@ def resolve_config(doc: dict) -> dict:
           "batch_size must be a positive integer")
     pred = cfg["predictor"]
     check(pred["mode"] in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")
-    check(isinstance(pred["s_test"], int) and pred["s_test"] >= 1,
-          "predictor.s_test must be a positive integer")
     pa = pred["alpha"]
     check(pa is None or (isinstance(pa, (int, float)) and pa >= 0),
           "predictor.alpha must be >= 0 or null (inherit mix.alpha)")

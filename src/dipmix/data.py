@@ -90,10 +90,10 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     """
     if n_per_class < 1:
         raise ConfigurationError(f"n_per_class must be >= 1, got {n_per_class}")
-    if noise_std < 0:
-        raise ConfigurationError(f"noise_std must be >= 0, got {noise_std}")
-    if not turns > 0:
-        raise ConfigurationError(f"turns must be > 0, got {turns}")
+    if not 0 <= noise_std < np.inf:
+        raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std}")
+    if not 0 < turns < np.inf:
+        raise ConfigurationError(f"turns must be a finite number > 0, got {turns}")
     rng = np.random.default_rng(seed)
     span = 2.0 * np.pi * turns
     feats = []

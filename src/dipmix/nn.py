@@ -163,24 +163,29 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     return ModelParams(list(layer_sizes), weights, biases, activation)
 
 
-def forward(params: ModelParams, features) -> np.ndarray:
-    """Logits for a feature matrix; pure function of (params, features)."""
-    logits, _ = _forward_cached(params, features)
+def forward(params: ModelParams, features, work=None) -> np.ndarray:
+    """Logits for a feature matrix; pure function of (params, features).
+    ``work`` holds optional hidden-layer buffers, as for _forward_cached."""
+    logits, _ = _forward_cached(params, features, work)
     return logits
 
 
-def _forward_cached(params: ModelParams, features):
+def _forward_cached(params: ModelParams, features, work=None):
     """Logits and the cache _backprop needs: each layer's input, that is the
-    features followed by every hidden layer's activation output."""
+    features followed by every hidden layer's activation output. Hidden layer l
+    is computed into work[l], an (m, layer_sizes[l+1]) float64 array, when
+    ``work`` is given; the cache then aliases it, the logits never do."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(
             f"features must be (m, {params.n_inputs}), got {x.shape}"
         )
     outputs = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = outputs[-1] @ w + b
-        outputs.append(np.maximum(z, 0.0) if params.activation == "relu" else np.tanh(z))
+    for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        buf = None if work is None else work[l]
+        z = np.add(np.matmul(outputs[-1], w, out=buf), b, out=buf)
+        outputs.append(np.maximum(z, 0.0, out=buf) if params.activation == "relu"
+                       else np.tanh(z, out=buf))
     return outputs[-1] @ params.weights[-1] + params.biases[-1], outputs
 
 

@@ -9,6 +9,7 @@ evaluation is independent of execution order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,8 +42,9 @@ class PredictorConfig:
     def __post_init__(self):
         if self.mode not in PREDICT_MODES:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
-        if self.s_test < 1:
-            raise ConfigurationError(f"s_test must be >= 1, got {self.s_test}")
+        if not (isinstance(self.s_test, numbers.Integral) and not isinstance(self.s_test, bool)
+                and self.s_test >= 1):
+            raise ConfigurationError(f"s_test must be a positive integer, got {self.s_test!r}")
         if self.partner_pool is not None:
             self.partner_pool = np.asarray(self.partner_pool, dtype=float)
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
@@ -55,7 +57,8 @@ class EvalMetrics(NamedTuple):
     mean_loss: float
 
 
-def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = False):
+def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = False,
+               work=None):
     """Logits of the mixed classifier estimated from s draws per row.
 
     Row i of x is mixed with partners[i*s:(i+1)*s] at ratios
@@ -64,7 +67,9 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     check all estimate the marginalized classifier through this one step.
     With ``with_cache`` the forward cache of the len(x)*s mixed rows (their
     layer inputs, the mixed rows first) is returned too, as (logits, cache),
-    for backpropagation through every branch.
+    for backpropagation through every branch. Without it, ``work`` is passed
+    to the forward pass as its hidden-layer buffers; with it, ``work`` is
+    ignored, so no cache aliases a buffer the caller reuses.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
@@ -73,7 +78,7 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     if with_cache:
         out, cache = _forward_cached(params, mixed)
     else:
-        out = forward(params, mixed)
+        out = forward(params, mixed, work)
     avg = out.reshape(len(x), s, -1).sum(axis=1) / s  # what mean() computes, with less overhead
     return (avg, cache) if with_cache else avg
 
@@ -90,11 +95,12 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
             raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
                              f"{features.shape} and a partner pool of shape {pool.shape}")
         logits = np.empty((len(features), params.n_outputs))
+        work = [np.empty((cfg.s_test, n)) for n in params.layer_sizes[1:-1]]  # shared by all items
         for item, x in enumerate(features):
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
             lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)
             partners = pool[rng.integers(0, len(pool), size=cfg.s_test)]
-            logits[item] = dip_logits(params, x[None], partners, lam)[0]
+            logits[item] = dip_logits(params, x[None], partners, lam, work=work)[0]
     return np.exp(log_softmax(logits))
 
 

@@ -61,6 +61,15 @@ class TestGenData:
     def test_unwritable_path_exits_one(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--turns", "inf"), ("--noise", "nan"),
+                                            ("--noise", "inf")])
+    def test_non_finite_arg_exits_two_naming_it(self, tmp_path, capsys, flag, value):
+        assert main(["gen-data", flag, value, "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert flag.lstrip("-") in captured.err and "finite" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -96,8 +105,15 @@ class TestTrain:
         ({"output_dir": 5}, "output_dir"),
         ({"dataset": {"csv": 7}}, "dataset.csv"),
         ({"mix": {"partner": "batch_permutation"}}, "mix.partner"),
+        ({"predictor": {"s_test": True}}, "predictor: s_test must"),
+        ({"predictor": {"s_test": 2.5}}, "predictor: s_test must"),
+        ({"dataset": {"generator": {"n_per_class": 30, "noise_std": 0.05, "turns": math.inf,
+                                    "seed": 0}}}, "dataset.generator.turns"),
+        ({"dataset": {"generator": {"n_per_class": 30, "noise_std": math.inf, "turns": 1.25,
+                                    "seed": 0}}}, "dataset.generator.noise_std"),
     ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
-            "batch-too-large", "input-width", "output-dir-type", "csv-type", "removed-partner"])
+            "batch-too-large", "input-width", "output-dir-type", "csv-type", "removed-partner",
+            "s-test-bool", "s-test-float", "turns-inf", "noise-inf"])
     def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
         cfg_path = tiny_config(tmp_path, **overrides)
         assert main(["train", str(cfg_path)]) == 2
@@ -297,6 +313,14 @@ class TestSweep:
         assert len(lines) == 1 + 6 + 2  # header, 6 runs, 2 aggregate rows
         alpha0 = [l for l in lines[1:] if l.startswith("0,")]
         assert all(",none," in l for l in alpha0)
+
+    def test_bad_s_test_exits_two_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a cell"))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               predictor={"mode": "dip", "s_test": True})
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1"]) == 2
+        assert "predictor: s_test must be a positive integer, got True" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_aggregate_se_hand_checked(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))

@@ -42,9 +42,12 @@ class TestGenSpirals:
             gen_spirals(0)
         with pytest.raises(ConfigurationError):
             gen_spirals(10, noise_std=-0.1)
-        for turns in (0, -1):
+        for turns in (0, -1, np.inf, np.nan):
             with pytest.raises(ConfigurationError, match="turns"):
                 gen_spirals(10, turns=turns)
+        for noise_std in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="noise_std"):
+                gen_spirals(10, noise_std=noise_std)
 
 
 class TestCsv:

@@ -21,7 +21,7 @@ from dipmix import (
     softmax_xent,
     train,
 )
-from dipmix.nn import ModelParams, from_dict, to_dict
+from dipmix.nn import ModelParams, _forward_cached, from_dict, to_dict
 
 
 def flatten_grads(grads):
@@ -111,6 +111,20 @@ class TestForward:
         p = mlp_init([3, 4, 2], "relu", seed=0)
         with pytest.raises(ShapeError):
             forward(p, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_work_buffers_change_nothing(self, activation):
+        p = mlp_init([3, 7, 5, 4], activation, seed=2)
+        p.biases = [np.full_like(b, 0.1) for b in p.biases]
+        x = np.random.default_rng(3).normal(size=(6, 3))
+        work = [np.full((6, n), np.nan) for n in (7, 5)]
+        logits = forward(p, x, work)
+        assert np.array_equal(logits, forward(p, x))
+        assert not any(np.shares_memory(logits, buf) for buf in work)
+        # each hidden layer was computed into its buffer, not into a fresh array
+        _, outputs = _forward_cached(p, x)
+        for buf, a in zip(work, outputs[1:]):
+            assert np.array_equal(buf, a)
 
 
 class TestSoftmaxXent:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dipmix
 from dipmix import (
     BetaParams,
     ConfigurationError,
@@ -14,6 +18,7 @@ from dipmix import (
     mlp_init,
     predict_batch,
 )
+from dipmix import predictor
 from dipmix.nn import ModelParams
 from dipmix.predictor import dip_logits
 
@@ -43,6 +48,17 @@ class TestDipLogits:
         assert len(layer_inputs) == len(params.weights)
         assert np.array_equal(layer_inputs[0], lam[:, None] * x.repeat(s, axis=0)
                               + (1 - lam[:, None]) * partners)
+
+    def test_cache_never_aliases_work_buffers(self):
+        m, s = 2, 5
+        rng = np.random.default_rng(1)
+        params = mlp_init([2, 6, 4, 3], "tanh", seed=1)
+        x, partners = rng.normal(size=(m, 2)), rng.normal(size=(m * s, 2))
+        lam = rng.uniform(size=m * s)
+        work = [np.empty((m * s, 6)), np.empty((m * s, 4))]
+        logits, cache = dip_logits(params, x, partners, lam, with_cache=True, work=work)
+        assert np.array_equal(logits, dip_logits(params, x, partners, lam))
+        assert not any(np.shares_memory(a, buf) for a in [logits, *cache] for buf in work)
 
 
 class TestPredict:
@@ -87,6 +103,51 @@ class TestPredict:
             cfg = PredictorConfig("dip", 500, BetaParams(2, 1), train_set.features, seed=seed)
             preds.append(predict_batch(params, test_set.features, cfg).argmax(axis=1))
         assert (preds[0] == preds[1]).mean() >= 0.99
+
+    def test_every_item_reuses_the_same_work_buffers(self, monkeypatch):
+        calls = []
+
+        def spy(params, features, work=None):
+            calls.append(work)
+            return forward(params, features, work)
+
+        monkeypatch.setattr(predictor, "forward", spy)
+        params = mlp_init([2, 9, 5, 2], "relu", seed=0)
+        pool = np.random.default_rng(0).normal(size=(30, 2))
+        cfg = PredictorConfig("dip", 40, BetaParams(2, 1), pool, seed=0)
+        predict_batch(params, pool[:4], cfg)
+        assert len(calls) == 4
+        assert [buf.shape for buf in calls[0]] == [(40, 9), (40, 5)]
+        for work in calls[1:]:
+            assert len(work) == 2 and all(a is b for a, b in zip(work, calls[0]))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux rusage")
+    def test_prediction_does_not_fault_in_fresh_pages_per_item(self):
+        # 200 rows x S=500 through fresh 500x64 arrays faults ~34k pages; reused buffers ~110.
+        # A fresh interpreter, because a long-lived one may have raised glibc's mmap threshold.
+        script = """if True:
+            import resource, numpy as np
+            from dipmix import BetaParams, PredictorConfig, mlp_init, predict_batch
+            params = mlp_init([2, 64, 64, 2], "relu", seed=0)
+            rng = np.random.default_rng(0)
+            cfg = PredictorConfig("dip", 500, BetaParams(2, 1), rng.normal(size=(500, 2)), seed=1)
+            x = rng.normal(size=(200, 2))
+            predict_batch(params, x, cfg)  # warm-up: first calls, allocator arenas
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            predict_batch(params, x, cfg)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.dirname(os.path.dirname(dipmix.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) < 1000
+
+    def test_s_test_must_be_a_positive_integer(self):
+        for bad in (0, -3, 2.5, True, "5", None):
+            with pytest.raises(ConfigurationError, match="s_test"):
+                PredictorConfig("raw", bad)
+        assert PredictorConfig("raw", np.int64(3)).s_test == 3
 
     def test_mc_argmax_stability_in_draw_count(self, mixup_spirals_model):
         params, train_set, test_set = mixup_spirals_model
