@@ -8,7 +8,7 @@ diagnostic that quantifies how mixing shrinks the model class. A CLI drives
 two-spirals experiments end to end.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .bounds import (
     BoundReport,
@@ -35,6 +35,7 @@ from .nn import (
     ModelParams,
     OptimState,
     ParamGrads,
+    Workspace,
     backward,
     forward,
     load_model,

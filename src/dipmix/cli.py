@@ -26,7 +26,7 @@ from .bounds import bound_report, generalization_gap
 from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, read_json, save_csv,
                    split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError)
+                     ShapeError, is_int)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
@@ -71,7 +71,7 @@ def _merge(base: dict, override: dict, errors: list, path: str = "") -> dict:
 
 
 def _is_seed(value) -> bool:
-    return isinstance(value, int) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def resolve_config(doc: dict) -> dict:
@@ -92,7 +92,7 @@ def resolve_config(doc: dict) -> dict:
     ds = cfg["dataset"]
     if not ds["csv"]:
         gen = ds["generator"]
-        check(isinstance(gen["n_per_class"], int) and gen["n_per_class"] >= 1,
+        check(is_int(gen["n_per_class"]) and gen["n_per_class"] >= 1,
               "dataset.generator.n_per_class must be a positive integer")
         check(isinstance(gen["noise_std"], (int, float)) and 0 <= gen["noise_std"] < np.inf,
               "dataset.generator.noise_std must be a finite number >= 0")
@@ -116,9 +116,9 @@ def resolve_config(doc: dict) -> dict:
             build(cfg[section])
         except ConfigurationError as exc:
             errors.append(f"{section}: {exc}")
-    check(isinstance(cfg["epochs"], int) and cfg["epochs"] >= 1,
+    check(is_int(cfg["epochs"]) and cfg["epochs"] >= 1,
           "epochs must be a positive integer")
-    check(isinstance(cfg["batch_size"], int) and cfg["batch_size"] >= 1,
+    check(is_int(cfg["batch_size"]) and cfg["batch_size"] >= 1,
           "batch_size must be a positive integer")
     pred = cfg["predictor"]
     check(pred["mode"] in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")

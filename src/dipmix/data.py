@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError
+from .errors import ConfigurationError, ParseError, ShapeError, is_int
 
 STD_FLOOR = 1e-8
 
@@ -88,8 +88,8 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     theta / (2*pi*turns), rotated by c*pi, plus isotropic Gaussian noise.
     Deterministic per seed.
     """
-    if n_per_class < 1:
-        raise ConfigurationError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not (is_int(n_per_class) and n_per_class >= 1):
+        raise ConfigurationError(f"n_per_class must be an integer >= 1, got {n_per_class!r}")
     if not 0 <= noise_std < np.inf:
         raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std}")
     if not 0 < turns < np.inf:

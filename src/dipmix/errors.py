@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one integer rule, shared across the package."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool, so that JSON true is not taken for 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ConfigurationError(ValueError):

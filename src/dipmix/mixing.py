@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, is_int
 
 MODES = ("none", "label_mixing", "label_preserving")
 
@@ -51,7 +51,7 @@ class MixConfig:
     def __post_init__(self):
         if not (isinstance(self.alpha, numbers.Real) and self.alpha >= 0):
             raise ConfigurationError(f"alpha must be a nonnegative number, got {self.alpha!r}")
-        if not (isinstance(self.s, numbers.Integral) and self.s >= 1):
+        if not (is_int(self.s) and self.s >= 1):
             raise ConfigurationError(f"s must be a positive integer, got {self.s!r}")
         lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_json, write_file
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError, ShapeError, is_int
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -70,6 +70,46 @@ class ParamGrads:
 
     weights: list
     biases: list
+
+
+def _empty_like(params: ModelParams) -> ParamGrads:
+    return ParamGrads([np.empty_like(w) for w in params.weights],
+                      [np.empty_like(b) for b in params.biases])
+
+
+def _hidden_buffers(params: ModelParams, rows: int) -> list:
+    """One uninitialized (rows, width) float64 array per hidden layer."""
+    return [np.empty((rows, n)) for n in params.layer_sizes[1:-1]]
+
+
+@dataclass
+class Workspace:
+    """Buffers one training step writes into instead of allocating.
+
+    For hidden layer l, of width layer_sizes[l+1], ``hidden[l]`` takes its
+    forward output, ``deltas[l]`` backprop's gradient in that output and
+    ``derivs[l]`` its activation derivative, each (rows, width) float64.
+    ``grads`` takes the gradients and ``scaled`` sgd_step's lr * grad. A step
+    of fewer rows uses ``head(rows)``, whose row buffers are leading-row views.
+    """
+
+    hidden: list
+    deltas: list
+    derivs: list
+    grads: ParamGrads
+    scaled: ParamGrads
+
+    @classmethod
+    def for_model(cls, params: ModelParams, rows: int) -> Workspace:
+        return cls(_hidden_buffers(params, rows), _hidden_buffers(params, rows),
+                   _hidden_buffers(params, rows), _empty_like(params), _empty_like(params))
+
+    def head(self, rows: int) -> Workspace:
+        def lead(bufs):
+            return [buf[:rows] for buf in bufs]
+
+        return Workspace(lead(self.hidden), lead(self.deltas), lead(self.derivs), self.grads,
+                         self.scaled)
 
 
 @dataclass
@@ -141,7 +181,7 @@ class OptimState:
 
 def _check_architecture(layer_sizes, activation):
     if not (isinstance(layer_sizes, (list, tuple)) and len(layer_sizes) >= 2
-            and all(isinstance(s, numbers.Integral) and s >= 1 for s in layer_sizes)):
+            and all(is_int(s) and s >= 1 for s in layer_sizes)):
         raise ConfigurationError(f"layer_sizes must be a list of >= 2 positive integers, "
                                  f"got {layer_sizes!r}")
     if activation not in ACTIVATIONS:
@@ -189,23 +229,30 @@ def _forward_cached(params: ModelParams, features, work=None):
     return outputs[-1] @ params.weights[-1] + params.biases[-1], outputs
 
 
-def _backprop(params: ModelParams, outputs, dlogits: np.ndarray) -> ParamGrads:
+def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> ParamGrads:
     """Chain rule back through the cached forward pass for a given output gradient.
 
     Each activation's derivative is read from its cached output a: relu'(z) is
     a > 0 and tanh'(z) is 1 - a^2, the same values the pre-activation z gives.
+    Every array is written into the Workspace ``work``, a fresh one when None;
+    the returned gradients are ``work.grads``.
     """
-    n_layers = len(params.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    if work is None:
+        work = Workspace.for_model(params, len(dlogits))
     dz = dlogits
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(params.weights) - 1, -1, -1):
         a = outputs[l]
-        grads_w[l] = a.T @ dz
-        grads_b[l] = dz.sum(axis=0)
+        np.matmul(a.T, dz, out=work.grads.weights[l])
+        np.sum(dz, axis=0, out=work.grads.biases[l])
         if l > 0:
-            dz = (dz @ params.weights[l].T) * (a > 0 if params.activation == "relu" else 1 - a * a)
-    return ParamGrads(grads_w, grads_b)
+            deriv = work.derivs[l - 1]
+            if params.activation == "relu":
+                np.greater(a, 0.0, out=deriv)  # the mask as 1.0/0.0, as d * (a > 0) casts it
+            else:
+                np.subtract(1.0, np.multiply(a, a, out=deriv), out=deriv)
+            dz = np.multiply(np.matmul(dz, params.weights[l].T, out=work.deltas[l - 1]), deriv,
+                             out=work.deltas[l - 1])
+    return work.grads
 
 
 def log_softmax(logits) -> np.ndarray:
@@ -235,17 +282,23 @@ def softmax_xent(logits, soft_labels):
     return float(loss), dlogits
 
 
-def backward(params: ModelParams, batch: Batch):
-    """Loss and exact analytic parameter gradients of softmax_xent(forward(.))."""
-    logits, cache = _forward_cached(params, batch.features)
+def backward(params: ModelParams, batch: Batch, *, work=None):
+    """Loss and exact analytic parameter gradients of softmax_xent(forward(.)).
+
+    With a Workspace ``work`` of len(batch) rows, the forward and backward
+    passes write into it and the gradients returned are ``work.grads``.
+    """
+    logits, cache = _forward_cached(params, batch.features, None if work is None else work.hidden)
     loss, dlogits = softmax_xent(logits, batch.soft_labels)
-    return loss, _backprop(params, cache, dlogits)
+    return loss, _backprop(params, cache, dlogits, work)
 
 
-def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: int):
+def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: int, *,
+             work=None):
     """One momentum-SGD update, in place.
 
     velocity <- momentum * velocity - lr(epoch) * grad; params <- params + velocity.
+    lr * grad is computed into ``work.scaled`` when a Workspace is given.
     Returns the mutated (params, state) pair.
     """
     if len(grads.weights) != len(params.weights):
@@ -256,15 +309,14 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: i
     if state.velocity_weights is None:
         state.velocity_weights = [np.zeros_like(w) for w in params.weights]
         state.velocity_biases = [np.zeros_like(b) for b in params.biases]
+    scaled = _empty_like(params) if work is None else work.scaled
     lr = state.lr_at(epoch)
-    for w, g, v in zip(params.weights, grads.weights, state.velocity_weights):
+    for p, g, v, t in zip(params.weights + params.biases, grads.weights + grads.biases,
+                          state.velocity_weights + state.velocity_biases,
+                          scaled.weights + scaled.biases):
         v *= state.momentum
-        v -= lr * g
-        w += v
-    for b, g, v in zip(params.biases, grads.biases, state.velocity_biases):
-        v *= state.momentum
-        v -= lr * g
-        b += v
+        v -= np.multiply(lr, g, out=t)
+        p += v
     return params, state
 
 

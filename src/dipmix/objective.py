@@ -17,14 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError
+from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, is_int
 from .mixing import (BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda,
                      sample_partners)
 from .nn import (
     Batch,
     ModelParams,
     OptimState,
+    Workspace,
     _backprop,
+    _hidden_buffers,
     backward,
     forward,
     log_softmax,
@@ -62,12 +64,13 @@ def _xent_rows(logits: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
 
 
 def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
-                    lam=None, partners=None):
+                    lam=None, partners=None, work=None):
     """Label-mixing loss and its analytic parameter gradients, as (loss, grads).
 
     One Beta(alpha, alpha) ratio per example, partner by in-batch
     permutation, loss on mixed features with mixed soft labels. ``lam`` and
-    ``partners`` override the random draws when given.
+    ``partners`` override the random draws when given. A Workspace ``work``
+    of len(batch) rows takes the forward and backward arrays, as in backward.
     """
     x, y = batch.features, batch.soft_labels
     m = x.shape[0]
@@ -80,13 +83,14 @@ def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
     if partners is None:
         partners = sample_partners(m, rng)
     # one draw per example: the mixed classifier at S = 1
-    logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True)
+    logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True,
+                               work=None if work is None else work.hidden)
     loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]))
-    return loss, _backprop(params, cache, dlogits)
+    return loss, _backprop(params, cache, dlogits, work)
 
 
 def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
-                             lam=None, partners=None):
+                             lam=None, partners=None, work=None):
     """Jensen surrogate of the marginalized risk, labels preserved, and its
     analytic gradients flowing through all s branches, as (loss, grads).
 
@@ -96,6 +100,7 @@ def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, 
     logit space before the cross-entropy. With cfg.mode "none" the ratios are
     pinned at 1 and the loss equals that of ``backward``. ``lam`` (m * s
     ratios) and ``partners`` (m rows of s indices) override the draws together.
+    A Workspace ``work`` of m * s rows takes the forward and backward arrays.
     """
     if cfg.mode == "label_mixing":
         raise ConfigurationError(
@@ -109,11 +114,11 @@ def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, 
     elif lam is None or partners is None:
         raise ConfigurationError("lam and partners must be overridden together")
     avg_logits, cache = dip_logits(params, x, x[np.asarray(partners).reshape(m * s)], lam,
-                                   with_cache=True)
+                                   with_cache=True, work=None if work is None else work.hidden)
     loss, davg = softmax_xent(avg_logits, y)
     # each of the s branches of one example carries an equal share of its gradient
     dlogits = np.repeat(davg / s, s, axis=0)
-    return loss, _backprop(params, cache, dlogits)
+    return loss, _backprop(params, cache, dlogits, work)
 
 
 def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
@@ -212,13 +217,17 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
 
     Shuffles every epoch, draws fresh mixing tables per batch, and records
     (epoch, mean objective loss, raw-feature argmax accuracy, learning rate).
-    Configuration problems surface before any update runs. An epoch whose
-    mean loss is non-finite or above DIVERGENCE_FACTOR * log(k), a multiple
-    of the uniform predictor's loss, raises DivergenceError naming it.
+    Every step writes into one Workspace sized for the largest batch (the
+    short last batch into its leading rows), and the per-epoch accuracy
+    forward into one set of n-row hidden buffers, so no step allocates a
+    layer-sized array. Configuration problems surface before any update
+    runs. An epoch whose mean loss is non-finite or above
+    DIVERGENCE_FACTOR * log(k), a multiple of the uniform predictor's loss,
+    raises DivergenceError naming it.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    if not 1 <= batch_size <= train_set.n:
+    if not (is_int(epochs) and epochs >= 1):
+        raise ConfigurationError(f"epochs must be an integer >= 1, got {epochs!r}")
+    if not (is_int(batch_size) and 1 <= batch_size <= train_set.n):
         raise ConfigurationError(
             f"batch_size must lie in [1, {train_set.n}], got {batch_size}"
         )
@@ -230,6 +239,10 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     x, y = train_set.features, train_set.labels
     n = train_set.n
     loss_cap = DIVERGENCE_FACTOR * math.log(train_set.k)
+    branches = cfg.s if cfg.mode == "label_preserving" else 1  # forward rows per example
+    work = Workspace.for_model(params, batch_size * branches)
+    tail = work.head(n % batch_size * branches)  # the short last batch, if any
+    eval_hidden = _hidden_buffers(params, n)
     metrics = []
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -238,20 +251,21 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 batch = Batch(x[idx], y[idx])
+                step = work if len(batch) == batch_size else tail
                 if cfg.mode == "label_mixing":
-                    loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng)
+                    loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng, work=step)
                 elif cfg.mode == "label_preserving":
-                    loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng)
+                    loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng, work=step)
                 else:
-                    loss, grads = backward(params, batch)
-                sgd_step(params, grads, optim, epoch)
+                    loss, grads = backward(params, batch, work=step)
+                sgd_step(params, grads, optim, epoch, work=step)
                 total += loss * len(batch)
         except NumericError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch}: {exc}") from exc
         if not total / n <= loss_cap:  # also true for NaN
             raise DivergenceError(f"training diverged in epoch {epoch}: mean loss {total / n:g} "
                                   f"exceeds {loss_cap:g}, {DIVERGENCE_FACTOR:g} x log(k)")
-        preds = forward(params, x).argmax(axis=1)
+        preds = forward(params, x, eval_hidden).argmax(axis=1)
         acc = float((preds == train_set.class_ids()).mean())
         metrics.append(EpochMetrics(epoch, total / n, acc, optim.lr_at(epoch)))
     return params, metrics

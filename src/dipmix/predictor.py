@@ -9,14 +9,13 @@ evaluation is independent of execution order.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, is_int
 from .mixing import BetaParams, mix, sample_lambda
 from .nn import ModelParams, _forward_cached, forward, log_softmax
 
@@ -42,8 +41,7 @@ class PredictorConfig:
     def __post_init__(self):
         if self.mode not in PREDICT_MODES:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
-        if not (isinstance(self.s_test, numbers.Integral) and not isinstance(self.s_test, bool)
-                and self.s_test >= 1):
+        if not (is_int(self.s_test) and self.s_test >= 1):
             raise ConfigurationError(f"s_test must be a positive integer, got {self.s_test!r}")
         if self.partner_pool is not None:
             self.partner_pool = np.asarray(self.partner_pool, dtype=float)
@@ -67,16 +65,16 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     check all estimate the marginalized classifier through this one step.
     With ``with_cache`` the forward cache of the len(x)*s mixed rows (their
     layer inputs, the mixed rows first) is returned too, as (logits, cache),
-    for backpropagation through every branch. Without it, ``work`` is passed
-    to the forward pass as its hidden-layer buffers; with it, ``work`` is
-    ignored, so no cache aliases a buffer the caller reuses.
+    for backpropagation through every branch. ``work`` is passed to the
+    forward pass as its hidden-layer buffers, so the cache's hidden entries
+    are those buffers; the logits never alias them.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
     s = len(lam) // len(x)
     mixed = mix(x.repeat(s, axis=0), partners, lam)
     if with_cache:
-        out, cache = _forward_cached(params, mixed)
+        out, cache = _forward_cached(params, mixed, work)
     else:
         out = forward(params, mixed, work)
     avg = out.reshape(len(x), s, -1).sum(axis=1) / s  # what mean() computes, with less overhead

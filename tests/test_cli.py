@@ -111,9 +111,16 @@ class TestTrain:
                                     "seed": 0}}}, "dataset.generator.turns"),
         ({"dataset": {"generator": {"n_per_class": 30, "noise_std": math.inf, "turns": 1.25,
                                     "seed": 0}}}, "dataset.generator.noise_std"),
+        ({"epochs": True}, "epochs must"),
+        ({"mix": {"mode": "label_preserving", "s": True}}, "mix: s must"),
+        ({"batch_size": True}, "batch_size must"),
+        ({"seeds": [True]}, "seeds must"),
+        ({"dataset": {"generator": {"n_per_class": True, "noise_std": 0.05, "turns": 1.25,
+                                    "seed": 0}}}, "dataset.generator.n_per_class"),
     ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
             "batch-too-large", "input-width", "output-dir-type", "csv-type", "removed-partner",
-            "s-test-bool", "s-test-float", "turns-inf", "noise-inf"])
+            "s-test-bool", "s-test-float", "turns-inf", "noise-inf", "epochs-bool", "s-bool",
+            "batch-size-bool", "seeds-bool", "n-per-class-bool"])
     def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
         cfg_path = tiny_config(tmp_path, **overrides)
         assert main(["train", str(cfg_path)]) == 2

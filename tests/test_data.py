@@ -38,8 +38,9 @@ class TestGenSpirals:
         assert np.array_equal(a.labels, b.labels)
 
     def test_bad_args(self):
-        with pytest.raises(ConfigurationError):
-            gen_spirals(0)
+        for n_per_class in (0, True, 2.5):
+            with pytest.raises(ConfigurationError, match="n_per_class"):
+                gen_spirals(n_per_class)
         with pytest.raises(ConfigurationError):
             gen_spirals(10, noise_std=-0.1)
         for turns in (0, -1, np.inf, np.nan):

@@ -140,6 +140,8 @@ class TestMixConfig:
             MixConfig("label_preserving", 1.0, 0)
         with pytest.raises(ConfigurationError):
             MixConfig("label_preserving", 1.0, s=2.5)
+        with pytest.raises(ConfigurationError):
+            MixConfig("label_preserving", 1.0, s=True)
 
 
 def test_beta_pdf_normalizes():

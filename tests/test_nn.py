@@ -21,7 +21,19 @@ from dipmix import (
     softmax_xent,
     train,
 )
-from dipmix.nn import ModelParams, _forward_cached, from_dict, to_dict
+from dipmix.nn import ModelParams, Workspace, _forward_cached, from_dict, to_dict
+
+
+def nan_workspace(params, rows):
+    work = Workspace.for_model(params, rows)
+    for buf in all_buffers(work):
+        buf.fill(np.nan)
+    return work
+
+
+def all_buffers(work):
+    return [*work.hidden, *work.deltas, *work.derivs, *work.grads.weights, *work.grads.biases,
+            *work.scaled.weights, *work.scaled.biases]
 
 
 def flatten_grads(grads):
@@ -66,7 +78,7 @@ class TestInit:
             mlp_init([2], "relu", seed=0)
         with pytest.raises(ConfigurationError):
             mlp_init([2, 0, 2], "relu", seed=0)
-        for sizes in ([2, -1, 2], [2, 2.5, 2]):  # would fail inside the weight draws
+        for sizes in ([2, -1, 2], [2, 2.5, 2], [2, True, 2]):  # would fail in the weight draws
             with pytest.raises(ConfigurationError):
                 mlp_init(sizes, "relu", seed=0)
         with pytest.raises(ConfigurationError):
@@ -197,6 +209,22 @@ class TestBackward:
                 deriv = (z > 0).astype(float) if activation == "relu" else 1.0 - t * t
                 dz = (dz @ p.weights[l].T) * deriv
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_work_buffers_change_nothing(self, activation):
+        p = mlp_init([3, 7, 5, 4], activation, seed=2)
+        rng = np.random.default_rng(3)
+        batch = Batch(rng.normal(size=(6, 3)), np.eye(4)[rng.integers(0, 4, 6)])
+        loss, grads = backward(p, batch)
+        work = nan_workspace(p, 6)
+        buffers = all_buffers(work)
+        work_loss, work_grads = backward(p, batch, work=work)
+        assert work_loss == loss and work_grads is work.grads
+        assert np.array_equal(flatten_grads(work_grads), flatten_grads(grads))
+        # every stage wrote into its own buffers; only sgd_step's are left untouched
+        assert all(a is b for a, b in zip(all_buffers(work), buffers))
+        written = [buf for buf in buffers if not np.isnan(buf).any()]
+        assert len(written) == len(buffers) - 2 * len(p.weights)
+
     def test_zero_gradient_at_saturated_minimum(self):
         # linear model, massively separated logits on correctly labeled points
         w = np.array([[50.0, -50.0], [0.0, 0.0]])
@@ -225,6 +253,20 @@ class TestSgdStep:
         sgd_step(p, grads, state, epoch=0)
         for w0, w1, g in zip(before, p.weights, grads.weights):
             np.testing.assert_allclose(w1 - w0, -0.1 * g, atol=1e-15)
+
+    def test_work_buffers_change_nothing(self):
+        p = mlp_init([2, 6, 3], "tanh", seed=4)
+        batch = Batch([[0.5, -1.0], [2.0, 0.1]], [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
+        _, grads = backward(p, batch)
+        q, states = copy.deepcopy(p), [OptimState(0.2, 0.9), OptimState(0.2, 0.9)]
+        work = nan_workspace(p, 2)
+        scaled = work.scaled.weights + work.scaled.biases
+        for epoch in range(2):
+            sgd_step(p, grads, states[0], epoch)
+            sgd_step(q, grads, states[1], epoch, work=work)
+        assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases, q.weights + q.biases))
+        assert all(a is b for a, b in zip(work.scaled.weights + work.scaled.biases, scaled))
+        assert not any(np.isnan(t).any() for t in scaled)
 
     def test_schedule_semantics(self):
         state = OptimState(1.0, schedule=[(2, 0.1)])

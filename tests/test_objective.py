@@ -1,15 +1,20 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dipmix
 from dipmix import (
     Batch,
     BetaParams,
     ConfigurationError,
     Dataset,
     DomainError,
+    EpochMetrics,
     MixConfig,
     OptimState,
     backward,
@@ -22,9 +27,11 @@ from dipmix import (
     mlp_init,
     prop1_check,
     sample_lambda,
+    sgd_step,
     standardize,
     train,
 )
+from dipmix import objective
 from dipmix.nn import ModelParams
 from dipmix.objective import _xent_rows
 
@@ -276,7 +283,111 @@ class TestJensenCheck:
             jensen_check(p, ds, 1.0, [1], 10, np.random.default_rng(0))
 
 
+def reference_train(params, ds, cfg, optim, epochs, batch_size, rng):
+    """train's loop through the public allocating calls, none given a workspace."""
+    x, y = ds.features, ds.labels
+    metrics = []
+    for epoch in range(epochs):
+        order = rng.permutation(ds.n)
+        total = 0.0
+        for start in range(0, ds.n, batch_size):
+            idx = order[start:start + batch_size]
+            batch = Batch(x[idx], y[idx])
+            if cfg.mode == "label_mixing":
+                loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng)
+            elif cfg.mode == "label_preserving":
+                loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng)
+            else:
+                loss, grads = backward(params, batch)
+            sgd_step(params, grads, optim, epoch)
+            total += loss * len(batch)
+        acc = float((forward(params, x).argmax(axis=1) == ds.class_ids()).mean())
+        metrics.append(EpochMetrics(epoch, total / ds.n, acc, optim.lr_at(epoch)))
+    return params, metrics
+
+
 class TestTrain:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("mode", ["none", "label_mixing", "label_preserving"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_workspace_equals_allocating_calls(self, activation, mode, momentum):
+        ds, _ = standardize(gen_spirals(25, 0.1, 1.25, seed=2))  # 50 rows: batches 16, 16, 16, 2
+        cfg = MixConfig(mode, 0.0 if mode == "none" else 1.0, 3)
+        runs = []
+        for loop in (train, reference_train):
+            params = mlp_init([2, 12, 8, 2], activation, seed=2)
+            runs.append(loop(params, ds, cfg, OptimState(0.2, momentum, [(3, 0.5)]), 5, 16,
+                             np.random.default_rng(5)))
+        (p, metrics), (q, expected) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases, q.weights + q.biases))
+        assert np.array_equal(np.array(metrics), np.array(expected))
+
+    @pytest.mark.parametrize("mode,step_name", [("none", "backward"),
+                                                ("label_mixing", "mixup_loss_grad"),
+                                                ("label_preserving", "dip_loss_preserving_grad")])
+    def test_every_step_reuses_the_same_buffers(self, monkeypatch, mode, step_name):
+        steps, updates, evals = [], [], []
+
+        def spy(name, log, record):
+            original = getattr(objective, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(record(*args, **kwargs))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(objective, name, wrapper)
+
+        spy(step_name, steps, lambda *a, work=None, **k: (len(a[1]), work))
+        spy("sgd_step", updates, lambda p, grads, *a, work=None: (grads, work))
+        spy("forward", evals, lambda p, x, work=None: work)
+        ds = gen_spirals(25, 0.1, 1.25, seed=2)  # 50 rows: batches 16, 16, 16, 2
+        branches = 3 if mode == "label_preserving" else 1
+        train(mlp_init([2, 12, 8, 2], "relu", seed=2), ds,
+              MixConfig(mode, 0.0 if mode == "none" else 1.0, 3), OptimState(0.1, 0.9), 3, 16,
+              np.random.default_rng(0))
+        assert [m for m, _ in steps] == [16, 16, 16, 2] * 3
+        full = steps[0][1]
+        assert [buf.shape for buf in full.hidden] == [(16 * branches, 12), (16 * branches, 8)]
+        for (m, work), (grads, update_work) in zip(steps, updates):
+            assert update_work is work and grads is work.grads
+            if m == 16:
+                assert work is full
+                continue
+            assert work.grads is full.grads and work.scaled is full.scaled
+            for name in ("hidden", "deltas", "derivs"):
+                for view, buf in zip(getattr(work, name), getattr(full, name)):
+                    assert view.base is buf and view.shape == (2 * branches, buf.shape[1])
+        assert len(evals) == 3 and [buf.shape for buf in evals[0]] == [(50, 12), (50, 8)]
+        assert all(all(a is b for a, b in zip(work, evals[0])) for work in evals)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux rusage")
+    def test_training_does_not_fault_in_fresh_pages_per_step(self):
+        # The benchmark's label-preserving S=4 recipe, 40 epochs of 8 steps. Fresh 256-row
+        # arrays every step fault ~28k pages; the reused workspace ~120.
+        # A fresh interpreter, because a long-lived one may have raised glibc's mmap threshold.
+        script = """if True:
+            import resource, numpy as np
+            from dipmix import (MixConfig, OptimState, gen_spirals, mlp_init, split,
+                                standardize, train)
+            train_set, _ = split(gen_spirals(500, 0.05, 1.25, seed=0), 0.5, seed=0)
+            train_set, _ = standardize(train_set)
+
+            def run():
+                train(mlp_init([2, 64, 64, 2], "relu", seed=0), train_set,
+                      MixConfig("label_preserving", 1.0, 4),
+                      OptimState(0.1, 0.9, [(100, 0.1), (150, 0.1)]), 40, 64,
+                      np.random.default_rng(0))
+
+            run()  # warm-up: first calls, allocator arenas
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run()
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.dirname(os.path.dirname(dipmix.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) < 1000
+
     def test_separable_sanity(self):
         full = gen_spirals(100, 0.0, 1.25, seed=1)
         ds, _ = standardize(full)
@@ -315,7 +426,8 @@ class TestTrain:
     def test_config_errors_before_any_update(self, small_net):
         ds = gen_spirals(10, 0.05, 1.25, seed=0)
         before = [w.copy() for w in small_net.weights]
-        with pytest.raises(ConfigurationError):
-            train(small_net, ds, MixConfig("none"), OptimState(0.1), 5, 100,
-                  np.random.default_rng(0))
+        for epochs, batch_size in ((5, 100), (True, 4), (5, True)):
+            with pytest.raises(ConfigurationError):
+                train(small_net, ds, MixConfig("none"), OptimState(0.1), epochs, batch_size,
+                      np.random.default_rng(0))
         assert all(np.array_equal(a, b) for a, b in zip(before, small_net.weights))

@@ -49,16 +49,19 @@ class TestDipLogits:
         assert np.array_equal(layer_inputs[0], lam[:, None] * x.repeat(s, axis=0)
                               + (1 - lam[:, None]) * partners)
 
-    def test_cache_never_aliases_work_buffers(self):
+    def test_cache_holds_the_work_buffers(self):
         m, s = 2, 5
         rng = np.random.default_rng(1)
         params = mlp_init([2, 6, 4, 3], "tanh", seed=1)
         x, partners = rng.normal(size=(m, 2)), rng.normal(size=(m * s, 2))
         lam = rng.uniform(size=m * s)
-        work = [np.empty((m * s, 6)), np.empty((m * s, 4))]
+        work = [np.full((m * s, 6), np.nan), np.full((m * s, 4), np.nan)]
         logits, cache = dip_logits(params, x, partners, lam, with_cache=True, work=work)
         assert np.array_equal(logits, dip_logits(params, x, partners, lam))
-        assert not any(np.shares_memory(a, buf) for a in [logits, *cache] for buf in work)
+        assert not any(np.shares_memory(logits, buf) for buf in work)
+        # the mixed rows come first; every hidden layer is computed into its buffer
+        assert len(cache) == 3 and all(a is buf for a, buf in zip(cache[1:], work))
+        assert not any(np.shares_memory(cache[0], buf) for buf in work)
 
 
 class TestPredict:
