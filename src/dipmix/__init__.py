@@ -8,7 +8,7 @@ diagnostic that quantifies how mixing shrinks the model class. A CLI drives
 two-spirals experiments end to end.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .bounds import (
     BoundReport,
@@ -31,7 +31,6 @@ from .mixing import (
     sample_partners,
 )
 from .nn import (
-    Batch,
     ModelParams,
     OptimState,
     ParamGrads,

@@ -20,40 +20,59 @@ from .errors import ConfigurationError, NumericError, ShapeError, is_int
 ACTIVATIONS = ("relu", "tanh")
 
 
+def _pack(holder) -> None:
+    """Copy ``holder``'s weights, then its biases, in layer order into one
+    contiguous float64 vector ``holder.flat``, and rebind both lists to views
+    of it, so that one ufunc call on ``flat`` updates every array."""
+    arrays = [*holder.weights, *holder.biases]
+    holder.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    views, start = [], 0
+    for a in arrays:
+        views.append(holder.flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    holder.weights, holder.biases = views[:len(holder.weights)], views[len(holder.weights):]
+
+
+def _flat(holder) -> np.ndarray:
+    """``holder.flat``, once every weight and bias array is checked to view it."""
+    if not all(a.base is holder.flat for a in (*holder.weights, *holder.biases)):
+        raise ShapeError(f"{type(holder).__name__} weights and biases no longer view its flat "
+                         f"vector; build a new one from the arrays")
+    return holder.flat
+
+
 @dataclass
 class ModelParams:
     """Weights and biases of a dense multilayer classifier.
 
     weights[l] has shape (layer_sizes[l], layer_sizes[l+1]) and biases[l]
-    length layer_sizes[l+1]; all entries finite.
+    length layer_sizes[l+1]; all entries finite. Construction copies them into
+    ``flat`` (see _pack), so each list entry is a view of that vector.
     """
 
     layer_sizes: list
     weights: list
     biases: list
     activation: str = "relu"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_architecture(self.layer_sizes, self.activation)
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         if len(self.weights) != len(pairs) or len(self.biases) != len(pairs):
-            raise ShapeError(
-                f"expected {len(pairs)} weight/bias pairs, got "
-                f"{len(self.weights)}/{len(self.biases)}"
-            )
+            raise ShapeError(f"expected {len(pairs)} weight/bias pairs, got "
+                             f"{len(self.weights)}/{len(self.biases)}")
         for l, (fan_in, fan_out) in enumerate(pairs):
-            if self.weights[l].shape != (fan_in, fan_out):
-                raise ShapeError(
-                    f"weights[{l}] has shape {self.weights[l].shape}, expected {(fan_in, fan_out)}"
-                )
-            if self.biases[l].shape != (fan_out,):
-                raise ShapeError(
-                    f"biases[{l}] has shape {self.biases[l].shape}, expected {(fan_out,)}"
-                )
-        if not all(np.isfinite(w).all() for w in self.weights) or not all(
-            np.isfinite(b).all() for b in self.biases
-        ):
+            for name, a, shape in (("weights", self.weights[l], (fan_in, fan_out)),
+                                   ("biases", self.biases[l], (fan_out,))):
+                if a.shape != shape:
+                    raise ShapeError(f"{name}[{l}] has shape {a.shape}, expected {shape}")
+        _pack(self)
+        if not np.isfinite(self.flat).all():
             raise NumericError("model parameters contain non-finite entries")
+
+    def __deepcopy__(self, memo):
+        return ModelParams(list(self.layer_sizes), self.weights, self.biases, self.activation)
 
     @property
     def n_inputs(self) -> int:
@@ -66,10 +85,15 @@ class ModelParams:
 
 @dataclass
 class ParamGrads:
-    """Gradient arrays, shape-congruent with the ModelParams they differentiate."""
+    """Gradient arrays, shape-congruent with the ModelParams they differentiate,
+    packed like them into one ``flat`` vector."""
 
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _pack(self)
 
 
 def _empty_like(params: ModelParams) -> ParamGrads:
@@ -89,56 +113,32 @@ class Workspace:
     For hidden layer l, of width layer_sizes[l+1], ``hidden[l]`` takes its
     forward output, ``deltas[l]`` backprop's gradient in that output and
     ``derivs[l]`` its activation derivative, each (rows, width) float64.
-    ``grads`` takes the gradients and ``scaled`` sgd_step's lr * grad. A step
-    of fewer rows uses ``head(rows)``, whose row buffers are leading-row views.
+    ``dlogits`` (rows, k) takes softmax_xent's gradient in the logits when
+    the loss has one row per forward row (plain and label-mixing steps),
+    ``grads`` the parameter gradients and ``scaled`` sgd_step's lr * grad. A
+    step of fewer rows uses ``head(rows)``, whose row buffers are leading-row
+    views.
     """
 
     hidden: list
     deltas: list
     derivs: list
+    dlogits: np.ndarray
     grads: ParamGrads
     scaled: ParamGrads
 
     @classmethod
     def for_model(cls, params: ModelParams, rows: int) -> Workspace:
         return cls(_hidden_buffers(params, rows), _hidden_buffers(params, rows),
-                   _hidden_buffers(params, rows), _empty_like(params), _empty_like(params))
+                   _hidden_buffers(params, rows), np.empty((rows, params.n_outputs)),
+                   _empty_like(params), _empty_like(params))
 
     def head(self, rows: int) -> Workspace:
         def lead(bufs):
             return [buf[:rows] for buf in bufs]
 
-        return Workspace(lead(self.hidden), lead(self.deltas), lead(self.derivs), self.grads,
-                         self.scaled)
-
-
-@dataclass
-class Batch:
-    """A feature matrix with soft labels whose rows each sum to 1."""
-
-    features: np.ndarray
-    soft_labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.soft_labels = np.asarray(self.soft_labels, dtype=float)
-        if self.features.ndim != 2 or self.soft_labels.ndim != 2:
-            raise ShapeError("batch features and soft_labels must be 2-D")
-        if self.features.shape[0] != self.soft_labels.shape[0]:
-            raise ShapeError(
-                f"batch size mismatch: {self.features.shape[0]} features rows vs "
-                f"{self.soft_labels.shape[0]} label rows"
-            )
-        if self.features.shape[0] == 0:
-            raise ShapeError("batch is empty")
-        if np.any(self.soft_labels < 0):
-            raise ConfigurationError("soft labels must be nonnegative")
-        row_sums = self.soft_labels.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
-            raise ConfigurationError("each soft-label row must sum to 1 within 1e-9")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
+        return Workspace(lead(self.hidden), lead(self.deltas), lead(self.derivs),
+                         self.dlogits[:rows], self.grads, self.scaled)
 
 
 @dataclass
@@ -147,14 +147,14 @@ class OptimState:
 
     ``schedule`` holds (epoch, multiplier) pairs with strictly increasing
     epochs; from each listed epoch onward the base rate is multiplied by
-    that factor. Velocity buffers are allocated on the first step.
+    that factor. ``velocity``, laid out like ModelParams.flat, is allocated
+    on the first step.
     """
 
     learning_rate: float
     momentum: float = 0.0
     schedule: list = field(default_factory=list)
-    velocity_weights: list = field(default=None, init=False)
-    velocity_biases: list = field(default=None, init=False)
+    velocity: np.ndarray = field(default=None, init=False)
 
     def __post_init__(self):
         if not (isinstance(self.learning_rate, numbers.Real) and self.learning_rate > 0):
@@ -195,8 +195,7 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     """
     _check_architecture(layer_sizes, activation)  # before the draws, which fail less clearly
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
@@ -217,9 +216,7 @@ def _forward_cached(params: ModelParams, features, work=None):
     ``work`` is given; the cache then aliases it, the logits never do."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
-        raise ShapeError(
-            f"features must be (m, {params.n_inputs}), got {x.shape}"
-        )
+        raise ShapeError(f"features must be (m, {params.n_inputs}), got {x.shape}")
     outputs = [x]
     for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         buf = None if work is None else work[l]
@@ -243,7 +240,7 @@ def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> P
     for l in range(len(params.weights) - 1, -1, -1):
         a = outputs[l]
         np.matmul(a.T, dz, out=work.grads.weights[l])
-        np.sum(dz, axis=0, out=work.grads.biases[l])
+        np.add.reduce(dz, axis=0, out=work.grads.biases[l])  # np.sum, less call overhead
         if l > 0:
             deriv = work.derivs[l - 1]
             if params.activation == "relu":
@@ -259,64 +256,71 @@ def log_softmax(logits) -> np.ndarray:
     """Log-softmax along the last axis, max-shift stabilized."""
     z = np.asarray(logits, dtype=float)
     shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
-def softmax_xent(logits, soft_labels):
+def softmax_xent(logits, soft_labels, out=None):
     """Mean softmax cross-entropy and its gradient in the logits.
 
     loss = mean over rows of -sum_k y_k * log softmax(z)_k, computed with
-    max-shift stabilization; dlogits = (softmax(z) - y) / m. The loss is
-    exactly linear in the soft-label argument.
+    max-shift stabilization; dlogits = (softmax(z) - y) / m, written into
+    ``out`` when given. The loss is exactly linear in the soft-label argument.
+    This is where every loss checks its labels: at least one row, each
+    nonnegative and summing to 1 within 1e-9.
     """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(soft_labels, dtype=float)
     if z.ndim != 2 or z.shape != y.shape:
         raise ShapeError(f"logits {z.shape} and soft_labels {y.shape} must match and be 2-D")
-    if not np.isfinite(z).all() or not np.isfinite(y).all():
-        raise NumericError("softmax_xent received non-finite input")
-    log_probs = log_softmax(z)
     m = z.shape[0]
-    loss = -(y * log_probs).sum() / m
-    dlogits = (np.exp(log_probs) - y) / m
+    if m == 0:
+        raise ShapeError("batch is empty")
+    if not np.isfinite(z).all():
+        raise NumericError("softmax_xent received non-finite logits")
+    if not y.min() >= 0.0:  # also true for NaN
+        raise ConfigurationError("soft labels must be nonnegative")
+    if not abs(y.sum(axis=1) - 1.0).max() <= 1e-9:
+        raise ConfigurationError("each soft-label row must sum to 1 within 1e-9")
+    log_probs = log_softmax(z)
+    dlogits = np.exp(log_probs, out=out)
+    dlogits -= y
+    dlogits /= m
+    loss = -np.multiply(y, log_probs, out=log_probs).sum() / m
     return float(loss), dlogits
 
 
-def backward(params: ModelParams, batch: Batch, *, work=None):
-    """Loss and exact analytic parameter gradients of softmax_xent(forward(.)).
+def backward(params: ModelParams, x, y, *, work=None):
+    """Loss and exact analytic parameter gradients of softmax_xent(forward(.))
+    on features ``x`` with soft labels ``y``.
 
-    With a Workspace ``work`` of len(batch) rows, the forward and backward
+    With a Workspace ``work`` of len(x) rows, the forward and backward
     passes write into it and the gradients returned are ``work.grads``.
     """
-    logits, cache = _forward_cached(params, batch.features, None if work is None else work.hidden)
-    loss, dlogits = softmax_xent(logits, batch.soft_labels)
+    logits, cache = _forward_cached(params, x, None if work is None else work.hidden)
+    loss, dlogits = softmax_xent(logits, y, None if work is None else work.dlogits)
     return loss, _backprop(params, cache, dlogits, work)
 
 
 def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: int, *,
              work=None):
-    """One momentum-SGD update, in place.
+    """One momentum-SGD update, in place, on the flat vectors.
 
     velocity <- momentum * velocity - lr(epoch) * grad; params <- params + velocity.
     lr * grad is computed into ``work.scaled`` when a Workspace is given.
+    Raises ShapeError when the parameter or gradient lists no longer view
+    their flat vector, rather than update a copy the model does not use.
     Returns the mutated (params, state) pair.
     """
-    if len(grads.weights) != len(params.weights):
-        raise ShapeError("gradient layer count does not match the model")
-    for g, w in zip(grads.weights, params.weights):
-        if g.shape != w.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match weights {w.shape}")
-    if state.velocity_weights is None:
-        state.velocity_weights = [np.zeros_like(w) for w in params.weights]
-        state.velocity_biases = [np.zeros_like(b) for b in params.biases]
-    scaled = _empty_like(params) if work is None else work.scaled
-    lr = state.lr_at(epoch)
-    for p, g, v, t in zip(params.weights + params.biases, grads.weights + grads.biases,
-                          state.velocity_weights + state.velocity_biases,
-                          scaled.weights + scaled.biases):
-        v *= state.momentum
-        v -= np.multiply(lr, g, out=t)
-        p += v
+    p, g = _flat(params), _flat(grads)
+    if g.shape != p.shape:
+        raise ShapeError(f"gradient has {g.size} entries, the model {p.size}")
+    if state.velocity is None:
+        state.velocity = np.zeros_like(p)
+    v = state.velocity
+    v *= state.momentum
+    v -= np.multiply(state.lr_at(epoch), g, out=None if work is None else work.scaled.flat)
+    p += v
     return params, state
 
 

@@ -21,7 +21,6 @@ from .errors import ConfigurationError, DivergenceError, NumericError, ShapeErro
 from .mixing import (BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda,
                      sample_partners)
 from .nn import (
-    Batch,
     ModelParams,
     OptimState,
     Workspace,
@@ -63,17 +62,20 @@ def _xent_rows(logits: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
     return -(soft_labels * log_softmax(logits)).sum(axis=1)
 
 
-def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
+def mixup_loss_grad(params: ModelParams, x, y, alpha: float, rng, *,
                     lam=None, partners=None, work=None):
-    """Label-mixing loss and its analytic parameter gradients, as (loss, grads).
+    """Label-mixing loss and its analytic parameter gradients, as (loss, grads),
+    on features ``x`` with soft labels ``y``.
 
     One Beta(alpha, alpha) ratio per example, partner by in-batch
     permutation, loss on mixed features with mixed soft labels. ``lam`` and
     ``partners`` override the random draws when given. A Workspace ``work``
-    of len(batch) rows takes the forward and backward arrays, as in backward.
+    of len(x) rows takes the forward and backward arrays, as in backward.
     """
-    x, y = batch.features, batch.soft_labels
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     m = x.shape[0]
+    if y.shape[0] != m:
+        raise ShapeError(f"{m} feature rows but {y.shape[0]} label rows")
     if lam is None:
         lam = sample_lambda(lambda_prior("label_mixing", alpha), rng, size=m)
     else:
@@ -85,14 +87,16 @@ def mixup_loss_grad(params: ModelParams, batch: Batch, alpha: float, rng, *,
     # one draw per example: the mixed classifier at S = 1
     logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True,
                                work=None if work is None else work.hidden)
-    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]))
+    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]),
+                                 None if work is None else work.dlogits)
     return loss, _backprop(params, cache, dlogits, work)
 
 
-def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, rng, *,
+def dip_loss_preserving_grad(params: ModelParams, x, y, cfg: MixConfig, rng, *,
                              lam=None, partners=None, work=None):
     """Jensen surrogate of the marginalized risk, labels preserved, and its
-    analytic gradients flowing through all s branches, as (loss, grads).
+    analytic gradients flowing through all s branches, as (loss, grads), on
+    features ``x`` with soft labels ``y``.
 
     For each example, cfg.s (ratio, partner) pairs are drawn with
     ratio ~ Beta(alpha+1, alpha) and partners from cfg.s in-batch
@@ -106,8 +110,8 @@ def dip_loss_preserving_grad(params: ModelParams, batch: Batch, cfg: MixConfig, 
         raise ConfigurationError(
             "label_mixing is handled by mixup_loss_grad; this objective preserves labels"
         )
-    x, y = batch.features, batch.soft_labels
-    m, s = len(batch), cfg.s
+    x = np.asarray(x, dtype=float)
+    m, s = x.shape[0], cfg.s
     if lam is None and partners is None:
         lam = sample_lambda(lambda_prior(cfg.mode, cfg.alpha), rng, size=m * s)
         partners = np.column_stack([sample_partners(m, rng) for _ in range(s)])
@@ -223,7 +227,9 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     layer-sized array. Configuration problems surface before any update
     runs. An epoch whose mean loss is non-finite or above
     DIVERGENCE_FACTOR * log(k), a multiple of the uniform predictor's loss,
-    raises DivergenceError naming it.
+    raises DivergenceError naming it. So does a final model that gives every
+    training row the same logits, and so predicts one class, when the rows
+    hold at least two.
     """
     if not (is_int(epochs) and epochs >= 1):
         raise ConfigurationError(f"epochs must be an integer >= 1, got {epochs!r}")
@@ -238,6 +244,7 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         )
     x, y = train_set.features, train_set.labels
     n = train_set.n
+    ids = train_set.class_ids()
     loss_cap = DIVERGENCE_FACTOR * math.log(train_set.k)
     branches = cfg.s if cfg.mode == "label_preserving" else 1  # forward rows per example
     work = Workspace.for_model(params, batch_size * branches)
@@ -250,22 +257,28 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         try:
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
-                batch = Batch(x[idx], y[idx])
-                step = work if len(batch) == batch_size else tail
+                xb, yb = x[idx], y[idx]
+                step = work if len(idx) == batch_size else tail
+                # x stays positional and cfg goes by keyword: the benchmark's tracer reads them so
                 if cfg.mode == "label_mixing":
-                    loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng, work=step)
+                    loss, grads = mixup_loss_grad(params, xb, yb, cfg.alpha, rng, work=step)
                 elif cfg.mode == "label_preserving":
-                    loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng, work=step)
+                    loss, grads = dip_loss_preserving_grad(params, xb, yb, cfg=cfg, rng=rng,
+                                                           work=step)
                 else:
-                    loss, grads = backward(params, batch, work=step)
+                    loss, grads = backward(params, xb, yb, work=step)
                 sgd_step(params, grads, optim, epoch, work=step)
-                total += loss * len(batch)
+                total += loss * len(idx)
         except NumericError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch}: {exc}") from exc
         if not total / n <= loss_cap:  # also true for NaN
             raise DivergenceError(f"training diverged in epoch {epoch}: mean loss {total / n:g} "
                                   f"exceeds {loss_cap:g}, {DIVERGENCE_FACTOR:g} x log(k)")
-        preds = forward(params, x, eval_hidden).argmax(axis=1)
-        acc = float((preds == train_set.class_ids()).mean())
+        logits = forward(params, x, eval_hidden)
+        acc = float((logits.argmax(axis=1) == ids).mean())
         metrics.append(EpochMetrics(epoch, total / n, acc, optim.lr_at(epoch)))
+    # a model still learning may predict one class too; a collapsed one ignores its input
+    if (logits == logits[0]).all() and not (ids == ids[0]).all():
+        raise DivergenceError(f"training collapsed: after epoch {epochs - 1} the model gives all "
+                              f"{n} training rows the same logits, class {logits[0].argmax()}")
     return params, metrics

@@ -72,12 +72,13 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
     s = len(lam) // len(x)
-    mixed = mix(x.repeat(s, axis=0), partners, lam)
+    mixed = mix(x if s == 1 else x.repeat(s, axis=0), partners, lam)
     if with_cache:
         out, cache = _forward_cached(params, mixed, work)
     else:
         out = forward(params, mixed, work)
-    avg = out.reshape(len(x), s, -1).sum(axis=1) / s  # what mean() computes, with less overhead
+    # what mean() computes, with less overhead; one draw is its own mean
+    avg = out if s == 1 else out.reshape(len(x), s, -1).sum(axis=1) / s
     return (avg, cache) if with_cache else avg
 
 

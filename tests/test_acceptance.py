@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dipmix import (
-    Batch,
     BetaParams,
     Dataset,
     MixConfig,
@@ -99,25 +98,25 @@ def test_criterion_4_gradient_certification():
     rng = np.random.default_rng(40)
     feats = rng.normal(size=(6, 2))
     labels = np.eye(3)[rng.integers(0, 3, 6)]
-    batch = Batch(feats, labels)
+    batch = (feats, labels)
     worst = 0.0
 
     params = mlp_init([2, 5, 3], "tanh", seed=41)
-    _, grads = backward(params, batch)
-    numeric = fd_param_grads(lambda q: backward(q, batch)[0], params)
+    _, grads = backward(params, *batch)
+    numeric = fd_param_grads(lambda q: backward(q, *batch)[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     params = mlp_init([2, 5, 3], "tanh", seed=42)
-    _, grads = mixup_loss_grad(params, batch, 1.0, np.random.default_rng(7))
+    _, grads = mixup_loss_grad(params, *batch, 1.0, np.random.default_rng(7))
     numeric = fd_param_grads(
-        lambda q: mixup_loss_grad(q, batch, 1.0, np.random.default_rng(7))[0], params)
+        lambda q: mixup_loss_grad(q, *batch, 1.0, np.random.default_rng(7))[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     params = mlp_init([2, 5, 3], "tanh", seed=43)
     cfg = MixConfig("label_preserving", 1.0, 4)
-    _, grads = dip_loss_preserving_grad(params, batch, cfg, np.random.default_rng(8))
+    _, grads = dip_loss_preserving_grad(params, *batch, cfg, np.random.default_rng(8))
     numeric = fd_param_grads(
-        lambda q: dip_loss_preserving_grad(q, batch, cfg, np.random.default_rng(8))[0], params)
+        lambda q: dip_loss_preserving_grad(q, *batch, cfg, np.random.default_rng(8))[0], params)
     worst = max(worst, max_rel_err(flatten_grads(grads), numeric))
 
     assert worst < 1e-4
@@ -246,14 +245,14 @@ def test_criterion_8_degenerate_collapses():
     start = time.perf_counter()
     ds, _ = standardize(gen_spirals(16, 0.05, 1.25, seed=2))
     params = mlp_init([2, 16, 2], "relu", seed=3)
-    batch = Batch(ds.features, ds.labels)
-    reference = backward(params, batch)[0]
-    m = len(batch)
+    batch = (ds.features, ds.labels)
+    reference = backward(params, *batch)[0]
+    m = len(batch[0])
 
     rng = np.random.default_rng(0)
-    assert dip_loss_preserving_grad(params, batch, MixConfig("none"), rng)[0] == reference
-    assert dip_loss_preserving_grad(params, batch, MixConfig("none", 0.0, 4), rng)[0] == reference
-    assert mixup_loss_grad(params, batch, 1.0, None,
+    assert dip_loss_preserving_grad(params, *batch, MixConfig("none"), rng)[0] == reference
+    assert dip_loss_preserving_grad(params, *batch, MixConfig("none", 0.0, 4), rng)[0] == reference
+    assert mixup_loss_grad(params, *batch, 1.0, None,
                            lam=np.ones(m), partners=rng.permutation(m))[0] == reference
 
     raw_cfg = PredictorConfig("raw", seed=0)

@@ -145,6 +145,16 @@ class TestTrain:
         cell = json.loads((sweep_dir / "sweep_progress.json").read_text())["alpha=1,S=1,seed=0"]
         assert cell["error"].startswith("DivergenceError: training diverged in epoch 0")
 
+    def test_collapsing_run_exits_one_without_model(self, tmp_path, capsys):
+        # the default data and model at learning rate 5: a bounded loss, one class predicted
+        cfg_path = tmp_path / "collapse.json"
+        cfg_path.write_text(json.dumps({"mix": {"mode": "label_mixing", "alpha": 1.0},
+                                        "optim": {"learning_rate": 5}, "epochs": 5,
+                                        "output_dir": str(tmp_path / "run")}))
+        assert main(["train", str(cfg_path)]) == 1
+        assert "training collapsed: after epoch 4" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_reproduces_metrics(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         main(["train", str(cfg_path)])

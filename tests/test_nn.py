@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dipmix import (
-    Batch,
     ConfigurationError,
     MixConfig,
     NumericError,
@@ -32,8 +31,8 @@ def nan_workspace(params, rows):
 
 
 def all_buffers(work):
-    return [*work.hidden, *work.deltas, *work.derivs, *work.grads.weights, *work.grads.biases,
-            *work.scaled.weights, *work.scaled.biases]
+    return [*work.hidden, *work.deltas, *work.derivs, work.dlogits, *work.grads.weights,
+            *work.grads.biases, *work.scaled.weights, *work.scaled.biases]
 
 
 def flatten_grads(grads):
@@ -178,10 +177,10 @@ class TestBackward:
     def test_matches_finite_differences(self, activation):
         p = mlp_init([2, 5, 3], activation, seed=11)
         rng = np.random.default_rng(4)
-        batch = Batch(rng.normal(size=(6, 2)), np.eye(3)[rng.integers(0, 3, 6)])
-        _, grads = backward(p, batch)
+        batch = (rng.normal(size=(6, 2)), np.eye(3)[rng.integers(0, 3, 6)])
+        _, grads = backward(p, *batch)
         analytic = flatten_grads(grads)
-        numeric = fd_param_grads(lambda q: backward(q, batch)[0], p)
+        numeric = fd_param_grads(lambda q: backward(q, *batch)[0], p)
         assert max_rel_err(analytic, numeric) < 1e-4
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -190,16 +189,16 @@ class TestBackward:
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(6, 2))
         feats[2] = 0.0  # with the zero initial biases, every pre-activation of this row is 0
-        batch = Batch(feats, np.eye(3)[rng.integers(0, 3, 6)])
-        _, grads = backward(p, batch)
+        batch = (feats, np.eye(3)[rng.integers(0, 3, 6)])
+        _, grads = backward(p, *batch)
         # reference: recompute each pre-activation z and differentiate there
-        inputs, pre_acts = [batch.features], []
+        inputs, pre_acts = [batch[0]], []
         for w, b in zip(p.weights, p.biases):
             pre_acts.append(inputs[-1] @ w + b)
             inputs.append(np.maximum(pre_acts[-1], 0.0) if activation == "relu"
                           else np.tanh(pre_acts[-1]))
         assert np.all(pre_acts[0][2] == 0.0) and np.all(pre_acts[1][2] == 0.0)
-        _, dz = softmax_xent(pre_acts[-1], batch.soft_labels)
+        _, dz = softmax_xent(pre_acts[-1], batch[1])
         for l in range(len(p.weights) - 1, -1, -1):
             assert np.array_equal(grads.weights[l], inputs[l].T @ dz)
             assert np.array_equal(grads.biases[l], dz.sum(axis=0))
@@ -213,11 +212,11 @@ class TestBackward:
     def test_work_buffers_change_nothing(self, activation):
         p = mlp_init([3, 7, 5, 4], activation, seed=2)
         rng = np.random.default_rng(3)
-        batch = Batch(rng.normal(size=(6, 3)), np.eye(4)[rng.integers(0, 4, 6)])
-        loss, grads = backward(p, batch)
+        batch = (rng.normal(size=(6, 3)), np.eye(4)[rng.integers(0, 4, 6)])
+        loss, grads = backward(p, *batch)
         work = nan_workspace(p, 6)
         buffers = all_buffers(work)
-        work_loss, work_grads = backward(p, batch, work=work)
+        work_loss, work_grads = backward(p, *batch, work=work)
         assert work_loss == loss and work_grads is work.grads
         assert np.array_equal(flatten_grads(work_grads), flatten_grads(grads))
         # every stage wrote into its own buffers; only sgd_step's are left untouched
@@ -231,7 +230,7 @@ class TestBackward:
         p = ModelParams([2, 2], [w], [np.zeros(2)], "relu")
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, grads = backward(p, Batch(feats, labels))
+        _, grads = backward(p, feats, labels)
         assert np.linalg.norm(flatten_grads(grads)) < 1e-6
 
     def test_duplicating_rows_leaves_grads_unchanged(self):
@@ -239,8 +238,8 @@ class TestBackward:
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(3, 2))
         labels = np.eye(2)[rng.integers(0, 2, 3)]
-        _, g1 = backward(p, Batch(feats, labels))
-        _, g2 = backward(p, Batch(np.vstack([feats, feats]), np.vstack([labels, labels])))
+        _, g1 = backward(p, feats, labels)
+        _, g2 = backward(p, np.vstack([feats, feats]), np.vstack([labels, labels]))
         np.testing.assert_allclose(flatten_grads(g1), flatten_grads(g2), atol=1e-15)
 
 
@@ -248,7 +247,7 @@ class TestSgdStep:
     def test_vanilla_delta(self):
         p = mlp_init([2, 3], "relu", seed=0)
         before = [w.copy() for w in p.weights]
-        _, grads = backward(p, Batch([[1.0, 2.0]], [[1.0, 0.0, 0.0]]))
+        _, grads = backward(p, [[1.0, 2.0]], [[1.0, 0.0, 0.0]])
         state = OptimState(0.1, momentum=0.0)
         sgd_step(p, grads, state, epoch=0)
         for w0, w1, g in zip(before, p.weights, grads.weights):
@@ -256,8 +255,8 @@ class TestSgdStep:
 
     def test_work_buffers_change_nothing(self):
         p = mlp_init([2, 6, 3], "tanh", seed=4)
-        batch = Batch([[0.5, -1.0], [2.0, 0.1]], [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
-        _, grads = backward(p, batch)
+        batch = ([[0.5, -1.0], [2.0, 0.1]], [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
+        _, grads = backward(p, *batch)
         q, states = copy.deepcopy(p), [OptimState(0.2, 0.9), OptimState(0.2, 0.9)]
         work = nan_workspace(p, 2)
         scaled = work.scaled.weights + work.scaled.biases
@@ -277,13 +276,13 @@ class TestSgdStep:
     def test_two_steps_match_hand_unrolled_momentum(self):
         p = mlp_init([2, 2], "relu", seed=9)
         w0 = p.weights[0].copy()
-        batch = Batch([[0.3, -1.2]], [[0.0, 1.0]])
+        batch = ([[0.3, -1.2]], [[0.0, 1.0]])
         mu, lr = 0.9, 0.05
         state = OptimState(lr, momentum=mu)
-        _, g1 = backward(p, batch)
+        _, g1 = backward(p, *batch)
         g1w = g1.weights[0].copy()
         sgd_step(p, g1, state, 0)
-        _, g2 = backward(p, batch)
+        _, g2 = backward(p, *batch)
         g2w = g2.weights[0].copy()
         sgd_step(p, g2, state, 0)
         v1 = -lr * g1w
@@ -303,18 +302,99 @@ class TestSgdStep:
             OptimState(0.1, schedule=[("a", 0.1)])
 
 
-class TestBatch:
+class TestLabelRule:
+    """softmax_xent owns the soft-label rule for every loss: at least one row,
+    each nonnegative and summing to 1 within 1e-9."""
+
     def test_row_sum_enforced(self):
+        p = mlp_init([2, 2], "relu", seed=0)
         with pytest.raises(ConfigurationError):
-            Batch([[1.0, 2.0]], [[0.6, 0.6]])
+            softmax_xent(np.zeros((1, 2)), [[0.6, 0.6]])
+        with pytest.raises(ConfigurationError):
+            backward(p, [[1.0, 2.0]], [[0.6, 0.6]])
+        with pytest.raises(ConfigurationError):
+            softmax_xent(np.zeros((1, 2)), [[np.nan, 1.0]])
 
     def test_negative_labels_rejected(self):
+        p = mlp_init([2, 2], "relu", seed=0)
         with pytest.raises(ConfigurationError):
-            Batch([[1.0, 2.0]], [[1.5, -0.5]])
+            softmax_xent(np.zeros((1, 2)), [[1.5, -0.5]])
+        with pytest.raises(ConfigurationError):
+            backward(p, [[1.0, 2.0]], [[1.5, -0.5]])
 
     def test_empty_rejected(self):
+        p = mlp_init([2, 2], "relu", seed=0)
         with pytest.raises(ShapeError):
-            Batch(np.zeros((0, 2)), np.zeros((0, 2)))
+            softmax_xent(np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(ShapeError):
+            backward(p, np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(ShapeError):  # feature and label rows differ
+            backward(p, np.zeros((2, 2)), [[1.0, 0.0]])
+
+
+class TestFlatVector:
+    """Weights and biases, weights first, are views of one float64 vector per
+    ModelParams or ParamGrads, which sgd_step updates in three ufunc calls."""
+
+    @staticmethod
+    def views_of(holder):
+        return all(np.shares_memory(a, holder.flat) and a.base is holder.flat
+                   for a in holder.weights + holder.biases)
+
+    def test_layout(self):
+        p = mlp_init([2, 3, 2], "tanh", seed=1)
+        expected = np.concatenate([a.ravel() for a in p.weights + p.biases])
+        assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+        assert np.array_equal(p.flat, expected)
+        p.flat[0] = 7.0
+        assert p.weights[0][0, 0] == 7.0
+
+    def test_lists_view_the_flat_vector(self):
+        p = mlp_init([2, 5, 4, 3], "relu", seed=3)
+        assert self.views_of(p)
+        assert self.views_of(from_dict(to_dict(p)))
+        q = copy.deepcopy(p)
+        assert self.views_of(q) and not np.shares_memory(q.flat, p.flat)
+        work = Workspace.for_model(p, 4)
+        assert self.views_of(work.grads) and self.views_of(work.scaled)
+        assert self.views_of(work.head(2).grads)
+        ds = gen_spirals(10, 0.05, 1.25, seed=0)
+        q, _ = train(mlp_init([2, 6, 2], "relu", seed=0), ds, MixConfig("label_mixing", 1.0),
+                     OptimState(0.1, 0.9), 2, 8, np.random.default_rng(0))
+        assert self.views_of(q)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+    def test_sgd_step_equals_per_array_update(self, momentum):
+        p = mlp_init([3, 6, 5, 2], "tanh", seed=4)
+        p.biases[0][:] = 0.3  # through the view
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(7, 3)), np.eye(2)[rng.integers(0, 2, 7)]
+        state = OptimState(0.05, momentum, [(1, 0.5)])
+        arrays = [a.copy() for a in p.weights + p.biases]
+        velocity = [np.zeros_like(a) for a in arrays]
+        for epoch in range(3):
+            _, grads = backward(p, x, y)
+            for a, v, g in zip(arrays, velocity, grads.weights + grads.biases):
+                v *= momentum
+                v -= state.lr_at(epoch) * g
+                a += v
+            sgd_step(p, grads, state, epoch)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, p.weights + p.biases))
+        assert np.array_equal(state.velocity, np.concatenate([v.ravel() for v in velocity]))
+
+    def test_rebound_list_makes_sgd_step_raise(self):
+        p = mlp_init([2, 4, 2], "relu", seed=6)
+        _, grads = backward(p, [[0.5, -1.0]], [[1.0, 0.0]])
+        p.biases = [b.copy() for b in p.biases]
+        with pytest.raises(ShapeError):
+            sgd_step(p, grads, OptimState(0.1), 0)
+        q = mlp_init([2, 4, 2], "relu", seed=6)
+        q.weights[1] = q.weights[1] + 0.0
+        with pytest.raises(ShapeError):
+            sgd_step(q, grads, OptimState(0.1), 0)
+        grads.weights = [w.copy() for w in grads.weights]
+        with pytest.raises(ShapeError):
+            sgd_step(mlp_init([2, 4, 2], "relu", seed=6), grads, OptimState(0.1), 0)
 
 
 class TestSerialization:

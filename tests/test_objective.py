@@ -9,10 +9,10 @@ import pytest
 
 import dipmix
 from dipmix import (
-    Batch,
     BetaParams,
     ConfigurationError,
     Dataset,
+    DivergenceError,
     DomainError,
     EpochMetrics,
     MixConfig,
@@ -47,17 +47,18 @@ def zero_net(d, k, sizes=None):
 
 @pytest.fixture
 def tiny_batch(tiny_spirals):
-    return Batch(tiny_spirals.features, tiny_spirals.labels)
+    """(features, soft labels) of the tiny spirals set."""
+    return (tiny_spirals.features, tiny_spirals.labels)
 
 
 class TestPlainLoss:
     def test_zero_net_gives_log2(self, tiny_batch):
-        assert abs(backward(zero_net(2, 2), tiny_batch)[0] - math.log(2)) < 1e-15
+        assert abs(backward(zero_net(2, 2), *tiny_batch)[0] - math.log(2)) < 1e-15
 
     def test_equals_dip_with_mode_none(self, small_net, tiny_batch):
         rng = np.random.default_rng(0)
-        dip = dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("none", 0.0, 1), rng)[0]
-        assert dip == backward(small_net, tiny_batch)[0]
+        dip = dip_loss_preserving_grad(small_net, *tiny_batch, MixConfig("none", 0.0, 1), rng)[0]
+        assert dip == backward(small_net, *tiny_batch)[0]
 
     def test_hand_computed_two_sample_batch(self):
         # one linear layer: logits = x @ w + b, worked through by hand below
@@ -73,29 +74,29 @@ class TestPlainLoss:
             logsum = m + math.log(math.exp(z[0] - m) + math.exp(z[1] - m))
             expected += -(y[0] * (z[0] - logsum) + y[1] * (z[1] - logsum))
         expected /= 2
-        assert abs(backward(p, Batch(feats, labels))[0] - expected) < 1e-12
+        assert abs(backward(p, feats, labels)[0] - expected) < 1e-12
 
 
 class TestDipLossPreserving:
     def test_forced_lambda_one_equals_plain(self, small_net, tiny_batch):
-        m = len(tiny_batch)
+        m = len(tiny_batch[0])
         cfg = MixConfig("label_preserving", 1.0, 1)
-        loss = dip_loss_preserving_grad(small_net, tiny_batch, cfg, None, lam=np.ones((m, 1)),
+        loss = dip_loss_preserving_grad(small_net, *tiny_batch, cfg, None, lam=np.ones((m, 1)),
                                         partners=np.zeros((m, 1), dtype=int))[0]
-        assert loss == backward(small_net, tiny_batch)[0]
+        assert loss == backward(small_net, *tiny_batch)[0]
 
     def test_single_draw_matches_manual_mix_step(self, small_net, tiny_batch):
         # S=1 with the labels kept is one label-preserving mix step
-        m = len(tiny_batch)
+        m = len(tiny_batch[0])
         rng = np.random.default_rng(5)
         lam = sample_lambda(BetaParams(2.0, 1.0), rng, size=m)
         partners = rng.permutation(m)
         cfg = MixConfig("label_preserving", 1.0, 1)
-        loss = dip_loss_preserving_grad(small_net, tiny_batch, cfg, None, lam=lam.reshape(m, 1),
+        loss = dip_loss_preserving_grad(small_net, *tiny_batch, cfg, None, lam=lam.reshape(m, 1),
                                         partners=partners.reshape(m, 1))[0]
-        x = tiny_batch.features
+        x = tiny_batch[0]
         mixed = lam[:, None] * x + (1 - lam[:, None]) * x[partners]
-        manual = float(_xent_rows(forward(small_net, mixed), tiny_batch.soft_labels).mean())
+        manual = float(_xent_rows(forward(small_net, mixed), tiny_batch[1]).mean())
         assert abs(loss - manual) < 1e-14
 
     def test_large_s_converges_to_quadrature_marginal_risk(self, tiny_spirals):
@@ -114,63 +115,63 @@ class TestDipLossPreserving:
         marginal_risk = float(_xent_rows(f_logits, y).mean())
 
         cfg = MixConfig("label_preserving", 1.0, 256)
-        batch = Batch(x, y)
+        batch = (x, y)
         rng = np.random.default_rng(99)
-        draws = np.array([dip_loss_preserving_grad(p, batch, cfg, rng)[0] for _ in range(48)])
+        draws = np.array([dip_loss_preserving_grad(p, *batch, cfg, rng)[0] for _ in range(48)])
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - marginal_risk) < 3 * se
 
     def test_out_of_range_ratio_rejected(self, small_net, tiny_batch):
-        m = len(tiny_batch)
+        m = len(tiny_batch[0])
         lam = np.ones((m, 1))
         lam[3] = 1.5
         with pytest.raises(DomainError):
-            dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("label_preserving", 1.0, 1),
+            dip_loss_preserving_grad(small_net, *tiny_batch, MixConfig("label_preserving", 1.0, 1),
                                      None, lam=lam, partners=np.zeros((m, 1), dtype=int))
 
     def test_label_mixing_mode_rejected(self, small_net, tiny_batch):
         with pytest.raises(ConfigurationError):
-            dip_loss_preserving_grad(small_net, tiny_batch, MixConfig("label_mixing", 1.0, 1),
+            dip_loss_preserving_grad(small_net, *tiny_batch, MixConfig("label_mixing", 1.0, 1),
                                      np.random.default_rng(0))
 
 
 class TestMixupLoss:
     def test_forced_lambda_one_equals_plain(self, small_net, tiny_batch):
-        m = len(tiny_batch)
-        loss = mixup_loss_grad(small_net, tiny_batch, 1.0, None,
+        m = len(tiny_batch[0])
+        loss = mixup_loss_grad(small_net, *tiny_batch, 1.0, None,
                                lam=np.ones(m), partners=np.arange(m))[0]
-        assert loss == backward(small_net, tiny_batch)[0]
+        assert loss == backward(small_net, *tiny_batch)[0]
 
     def test_out_of_range_ratio_rejected(self, small_net, tiny_batch):
-        m = len(tiny_batch)
+        m = len(tiny_batch[0])
         lam = np.full(m, 0.5)
         lam[0] = -0.25
         with pytest.raises(DomainError):
-            mixup_loss_grad(small_net, tiny_batch, 1.0, None, lam=lam, partners=np.arange(m))
+            mixup_loss_grad(small_net, *tiny_batch, 1.0, None, lam=lam, partners=np.arange(m))
 
     def test_self_mix_is_fixed_point(self, small_net, tiny_batch):
-        m = len(tiny_batch)
-        loss = mixup_loss_grad(small_net, tiny_batch, 1.0, None,
+        m = len(tiny_batch[0])
+        loss = mixup_loss_grad(small_net, *tiny_batch, 1.0, None,
                                lam=np.full(m, 0.5), partners=np.arange(m))[0]
-        assert abs(loss - backward(small_net, tiny_batch)[0]) < 1e-12
+        assert abs(loss - backward(small_net, *tiny_batch)[0]) < 1e-12
 
     def test_matches_label_preserving_in_expectation(self, tiny_spirals):
         # the two estimators share their expectation when ratios follow
         # Beta(a, a) on the mixing side and Beta(a+1, a) on the preserving side
         p = mlp_init([2, 8, 2], "tanh", seed=2)
-        batch = Batch(tiny_spirals.features, tiny_spirals.labels)
+        batch = (tiny_spirals.features, tiny_spirals.labels)
         cfg = MixConfig("label_preserving", 1.0, 1)
         rng = np.random.default_rng(31)
         reps = 10_000
-        mix_vals = np.array([mixup_loss_grad(p, batch, 1.0, rng)[0] for _ in range(reps)])
-        pres_vals = np.array([dip_loss_preserving_grad(p, batch, cfg, rng)[0]
+        mix_vals = np.array([mixup_loss_grad(p, *batch, 1.0, rng)[0] for _ in range(reps)])
+        pres_vals = np.array([dip_loss_preserving_grad(p, *batch, cfg, rng)[0]
                               for _ in range(reps)])
         se = np.sqrt(mix_vals.var(ddof=1) / reps + pres_vals.var(ddof=1) / reps)
         assert abs(mix_vals.mean() - pres_vals.mean()) < 3 * se
 
     def test_invalid_alpha(self, small_net, tiny_batch):
         with pytest.raises(ConfigurationError):
-            mixup_loss_grad(small_net, tiny_batch, 0.0, np.random.default_rng(0))
+            mixup_loss_grad(small_net, *tiny_batch, 0.0, np.random.default_rng(0))
 
 
 class TestGradients:
@@ -180,10 +181,10 @@ class TestGradients:
     def test_mixup_grad_matches_fd(self):
         p = mlp_init([2, 5, 3], "tanh", seed=7)
         rng = np.random.default_rng(5)
-        batch = Batch(rng.normal(size=(6, 2)), np.eye(3)[rng.integers(0, 3, 6)])
-        _, grads = mixup_loss_grad(p, batch, 1.0, np.random.default_rng(11))
+        batch = (rng.normal(size=(6, 2)), np.eye(3)[rng.integers(0, 3, 6)])
+        _, grads = mixup_loss_grad(p, *batch, 1.0, np.random.default_rng(11))
         numeric = fd_param_grads(
-            lambda q: mixup_loss_grad(q, batch, 1.0, np.random.default_rng(11))[0], p
+            lambda q: mixup_loss_grad(q, *batch, 1.0, np.random.default_rng(11))[0], p
         )
         assert max_rel_err(flatten_grads(grads), numeric) < 1e-4
 
@@ -191,11 +192,11 @@ class TestGradients:
     def test_dip_grad_matches_fd(self, s):
         p = mlp_init([2, 5, 3], "tanh", seed=8)
         rng = np.random.default_rng(6)
-        batch = Batch(rng.normal(size=(5, 2)), np.eye(3)[rng.integers(0, 3, 5)])
+        batch = (rng.normal(size=(5, 2)), np.eye(3)[rng.integers(0, 3, 5)])
         cfg = MixConfig("label_preserving", 1.0, s)
-        _, grads = dip_loss_preserving_grad(p, batch, cfg, np.random.default_rng(13))
+        _, grads = dip_loss_preserving_grad(p, *batch, cfg, np.random.default_rng(13))
         numeric = fd_param_grads(
-            lambda q: dip_loss_preserving_grad(q, batch, cfg, np.random.default_rng(13))[0], p
+            lambda q: dip_loss_preserving_grad(q, *batch, cfg, np.random.default_rng(13))[0], p
         )
         assert max_rel_err(flatten_grads(grads), numeric) < 1e-4
 
@@ -292,15 +293,14 @@ def reference_train(params, ds, cfg, optim, epochs, batch_size, rng):
         total = 0.0
         for start in range(0, ds.n, batch_size):
             idx = order[start:start + batch_size]
-            batch = Batch(x[idx], y[idx])
             if cfg.mode == "label_mixing":
-                loss, grads = mixup_loss_grad(params, batch, cfg.alpha, rng)
+                loss, grads = mixup_loss_grad(params, x[idx], y[idx], cfg.alpha, rng)
             elif cfg.mode == "label_preserving":
-                loss, grads = dip_loss_preserving_grad(params, batch, cfg, rng)
+                loss, grads = dip_loss_preserving_grad(params, x[idx], y[idx], cfg, rng)
             else:
-                loss, grads = backward(params, batch)
+                loss, grads = backward(params, x[idx], y[idx])
             sgd_step(params, grads, optim, epoch)
-            total += loss * len(batch)
+            total += loss * len(idx)
         acc = float((forward(params, x).argmax(axis=1) == ds.class_ids()).mean())
         metrics.append(EpochMetrics(epoch, total / ds.n, acc, optim.lr_at(epoch)))
     return params, metrics
@@ -347,6 +347,7 @@ class TestTrain:
         assert [m for m, _ in steps] == [16, 16, 16, 2] * 3
         full = steps[0][1]
         assert [buf.shape for buf in full.hidden] == [(16 * branches, 12), (16 * branches, 8)]
+        assert full.dlogits.shape == (16 * branches, 2)
         for (m, work), (grads, update_work) in zip(steps, updates):
             assert update_work is work and grads is work.grads
             if m == 16:
@@ -356,6 +357,7 @@ class TestTrain:
             for name in ("hidden", "deltas", "derivs"):
                 for view, buf in zip(getattr(work, name), getattr(full, name)):
                     assert view.base is buf and view.shape == (2 * branches, buf.shape[1])
+            assert work.dlogits.base is full.dlogits and work.dlogits.shape == (2 * branches, 2)
         assert len(evals) == 3 and [buf.shape for buf in evals[0]] == [(50, 12), (50, 8)]
         assert all(all(a is b for a, b in zip(work, evals[0])) for work in evals)
 
@@ -419,9 +421,26 @@ class TestTrain:
         order = rng.permutation(n)
         lam = sample_lambda(BetaParams(1.0, 1.0), rng, size=n)
         partners = rng.permutation(n)
-        batch = Batch(ds.features[order], ds.labels[order])
-        expected = mixup_loss_grad(frozen, batch, 1.0, None, lam=lam, partners=partners)[0]
+        batch = (ds.features[order], ds.labels[order])
+        expected = mixup_loss_grad(frozen, *batch, 1.0, None, lam=lam, partners=partners)[0]
         assert metrics[0].train_loss == expected
+
+    def test_collapse_to_one_class_raises(self):
+        # at learning rate 5 every relu unit dies: the logits no longer depend on the input
+        ds, _ = standardize(gen_spirals(30, 0.05, 1.25, seed=0))
+        with pytest.raises(DivergenceError, match="training collapsed: after epoch 4"):
+            train(mlp_init([2, 16, 16, 2], "relu", seed=0), ds, MixConfig("label_mixing", 1.0),
+                  OptimState(5.0, 0.9), 5, 16, np.random.default_rng(0))
+
+    def test_one_class_while_still_learning_is_no_collapse(self):
+        # five epochs in, this run predicts one class at about the uniform loss, but its
+        # logits still vary with the input
+        ds, _ = standardize(gen_spirals(25, 0.1, 1.25, seed=2))
+        p, metrics = train(mlp_init([2, 12, 8, 2], "relu", seed=2), ds, MixConfig("none"),
+                           OptimState(0.2, 0.9, [(3, 0.5)]), 5, 16, np.random.default_rng(5))
+        logits = forward(p, ds.features)
+        assert np.all(logits.argmax(axis=1) == 1) and metrics[-1].train_acc == 0.5
+        assert not np.all(logits == logits[0])
 
     def test_config_errors_before_any_update(self, small_net):
         ds = gen_spirals(10, 0.05, 1.25, seed=0)

@@ -15,6 +15,13 @@ the run order, the host (CPU count, Python and numpy versions, the BLAS and
 OpenMP thread variables of the environment) and, per workload and metric,
 each side's quartiles, the median ratio and the number of pairs the working
 tree won, "won" following each metric's direction in BENCHMARK.json.
+
+Each run also records two figures that the host-speed reference does not
+rescale: run.py's "unscaled: items_per_s" line and the CPU seconds the run
+took (the RUSAGE_CHILDREN delta of user plus system time). They are
+summarized the same way, as ``unscaled_items_per_s`` (higher is better) and
+``cpu_s_per_op``, CPU seconds per attempted operation (lower is better). When
+the scaled figure moves but these do not, the reference moved, not the work.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import argparse
 import json
 import os
 import platform
+import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,26 +62,51 @@ def export_worktree(dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """One run.py run: (its result line, its unscaled items_per_s, its CPU seconds)."""
+    before = child_cpu_s()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
+    cpu_s = child_cpu_s() - before
     if proc.returncode != 0:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}, None, cpu_s
+    unscaled = re.search(rf"^{workload} unscaled: items_per_s = (\S+) 1/s", proc.stdout, re.M)
+    return (json.loads(proc.stdout.strip().splitlines()[-1]),
+            float(unscaled.group(1)) if unscaled else None, cpu_s)
 
 
 def quartiles(values) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+UNSCALED = {"unscaled_items_per_s": "higher", "cpu_s_per_op": "lower"}
+
+
+def value(result: dict, name: str) -> float:
+    """A metric of one run's result, or one of the UNSCALED figures."""
+    if name == "unscaled_items_per_s":
+        return result["unscaled_items_per_s"]
+    if name == "cpu_s_per_op":
+        return result["child_cpu_s"] / result["attempted"]
+    return result["metrics"][name]["value"]
+
+
 def summarize(runs, directions) -> dict:
     summary = {}
+    directions = {**directions, **UNSCALED}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
         for r in runs:
             if r["workload"] == workload:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+                by_seed.setdefault(r["seed"], {})[r["side"]] = {
+                    **r["result"], "unscaled_items_per_s": r["unscaled_items_per_s"],
+                    "child_cpu_s": r["child_cpu_s"]}
         pairs = [p for p in by_seed.values() if "metrics" in p.get("parent", {})
                  and "metrics" in p.get("change", {})]
         entry = {
@@ -83,8 +117,8 @@ def summarize(runs, directions) -> dict:
                                if side in p),
         }
         for name, better in directions.items() if len(pairs) >= 2 else ():
-            parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
-            change = [p["change"]["metrics"][name]["value"] for p in pairs]
+            parent = [value(p["parent"], name) for p in pairs]
+            change = [value(p["change"], name) for p in pairs]
             sign = 1 if better == "higher" else -1
             entry[name] = {
                 "parent_q25_median_q75": quartiles(parent),
@@ -136,12 +170,14 @@ def main(argv=None) -> int:
             seed = args.first_seed + i
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for position, side in enumerate(order, 1):
-                result = run_once(sides[side], workload, seed, seconds)
+                result, unscaled, cpu_s = run_once(sides[side], workload, seed, seconds)
                 runs.append({"run_index": len(runs), "workload": workload, "seed": seed,
-                             "side": side, "position_in_pair": position, "result": result})
+                             "side": side, "position_in_pair": position, "result": result,
+                             "unscaled_items_per_s": unscaled, "child_cpu_s": cpu_s})
                 items = result.get("metrics", {}).get("items_per_s", {}).get("value")
-                print(f"{workload} seed {seed} {side}: "
-                      f"{result.get('error') or f'items_per_s {items:.6g}'}", file=sys.stderr)
+                print(f"{workload} seed {seed} {side}: " + (result.get("error") or (
+                    f"items_per_s {items:.6g}, unscaled {unscaled:.6g}, cpu {cpu_s:.3g} s")),
+                      file=sys.stderr)
 
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     doc = {
