@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_real
 from .mixing import BetaParams, sample_lambda
 from .predictor import EvalMetrics
 
@@ -94,9 +94,10 @@ def bound_report(features, prior: BetaParams | None, rho: float = 1.0, c_h: floa
     bound is a stated cap: cross-entropy itself is unbounded, so treat the
     term as comparative rather than certified.
     """
-    if rho <= 0 or c_h <= 0 or loss_bound <= 0:
-        raise ConfigurationError("rho, c_h, and loss_bound must be positive")
-    if not 0.0 < delta < 1.0:
+    for name, value in (("rho", rho), ("c_h", c_h), ("loss_bound", loss_bound)):
+        if not (is_real(value) and value > 0):
+            raise ConfigurationError(f"{name} must be a finite positive number, got {value}")
+    if not (is_real(delta) and 0.0 < delta < 1.0):
         raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
     c_lam = c_lambda_closed(prior)
     bracket, mean_sq_norm, sq_norm_mean = rademacher_bracket(features, c_lam)

@@ -26,7 +26,7 @@ from .bounds import bound_report, generalization_gap
 from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, read_json, save_csv,
                    split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError, is_int)
+                     ShapeError, is_int, is_real)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
@@ -94,15 +94,16 @@ def resolve_config(doc: dict) -> dict:
         gen = ds["generator"]
         check(is_int(gen["n_per_class"]) and gen["n_per_class"] >= 1,
               "dataset.generator.n_per_class must be a positive integer")
-        check(isinstance(gen["noise_std"], (int, float)) and 0 <= gen["noise_std"] < np.inf,
+        check(is_real(gen["noise_std"]) and gen["noise_std"] >= 0,
               "dataset.generator.noise_std must be a finite number >= 0")
-        check(isinstance(gen["turns"], (int, float)) and 0 < gen["turns"] < np.inf,
+        check(is_real(gen["turns"]) and gen["turns"] > 0,
               "dataset.generator.turns must be a finite number > 0")
         check(_is_seed(gen["seed"]), "dataset.generator.seed must be a nonnegative integer")
     frac = ds["test_fraction"]
-    check(frac is None or (isinstance(frac, (int, float)) and 0 < frac < 1),
+    check(frac is None or (is_real(frac) and 0 < frac < 1),
           "dataset.test_fraction must be in (0, 1) or null")
     check(_is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
+    check(isinstance(ds["standardize"], bool), "dataset.standardize must be true or false")
     for name, path in (("dataset.csv", ds["csv"]), ("output_dir", cfg["output_dir"])):
         check(path is None or (isinstance(path, str) and path != ""),
               f"{name} must be null or a nonempty string")
@@ -123,8 +124,8 @@ def resolve_config(doc: dict) -> dict:
     pred = cfg["predictor"]
     check(pred["mode"] in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")
     pa = pred["alpha"]
-    check(pa is None or (isinstance(pa, (int, float)) and pa >= 0),
-          "predictor.alpha must be >= 0 or null (inherit mix.alpha)")
+    check(pa is None or (is_real(pa) and pa >= 0),
+          "predictor.alpha must be a finite number >= 0 or null (inherit mix.alpha)")
     seeds = cfg["seeds"]
     check(isinstance(seeds, list) and len(seeds) >= 1 and all(_is_seed(s) for s in seeds),
           "seeds must be a nonempty list of nonnegative integers")
@@ -142,19 +143,19 @@ def load_config(path) -> dict:
 
 
 def build_datasets(cfg: dict):
-    """Materialize (train, test, stats) from the dataset section."""
+    """Materialize (train, test, stats) from the dataset section of a resolved config."""
     ds_cfg = cfg["dataset"]
-    if ds_cfg.get("csv"):
+    if ds_cfg["csv"]:
         full = load_csv(ds_cfg["csv"])
     else:
         gen = ds_cfg["generator"]
         full = gen_spirals(gen["n_per_class"], gen["noise_std"], gen["turns"], gen["seed"])
-    if ds_cfg.get("test_fraction") is not None:
+    if ds_cfg["test_fraction"] is not None:
         train_set, test_set = split(full, ds_cfg["test_fraction"], ds_cfg["split_seed"])
     else:
         train_set, test_set = full, None
     stats = None
-    if ds_cfg.get("standardize", True):
+    if ds_cfg["standardize"]:
         train_set, stats = standardize(train_set)
         if test_set is not None:
             test_set = apply_stats(test_set, stats)

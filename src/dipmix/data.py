@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, is_int
+from .errors import ConfigurationError, ParseError, ShapeError, is_int, is_real
 
 STD_FLOOR = 1e-8
 
@@ -90,9 +90,9 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     """
     if not (is_int(n_per_class) and n_per_class >= 1):
         raise ConfigurationError(f"n_per_class must be an integer >= 1, got {n_per_class!r}")
-    if not 0 <= noise_std < np.inf:
+    if not (is_real(noise_std) and noise_std >= 0):
         raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std}")
-    if not 0 < turns < np.inf:
+    if not (is_real(turns) and turns > 0):
         raise ConfigurationError(f"turns must be a finite number > 0, got {turns}")
     rng = np.random.default_rng(seed)
     span = 2.0 * np.pi * turns
@@ -207,7 +207,7 @@ def apply_stats(dataset: Dataset, stats: StandardizeStats) -> Dataset:
 
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):
     """Stratified train/test split, deterministic per seed."""
-    if not 0.0 < test_fraction < 1.0:
+    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
         raise ConfigurationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     ids = dataset.class_ids()

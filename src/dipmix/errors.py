@@ -1,11 +1,24 @@
-"""Exception types, and the one integer rule, shared across the package."""
+"""Exception types, and the one integer rule and one real-number rule,
+shared across the package."""
 
+import math
 import numbers
 
 
 def is_int(value) -> bool:
     """An integer that is not a bool, so that JSON true is not taken for 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite real number that is not a bool, so that JSON true, NaN and
+    Infinity, and an integer beyond float range, are not taken for numbers."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class ConfigurationError(ValueError):

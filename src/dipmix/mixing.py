@@ -10,12 +10,11 @@ base network.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, is_int
+from .errors import ConfigurationError, DomainError, ShapeError, is_int, is_real
 
 MODES = ("none", "label_mixing", "label_preserving")
 
@@ -28,10 +27,9 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ConfigurationError(
-                f"Beta shape parameters must be positive, got ({self.a}, {self.b})"
-            )
+        if not (is_real(self.a) and is_real(self.b) and self.a > 0 and self.b > 0):
+            raise ConfigurationError(f"Beta shape parameters must be finite positive numbers, "
+                                     f"got ({self.a}, {self.b})")
 
 
 @dataclass
@@ -49,8 +47,8 @@ class MixConfig:
     s: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, numbers.Real) and self.alpha >= 0):
-            raise ConfigurationError(f"alpha must be a nonnegative number, got {self.alpha!r}")
+        if not (is_real(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
         if not (is_int(self.s) and self.s >= 1):
             raise ConfigurationError(f"s must be a positive integer, got {self.s!r}")
         lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
@@ -87,8 +85,8 @@ def lambda_prior(mode: str, alpha: float) -> BetaParams | None:
         return None
     if mode not in MODES:
         raise ConfigurationError(f"unknown mix mode {mode!r}, expected one of {MODES}")
-    if not alpha > 0:
-        raise ConfigurationError(f"mode {mode!r} requires alpha > 0, got {alpha}")
+    if not (is_real(alpha) and alpha > 0):
+        raise ConfigurationError(f"mode {mode!r} requires a finite alpha > 0, got {alpha}")
     if mode == "label_mixing":
         return BetaParams(alpha, alpha)
     return BetaParams(alpha + 1.0, alpha)

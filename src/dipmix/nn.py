@@ -9,50 +9,45 @@ arithmetic is float64.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import read_json, write_file
-from .errors import ConfigurationError, NumericError, ShapeError, is_int
+from .errors import ConfigurationError, NumericError, ShapeError, is_int, is_real
 
 ACTIVATIONS = ("relu", "tanh")
 
 
 def _pack(holder) -> None:
-    """Copy ``holder``'s weights, then its biases, in layer order into one
-    contiguous float64 vector ``holder.flat``, and rebind both lists to views
-    of it, so that one ufunc call on ``flat`` updates every array."""
+    """Copy the frozen ``holder``'s weights, then its biases, in layer order
+    into one contiguous float64 vector ``holder.flat``, and fix both fields as
+    tuples of views of it, so that one ufunc call on ``flat`` updates every
+    array. Neither field can then be rebound, nor an item of it replaced."""
     arrays = [*holder.weights, *holder.biases]
-    holder.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
     views, start = [], 0
     for a in arrays:
-        views.append(holder.flat[start:start + a.size].reshape(a.shape))
+        views.append(flat[start:start + a.size].reshape(a.shape))
         start += a.size
-    holder.weights, holder.biases = views[:len(holder.weights)], views[len(holder.weights):]
+    n = len(holder.weights)
+    for name, value in (("flat", flat), ("weights", tuple(views[:n])),
+                        ("biases", tuple(views[n:]))):
+        object.__setattr__(holder, name, value)
 
 
-def _flat(holder) -> np.ndarray:
-    """``holder.flat``, once every weight and bias array is checked to view it."""
-    if not all(a.base is holder.flat for a in (*holder.weights, *holder.biases)):
-        raise ShapeError(f"{type(holder).__name__} weights and biases no longer view its flat "
-                         f"vector; build a new one from the arrays")
-    return holder.flat
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Weights and biases of a dense multilayer classifier.
 
     weights[l] has shape (layer_sizes[l], layer_sizes[l+1]) and biases[l]
     length layer_sizes[l+1]; all entries finite. Construction copies them into
-    ``flat`` (see _pack), so each list entry is a view of that vector.
+    ``flat`` (see _pack), so each entry is a view of that vector.
     """
 
     layer_sizes: list
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
     activation: str = "relu"
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -83,22 +78,17 @@ class ModelParams:
         return self.layer_sizes[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamGrads:
     """Gradient arrays, shape-congruent with the ModelParams they differentiate,
     packed like them into one ``flat`` vector."""
 
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _pack(self)
-
-
-def _empty_like(params: ModelParams) -> ParamGrads:
-    return ParamGrads([np.empty_like(w) for w in params.weights],
-                      [np.empty_like(b) for b in params.biases])
 
 
 def _hidden_buffers(params: ModelParams, rows: int) -> list:
@@ -111,34 +101,29 @@ class Workspace:
     """Buffers one training step writes into instead of allocating.
 
     For hidden layer l, of width layer_sizes[l+1], ``hidden[l]`` takes its
-    forward output, ``deltas[l]`` backprop's gradient in that output and
-    ``derivs[l]`` its activation derivative, each (rows, width) float64.
-    ``dlogits`` (rows, k) takes softmax_xent's gradient in the logits when
-    the loss has one row per forward row (plain and label-mixing steps),
-    ``grads`` the parameter gradients and ``scaled`` sgd_step's lr * grad. A
-    step of fewer rows uses ``head(rows)``, whose row buffers are leading-row
-    views.
+    forward output, which backprop then overwrites with its activation
+    derivative, and ``deltas[l]`` backprop's gradient in that output, each
+    (rows, width) float64. ``dlogits`` (rows, k) takes softmax_xent's gradient
+    in the logits when the loss has one row per forward row (plain and
+    label-mixing steps), and ``grads`` the parameter gradients. A step of
+    fewer rows uses ``head(rows)``, whose row buffers are leading-row views.
     """
 
     hidden: list
     deltas: list
-    derivs: list
     dlogits: np.ndarray
     grads: ParamGrads
-    scaled: ParamGrads
 
     @classmethod
     def for_model(cls, params: ModelParams, rows: int) -> Workspace:
         return cls(_hidden_buffers(params, rows), _hidden_buffers(params, rows),
-                   _hidden_buffers(params, rows), np.empty((rows, params.n_outputs)),
-                   _empty_like(params), _empty_like(params))
+                   np.empty((rows, params.n_outputs)),
+                   ParamGrads([np.empty_like(w) for w in params.weights],
+                              [np.empty_like(b) for b in params.biases]))
 
     def head(self, rows: int) -> Workspace:
-        def lead(bufs):
-            return [buf[:rows] for buf in bufs]
-
-        return Workspace(lead(self.hidden), lead(self.deltas), lead(self.derivs),
-                         self.dlogits[:rows], self.grads, self.scaled)
+        return Workspace([buf[:rows] for buf in self.hidden], [buf[:rows] for buf in self.deltas],
+                         self.dlogits[:rows], self.grads)
 
 
 @dataclass
@@ -147,26 +132,27 @@ class OptimState:
 
     ``schedule`` holds (epoch, multiplier) pairs with strictly increasing
     epochs; from each listed epoch onward the base rate is multiplied by
-    that factor. ``velocity``, laid out like ModelParams.flat, is allocated
-    on the first step.
+    that factor. ``velocity`` and ``scaled``, sgd_step's lr * grad, both laid
+    out like ModelParams.flat, are allocated on the first step.
     """
 
     learning_rate: float
     momentum: float = 0.0
     schedule: list = field(default_factory=list)
     velocity: np.ndarray = field(default=None, init=False)
+    scaled: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.learning_rate, numbers.Real) and self.learning_rate > 0):
-            raise ConfigurationError(f"learning_rate must be a positive number, "
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(f"learning_rate must be a finite positive number, "
                                      f"got {self.learning_rate!r}")
-        if not (isinstance(self.momentum, numbers.Real) and 0.0 <= self.momentum < 1.0):
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ConfigurationError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
         if not (isinstance(self.schedule, (list, tuple)) and all(
-                isinstance(e, (list, tuple)) and len(e) == 2
-                and all(isinstance(v, numbers.Real) for v in e) for e in self.schedule)):
-            raise ConfigurationError(f"schedule must be a list of [epoch, multiplier] number "
-                                     f"pairs, got {self.schedule!r}")
+                isinstance(e, (list, tuple)) and len(e) == 2 and all(is_real(v) for v in e)
+                for e in self.schedule)):
+            raise ConfigurationError(f"schedule must be a list of [epoch, multiplier] finite "
+                                     f"number pairs, got {self.schedule!r}")
         epochs = [e for e, _ in self.schedule]
         if any(b <= a for a, b in zip(epochs, epochs[1:])):
             raise ConfigurationError(f"schedule epochs must be strictly increasing: {epochs}")
@@ -213,7 +199,8 @@ def _forward_cached(params: ModelParams, features, work=None):
     """Logits and the cache _backprop needs: each layer's input, that is the
     features followed by every hidden layer's activation output. Hidden layer l
     is computed into work[l], an (m, layer_sizes[l+1]) float64 array, when
-    ``work`` is given; the cache then aliases it, the logits never do."""
+    ``work`` is given; the cache then aliases it, the logits never do.
+    _backprop overwrites every hidden entry of the cache."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(f"features must be (m, {params.n_inputs}), got {x.shape}")
@@ -229,10 +216,12 @@ def _forward_cached(params: ModelParams, features, work=None):
 def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> ParamGrads:
     """Chain rule back through the cached forward pass for a given output gradient.
 
-    Each activation's derivative is read from its cached output a: relu'(z) is
-    a > 0 and tanh'(z) is 1 - a^2, the same values the pre-activation z gives.
-    Every array is written into the Workspace ``work``, a fresh one when None;
-    the returned gradients are ``work.grads``.
+    Each hidden activation's derivative overwrites its cached output a once
+    the weight gradient has read a: relu'(z) is a > 0 and tanh'(z) is 1 - a^2,
+    the values the pre-activation z gives. The first cache entry, the
+    caller's rows, is never written. Every other array goes into the
+    Workspace ``work``, a fresh one when None; the gradients returned are
+    ``work.grads``.
     """
     if work is None:
         work = Workspace.for_model(params, len(dlogits))
@@ -242,12 +231,11 @@ def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> P
         np.matmul(a.T, dz, out=work.grads.weights[l])
         np.add.reduce(dz, axis=0, out=work.grads.biases[l])  # np.sum, less call overhead
         if l > 0:
-            deriv = work.derivs[l - 1]
             if params.activation == "relu":
-                np.greater(a, 0.0, out=deriv)  # the mask as 1.0/0.0, as d * (a > 0) casts it
+                np.greater(a, 0.0, out=a)  # the mask as 1.0/0.0, as d * (a > 0) casts it
             else:
-                np.subtract(1.0, np.multiply(a, a, out=deriv), out=deriv)
-            dz = np.multiply(np.matmul(dz, params.weights[l].T, out=work.deltas[l - 1]), deriv,
+                np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+            dz = np.multiply(np.matmul(dz, params.weights[l].T, out=work.deltas[l - 1]), a,
                              out=work.deltas[l - 1])
     return work.grads
 
@@ -302,24 +290,21 @@ def backward(params: ModelParams, x, y, *, work=None):
     return loss, _backprop(params, cache, dlogits, work)
 
 
-def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: int, *,
-             work=None):
+def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: int):
     """One momentum-SGD update, in place, on the flat vectors.
 
     velocity <- momentum * velocity - lr(epoch) * grad; params <- params + velocity.
-    lr * grad is computed into ``work.scaled`` when a Workspace is given.
-    Raises ShapeError when the parameter or gradient lists no longer view
-    their flat vector, rather than update a copy the model does not use.
-    Returns the mutated (params, state) pair.
+    lr * grad is computed into ``state.scaled``. Returns the mutated
+    (params, state) pair.
     """
-    p, g = _flat(params), _flat(grads)
+    p, g = params.flat, grads.flat
     if g.shape != p.shape:
         raise ShapeError(f"gradient has {g.size} entries, the model {p.size}")
     if state.velocity is None:
-        state.velocity = np.zeros_like(p)
+        state.velocity, state.scaled = np.zeros_like(p), np.empty_like(p)
     v = state.velocity
     v *= state.momentum
-    v -= np.multiply(state.lr_at(epoch), g, out=None if work is None else work.scaled.flat)
+    v -= np.multiply(state.lr_at(epoch), g, out=state.scaled)
     p += v
     return params, state
 

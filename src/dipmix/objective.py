@@ -267,7 +267,7 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
                                                            work=step)
                 else:
                     loss, grads = backward(params, xb, yb, work=step)
-                sgd_step(params, grads, optim, epoch, work=step)
+                sgd_step(params, grads, optim, epoch)
                 total += loss * len(idx)
         except NumericError as exc:
             raise DivergenceError(f"training diverged in epoch {epoch}: {exc}") from exc

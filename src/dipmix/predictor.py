@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigurationError, ShapeError, is_int
 from .mixing import BetaParams, mix, sample_lambda
-from .nn import ModelParams, _forward_cached, forward, log_softmax
+from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
@@ -94,7 +94,7 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
             raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
                              f"{features.shape} and a partner pool of shape {pool.shape}")
         logits = np.empty((len(features), params.n_outputs))
-        work = [np.empty((cfg.s_test, n)) for n in params.layer_sizes[1:-1]]  # shared by all items
+        work = _hidden_buffers(params, cfg.s_test)  # shared by all items
         for item, x in enumerate(features):
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
             lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)

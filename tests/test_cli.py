@@ -117,14 +117,41 @@ class TestTrain:
         ({"seeds": [True]}, "seeds must"),
         ({"dataset": {"generator": {"n_per_class": True, "noise_std": 0.05, "turns": 1.25,
                                     "seed": 0}}}, "dataset.generator.n_per_class"),
+        ({"dataset": {"standardize": "no"}}, "dataset.standardize must be true or false"),
+        ({"dataset": {"standardize": 0}}, "dataset.standardize must be true or false"),
     ], ids=["section-not-object", "nested-typo", "s-not-int", "schedule-pair", "seed-type",
             "batch-too-large", "input-width", "output-dir-type", "csv-type", "removed-partner",
             "s-test-bool", "s-test-float", "turns-inf", "noise-inf", "epochs-bool", "s-bool",
-            "batch-size-bool", "seeds-bool", "n-per-class-bool"])
+            "batch-size-bool", "seeds-bool", "n-per-class-bool", "standardize-string",
+            "standardize-zero"])
     def test_bad_config_exits_two_naming_key(self, tmp_path, capsys, overrides, key):
         cfg_path = tiny_config(tmp_path, **overrides)
         assert main(["train", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("raw", ["true", "NaN", "Infinity"])
+    @pytest.mark.parametrize("overrides,key", [
+        ({"mix": {"alpha": "X"}}, "mix: alpha must"),
+        ({"optim": {"learning_rate": "X"}}, "optim: learning_rate must"),
+        ({"optim": {"momentum": "X"}}, "optim: momentum must"),
+        ({"optim": {"schedule": [["X", 0.1]]}}, "optim: schedule must"),
+        ({"optim": {"schedule": [[5, "X"]]}}, "optim: schedule must"),
+        ({"dataset": {"generator": {"n_per_class": 30, "noise_std": "X", "turns": 1.25,
+                                    "seed": 0}}}, "dataset.generator.noise_std must"),
+        ({"dataset": {"generator": {"n_per_class": 30, "noise_std": 0.05, "turns": "X",
+                                    "seed": 0}}}, "dataset.generator.turns must"),
+        ({"dataset": {"test_fraction": "X"}}, "dataset.test_fraction must"),
+        ({"predictor": {"alpha": "X"}}, "predictor.alpha must"),
+    ], ids=["mix-alpha", "learning-rate", "momentum", "schedule-epoch", "schedule-multiplier",
+            "noise-std", "turns", "test-fraction", "predictor-alpha"])
+    def test_non_real_value_exits_two_naming_key(self, tmp_path, capsys, overrides, key, raw):
+        # the value is JSON text, as a config file may hold it: true, NaN or Infinity
+        cfg_path = tiny_config(tmp_path, **overrides)
+        cfg_path.write_text(cfg_path.read_text().replace('"X"', raw))
+        assert main(["train", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err and "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "run").exists()
 
     # 1e300 overflows the logits inside epoch 0, the others its mean loss
@@ -254,6 +281,14 @@ class TestEval:
                      "--mode", "dip"]) == 2
         assert "--partner-data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_exits_two(self, trained_run, capsys, value):
+        assert main(["eval", "--model", trained_run["model"], "--data", trained_run["data"],
+                     "--mode", "dip", "--alpha", value,
+                     "--partner-data", trained_run["data"]]) == 2
+        captured = capsys.readouterr()
+        assert "finite alpha" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("doc,field", [
         ('{"mean": [0.0, 0.0]}', "'std'"),
         ('{"mean": [0, 0], "std": [1.0]}', "std"),
@@ -313,6 +348,19 @@ class TestBound:
 
     def test_bad_constants_exit_two(self, trained_run):
         assert main(["bound", "--data", trained_run["data"], "--delta", "2.0"]) == 2
+
+    @pytest.mark.parametrize("flag,name", [("--rho", "rho"), ("--c-h", "c_h"),
+                                           ("--loss-bound", "loss_bound"), ("--delta", "delta"),
+                                           ("--alpha", "alpha")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_exits_two(self, trained_run, tmp_path, capsys, flag, name,
+                                           value):
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--data", trained_run["data"], flag, value,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_alpha_zero_means_no_mixing(self, trained_run, capsys):
         assert main(["bound", "--data", trained_run["data"], "--alpha", "0"]) == 0

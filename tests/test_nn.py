@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -31,8 +32,7 @@ def nan_workspace(params, rows):
 
 
 def all_buffers(work):
-    return [*work.hidden, *work.deltas, *work.derivs, work.dlogits, *work.grads.weights,
-            *work.grads.biases, *work.scaled.weights, *work.scaled.biases]
+    return [*work.hidden, *work.deltas, work.dlogits, *work.grads.weights, *work.grads.biases]
 
 
 def flatten_grads(grads):
@@ -126,7 +126,8 @@ class TestForward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_work_buffers_change_nothing(self, activation):
         p = mlp_init([3, 7, 5, 4], activation, seed=2)
-        p.biases = [np.full_like(b, 0.1) for b in p.biases]
+        for b in p.biases:
+            b.fill(0.1)
         x = np.random.default_rng(3).normal(size=(6, 3))
         work = [np.full((6, n), np.nan) for n in (7, 5)]
         logits = forward(p, x, work)
@@ -219,10 +220,9 @@ class TestBackward:
         work_loss, work_grads = backward(p, *batch, work=work)
         assert work_loss == loss and work_grads is work.grads
         assert np.array_equal(flatten_grads(work_grads), flatten_grads(grads))
-        # every stage wrote into its own buffers; only sgd_step's are left untouched
+        # every stage wrote into its own buffers, and into every one of them
         assert all(a is b for a, b in zip(all_buffers(work), buffers))
-        written = [buf for buf in buffers if not np.isnan(buf).any()]
-        assert len(written) == len(buffers) - 2 * len(p.weights)
+        assert not any(np.isnan(buf).any() for buf in buffers)
 
     def test_zero_gradient_at_saturated_minimum(self):
         # linear model, massively separated logits on correctly labeled points
@@ -254,18 +254,31 @@ class TestSgdStep:
             np.testing.assert_allclose(w1 - w0, -0.1 * g, atol=1e-15)
 
     def test_work_buffers_change_nothing(self):
+        # OptimState's lr * grad scratch is written before it is read: stale content is inert
         p = mlp_init([2, 6, 3], "tanh", seed=4)
         batch = ([[0.5, -1.0], [2.0, 0.1]], [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
         _, grads = backward(p, *batch)
         q, states = copy.deepcopy(p), [OptimState(0.2, 0.9), OptimState(0.2, 0.9)]
-        work = nan_workspace(p, 2)
-        scaled = work.scaled.weights + work.scaled.biases
         for epoch in range(2):
             sgd_step(p, grads, states[0], epoch)
-            sgd_step(q, grads, states[1], epoch, work=work)
+            sgd_step(q, grads, states[1], epoch)
+            states[1].scaled.fill(np.nan)
         assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases, q.weights + q.biases))
-        assert all(a is b for a, b in zip(work.scaled.weights + work.scaled.biases, scaled))
-        assert not any(np.isnan(t).any() for t in scaled)
+        assert np.array_equal(states[0].velocity, states[1].velocity)
+
+    def test_scratch_allocated_once(self):
+        p = mlp_init([2, 6, 3], "relu", seed=4)
+        _, grads = backward(p, [[0.5, -1.0]], [[0.0, 1.0, 0.0]])
+        state = OptimState(0.1, 0.9)
+        assert state.velocity is None and state.scaled is None
+        sgd_step(p, grads, state, 0)
+        velocity, scaled = state.velocity, state.scaled
+        assert velocity.shape == scaled.shape == p.flat.shape
+        assert not np.shares_memory(velocity, scaled)
+        for epoch in range(1, 4):
+            sgd_step(p, grads, state, epoch)
+            assert state.velocity is velocity and state.scaled is scaled
+        np.testing.assert_array_equal(scaled, 0.1 * grads.flat)
 
     def test_schedule_semantics(self):
         state = OptimState(1.0, schedule=[(2, 0.1)])
@@ -352,11 +365,13 @@ class TestFlatVector:
     def test_lists_view_the_flat_vector(self):
         p = mlp_init([2, 5, 4, 3], "relu", seed=3)
         assert self.views_of(p)
+        assert isinstance(p.weights, tuple) and isinstance(p.biases, tuple)
         assert self.views_of(from_dict(to_dict(p)))
         q = copy.deepcopy(p)
         assert self.views_of(q) and not np.shares_memory(q.flat, p.flat)
         work = Workspace.for_model(p, 4)
-        assert self.views_of(work.grads) and self.views_of(work.scaled)
+        assert self.views_of(work.grads)
+        assert isinstance(work.grads.weights, tuple) and isinstance(work.grads.biases, tuple)
         assert self.views_of(work.head(2).grads)
         ds = gen_spirals(10, 0.05, 1.25, seed=0)
         q, _ = train(mlp_init([2, 6, 2], "relu", seed=0), ds, MixConfig("label_mixing", 1.0),
@@ -382,19 +397,18 @@ class TestFlatVector:
             assert all(np.array_equal(a, b) for a, b in zip(arrays, p.weights + p.biases))
         assert np.array_equal(state.velocity, np.concatenate([v.ravel() for v in velocity]))
 
-    def test_rebound_list_makes_sgd_step_raise(self):
+    def test_rebinding_or_replacing_an_array_raises(self):
         p = mlp_init([2, 4, 2], "relu", seed=6)
         _, grads = backward(p, [[0.5, -1.0]], [[1.0, 0.0]])
-        p.biases = [b.copy() for b in p.biases]
-        with pytest.raises(ShapeError):
-            sgd_step(p, grads, OptimState(0.1), 0)
-        q = mlp_init([2, 4, 2], "relu", seed=6)
-        q.weights[1] = q.weights[1] + 0.0
-        with pytest.raises(ShapeError):
-            sgd_step(q, grads, OptimState(0.1), 0)
-        grads.weights = [w.copy() for w in grads.weights]
-        with pytest.raises(ShapeError):
-            sgd_step(mlp_init([2, 4, 2], "relu", seed=6), grads, OptimState(0.1), 0)
+        for holder in (p, grads):
+            for name in ("weights", "biases", "flat"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(holder, name, copy.deepcopy(getattr(holder, name)))
+            with pytest.raises(TypeError):
+                holder.weights[1] = holder.weights[1] + 0.0
+            with pytest.raises(TypeError):
+                holder.biases[0] = holder.biases[0].copy()
+            assert self.views_of(holder)
 
 
 class TestSerialization:

@@ -32,7 +32,7 @@ from dipmix import (
     train,
 )
 from dipmix import objective
-from dipmix.nn import ModelParams
+from dipmix.nn import ModelParams, Workspace
 from dipmix.objective import _xent_rows
 
 from test_nn import fd_param_grads, flatten_grads, max_rel_err
@@ -200,6 +200,31 @@ class TestGradients:
         )
         assert max_rel_err(flatten_grads(grads), numeric) < 1e-4
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("mode,s", [("none", 1), ("label_mixing", 1), ("none", 2),
+                                        ("label_preserving", 3)])
+    def test_workspace_leaves_the_callers_rows_unchanged(self, activation, mode, s):
+        # backprop overwrites each cached hidden output with its activation derivative,
+        # but not the cache's first entry, which for backward is the caller's x itself
+        p = mlp_init([2, 6, 5, 3], activation, seed=8)
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(5, 2)), np.eye(3)[rng.integers(0, 3, 5)]
+        x_before, y_before = x.copy(), y.copy()
+        cfg = MixConfig(mode, 0.0 if mode == "none" else 1.0, s)
+
+        def step(work):
+            if mode == "label_mixing":
+                return mixup_loss_grad(p, x, y, cfg.alpha, np.random.default_rng(1), work=work)
+            if s == 1:  # plain risk
+                return backward(p, x, y, work=work)
+            return dip_loss_preserving_grad(p, x, y, cfg, np.random.default_rng(1), work=work)
+
+        loss, grads = step(Workspace.for_model(p, 5 * s))
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+        expected_loss, expected = step(None)
+        assert loss == expected_loss
+        assert np.array_equal(flatten_grads(grads), flatten_grads(expected))
+
 
 class TestProp1Check:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -337,7 +362,7 @@ class TestTrain:
             monkeypatch.setattr(objective, name, wrapper)
 
         spy(step_name, steps, lambda *a, work=None, **k: (len(a[1]), work))
-        spy("sgd_step", updates, lambda p, grads, *a, work=None: (grads, work))
+        spy("sgd_step", updates, lambda p, grads, state, epoch: (grads, state))
         spy("forward", evals, lambda p, x, work=None: work)
         ds = gen_spirals(25, 0.1, 1.25, seed=2)  # 50 rows: batches 16, 16, 16, 2
         branches = 3 if mode == "label_preserving" else 1
@@ -348,13 +373,13 @@ class TestTrain:
         full = steps[0][1]
         assert [buf.shape for buf in full.hidden] == [(16 * branches, 12), (16 * branches, 8)]
         assert full.dlogits.shape == (16 * branches, 2)
-        for (m, work), (grads, update_work) in zip(steps, updates):
-            assert update_work is work and grads is work.grads
+        for (m, work), (grads, state) in zip(steps, updates):
+            assert grads is work.grads and state is updates[0][1]  # one OptimState, one scratch
             if m == 16:
                 assert work is full
                 continue
-            assert work.grads is full.grads and work.scaled is full.scaled
-            for name in ("hidden", "deltas", "derivs"):
+            assert work.grads is full.grads
+            for name in ("hidden", "deltas"):
                 for view, buf in zip(getattr(work, name), getattr(full, name)):
                     assert view.base is buf and view.shape == (2 * branches, buf.shape[1])
             assert work.dlogits.base is full.dlogits and work.dlogits.shape == (2 * branches, 2)
