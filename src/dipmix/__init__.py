@@ -8,7 +8,7 @@ diagnostic that quantifies how mixing shrinks the model class. A CLI drives
 two-spirals experiments end to end.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .bounds import (
     BoundReport,

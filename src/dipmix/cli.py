@@ -23,14 +23,14 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report, generalization_gap
-from .data import (StandardizeStats, apply_stats, gen_spirals, load_csv, read_json, save_csv,
-                   split, standardize, write_file)
+from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
+                   gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError, is_int, is_real)
+                     ShapeError, is_real, is_seed)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
-from .objective import train as train_loop
-from .predictor import PredictorConfig, decision_grid, evaluate
+from .objective import _check_count, train as train_loop
+from .predictor import PREDICT_MODES, PredictorConfig, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
 
@@ -70,15 +70,11 @@ def _merge(base: dict, override: dict, errors: list, path: str = "") -> dict:
     return out
 
 
-def _is_seed(value) -> bool:
-    return is_int(value) and value >= 0
-
-
 def resolve_config(doc: dict) -> dict:
     """Fill defaults and validate, reporting every problem at once.
 
-    The model, mix and optim sections and predictor.s_test are validated by
-    the objects built from them; this function checks what no object owns.
+    Each key that a library function consumes is checked by that owner's rule, whose first
+    problem is listed under the key's prefix; this function checks what no owner does.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -89,46 +85,33 @@ def resolve_config(doc: dict) -> dict:
         if not cond:
             errors.append(msg)
 
-    ds = cfg["dataset"]
-    if not ds["csv"]:
-        gen = ds["generator"]
-        check(is_int(gen["n_per_class"]) and gen["n_per_class"] >= 1,
-              "dataset.generator.n_per_class must be a positive integer")
-        check(is_real(gen["noise_std"]) and gen["noise_std"] >= 0,
-              "dataset.generator.noise_std must be a finite number >= 0")
-        check(is_real(gen["turns"]) and gen["turns"] > 0,
-              "dataset.generator.turns must be a finite number > 0")
-        check(_is_seed(gen["seed"]), "dataset.generator.seed must be a nonnegative integer")
-    frac = ds["test_fraction"]
-    check(frac is None or (is_real(frac) and 0 < frac < 1),
-          "dataset.test_fraction must be in (0, 1) or null")
-    check(_is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
+    ds, pred, seeds = cfg["dataset"], cfg["predictor"], cfg["seeds"]
+    for prefix, owner in (
+        # the generator is not used with a csv, nor the split with a null fraction
+        ("dataset.generator.", lambda: ds["csv"] or _check_spirals(**ds["generator"])),
+        ("dataset.", lambda: ds["test_fraction"] is None or _check_fraction(ds["test_fraction"])),
+        ("model: ", lambda: _check_architecture(**cfg["model"])),
+        ("mix: ", lambda: MixConfig(**cfg["mix"])),
+        ("optim: ", lambda: OptimState(**cfg["optim"])),
+        ("", lambda: _check_count("epochs", cfg["epochs"])),
+        ("", lambda: _check_count("batch_size", cfg["batch_size"])),
+        ("predictor: ", lambda: PredictorConfig(s_test=pred["s_test"])),
+    ):
+        try:
+            owner()
+        except ConfigurationError as exc:
+            errors.append(prefix + str(exc))
+    check(is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
     check(isinstance(ds["standardize"], bool), "dataset.standardize must be true or false")
     for name, path in (("dataset.csv", ds["csv"]), ("output_dir", cfg["output_dir"])):
         check(path is None or (isinstance(path, str) and path != ""),
               f"{name} must be null or a nonempty string")
-    for section, build in (
-        ("model", lambda m: _check_architecture(m["layer_sizes"], m["activation"])),
-        ("mix", lambda m: MixConfig(**m)),
-        ("optim", lambda m: OptimState(**m)),
-        ("predictor", lambda p: PredictorConfig(s_test=p["s_test"])),
-    ):
-        try:
-            build(cfg[section])
-        except ConfigurationError as exc:
-            errors.append(f"{section}: {exc}")
-    check(is_int(cfg["epochs"]) and cfg["epochs"] >= 1,
-          "epochs must be a positive integer")
-    check(is_int(cfg["batch_size"]) and cfg["batch_size"] >= 1,
-          "batch_size must be a positive integer")
-    pred = cfg["predictor"]
-    check(pred["mode"] in ("raw", "dip"), "predictor.mode must be 'raw' or 'dip'")
-    pa = pred["alpha"]
-    check(pa is None or (is_real(pa) and pa >= 0),
+    check(pred["mode"] in PREDICT_MODES, f"predictor.mode must be one of {PREDICT_MODES}")
+    check(pred["alpha"] is None or (is_real(pred["alpha"]) and pred["alpha"] >= 0),
           "predictor.alpha must be a finite number >= 0 or null (inherit mix.alpha)")
-    seeds = cfg["seeds"]
-    check(isinstance(seeds, list) and len(seeds) >= 1 and all(_is_seed(s) for s in seeds),
-          "seeds must be a nonempty list of nonnegative integers")
+    check(isinstance(seeds, list) and len(seeds) >= 1 and all(is_seed(s) for s in seeds)
+          and len(set(seeds)) == len(seeds),
+          "seeds must be a nonempty list of distinct nonnegative integers")
     if errors:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(errors))
     return cfg
@@ -304,11 +287,17 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _parse_num_list(text: str, cast):
+def _parse_num_list(flag: str, text: str, cast):
+    """The values of a comma list; a repeat would count one cell twice."""
     try:
-        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        ok = all(is_real(v) for v in values) and 0 < len(set(values)) == len(values)
     except ValueError:
-        raise ConfigurationError(f"expected a comma-separated list of numbers, got {text!r}")
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{flag} must be a nonempty comma-separated list of distinct "
+                                 f"finite numbers, got {text!r}")
+    return values
 
 
 def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
@@ -343,13 +332,11 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
-    alphas = _parse_num_list(args.alphas, float)
-    s_values = _parse_num_list(args.s_values, int)
-    seeds = _parse_num_list(args.seeds, int) if args.seeds else cfg["seeds"]
-    if not all(_is_seed(s) for s in seeds):
+    alphas = _parse_num_list("--alphas", args.alphas, float)
+    s_values = _parse_num_list("--s-values", args.s_values, int)
+    seeds = _parse_num_list("--seeds", args.seeds, int) if args.seeds else cfg["seeds"]
+    if not all(is_seed(s) for s in seeds):
         raise ConfigurationError(f"--seeds must list nonnegative integers, got {args.seeds!r}")
-    if not alphas or not s_values or not seeds:
-        raise ConfigurationError("sweep needs nonempty --alphas, --s-values, and seeds")
     if cfg["dataset"]["test_fraction"] is None:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
@@ -443,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_predictor_flags(p):
         """The prediction flags eval and grid share; _predictor_from_args reads them."""
-        p.add_argument("--mode", choices=("raw", "dip"), default="raw")
+        p.add_argument("--mode", choices=PREDICT_MODES, default="raw")
         p.add_argument("--s-test", type=int, default=500)
         p.add_argument("--alpha", type=float, default=1.0,
                        help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")
@@ -495,7 +482,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and not _is_seed(args.seed):
+        if getattr(args, "seed", None) is not None and not is_seed(args.seed):
             raise ConfigurationError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:

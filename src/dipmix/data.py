@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, is_int, is_real
+from .errors import ConfigurationError, ParseError, ShapeError, is_int, is_real, is_seed
 
 STD_FLOOR = 1e-8
 
@@ -80,6 +80,17 @@ class StandardizeStats:
             raise ConfigurationError("standardization std entries must be positive")
 
 
+def _check_spirals(n_per_class, noise_std, turns, seed):
+    if not (is_int(n_per_class) and n_per_class >= 1):
+        raise ConfigurationError(f"n_per_class must be an integer >= 1, got {n_per_class!r}")
+    if not (is_real(noise_std) and noise_std >= 0):
+        raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
+    if not (is_real(turns) and turns > 0):
+        raise ConfigurationError(f"turns must be a finite number > 0, got {turns!r}")
+    if not is_seed(seed):
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 1.25,
                 seed: int = 0) -> Dataset:
     """Two interleaved Archimedean spirals in the plane.
@@ -88,12 +99,7 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     theta / (2*pi*turns), rotated by c*pi, plus isotropic Gaussian noise.
     Deterministic per seed.
     """
-    if not (is_int(n_per_class) and n_per_class >= 1):
-        raise ConfigurationError(f"n_per_class must be an integer >= 1, got {n_per_class!r}")
-    if not (is_real(noise_std) and noise_std >= 0):
-        raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std}")
-    if not (is_real(turns) and turns > 0):
-        raise ConfigurationError(f"turns must be a finite number > 0, got {turns}")
+    _check_spirals(n_per_class, noise_std, turns, seed)
     rng = np.random.default_rng(seed)
     span = 2.0 * np.pi * turns
     feats = []
@@ -205,10 +211,14 @@ def apply_stats(dataset: Dataset, stats: StandardizeStats) -> Dataset:
     return Dataset(feats, dataset.labels.copy(), class_names=dataset.class_names)
 
 
+def _check_fraction(test_fraction):
+    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
+        raise ConfigurationError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
+
+
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):
     """Stratified train/test split, deterministic per seed."""
-    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
-        raise ConfigurationError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    _check_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     ids = dataset.class_ids()
     test_idx = []

@@ -1,5 +1,5 @@
-"""Exception types, and the one integer rule and one real-number rule,
-shared across the package."""
+"""Exception types, and the one integer rule, seed rule and real-number
+rule, shared across the package."""
 
 import math
 import numbers
@@ -8,6 +8,11 @@ import numbers
 def is_int(value) -> bool:
     """An integer that is not a bool, so that JSON true is not taken for 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_seed(value) -> bool:
+    """A nonnegative integer, the seeds numpy's generators accept."""
+    return is_int(value) and value >= 0
 
 
 def is_real(value) -> bool:

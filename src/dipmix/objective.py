@@ -215,6 +215,11 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
     return estimates, proxy
 
 
+def _check_count(name: str, value):
+    if not (is_int(value) and value >= 1):
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimState,
           epochs: int, batch_size: int, rng):
     """Minibatch training loop dispatching on the mix mode.
@@ -231,12 +236,10 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     training row the same logits, and so predicts one class, when the rows
     hold at least two.
     """
-    if not (is_int(epochs) and epochs >= 1):
-        raise ConfigurationError(f"epochs must be an integer >= 1, got {epochs!r}")
-    if not (is_int(batch_size) and 1 <= batch_size <= train_set.n):
-        raise ConfigurationError(
-            f"batch_size must lie in [1, {train_set.n}], got {batch_size}"
-        )
+    _check_count("epochs", epochs)
+    _check_count("batch_size", batch_size)
+    if batch_size > train_set.n:
+        raise ConfigurationError(f"batch_size must lie in [1, {train_set.n}], got {batch_size}")
     if train_set.d != params.n_inputs or train_set.k != params.n_outputs:
         raise ShapeError(
             f"model layer_sizes {params.layer_sizes} do not fit data with {train_set.d} "

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ShapeError, is_int
+from .errors import ConfigurationError, ShapeError, is_int, is_real, is_seed
 from .mixing import BetaParams, mix, sample_lambda
 from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
 
@@ -43,6 +43,8 @@ class PredictorConfig:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
         if not (is_int(self.s_test) and self.s_test >= 1):
             raise ConfigurationError(f"s_test must be a positive integer, got {self.s_test!r}")
+        if not is_seed(self.seed):
+            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.partner_pool is not None:
             self.partner_pool = np.asarray(self.partner_pool, dtype=float)
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
@@ -118,14 +120,18 @@ def decision_grid(params: ModelParams, cfg: PredictorConfig, x_range, y_range,
     """Score a row-major grid over the box; top row is the largest y.
 
     Returns (xs ascending, ys descending, classes, max_probs) with the two
-    matrices shaped (resolution, resolution). Only 2-D models are supported.
+    matrices shaped (resolution, resolution). Only 2-D models and finite
+    boxes are supported.
     """
     if params.n_inputs != 2:
         raise ConfigurationError(
             f"decision grids need a 2-dimensional model, got d={params.n_inputs}"
         )
-    if resolution < 1:
-        raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
+    if not all(is_real(v) for v in (*x_range, *y_range)):
+        raise ConfigurationError(f"grid bounds must be finite numbers, got x {tuple(x_range)} "
+                                 f"and y {tuple(y_range)}")
+    if not (is_int(resolution) and resolution >= 1):
+        raise ConfigurationError(f"resolution must be an integer >= 1, got {resolution!r}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[1], y_range[0], resolution)
     gx, gy = np.meshgrid(xs, ys)

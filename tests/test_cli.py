@@ -4,11 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from dipmix import cli
+from dipmix import (ConfigurationError, MixConfig, OptimState, cli, gen_spirals, mlp_init, split,
+                    train)
 from dipmix.cli import main
 from dipmix.nn import save_model
-from dipmix import mlp_init
 from dipmix.nn import ModelParams
+
+
+def generator(**fields):
+    """A dataset override whose generator differs from tiny_config's in fields."""
+    return {"generator": {"n_per_class": 30, "noise_std": 0.05, "turns": 1.25, "seed": 0,
+                          **fields}}
+
+
+def train_with(epochs, batch_size):
+    ds = gen_spirals(8, 0.05, 1.25, 0)
+    return train(mlp_init([2, 8, 2], "relu", seed=0), ds, MixConfig(), OptimState(0.1),
+                 epochs, batch_size, np.random.default_rng(0))
 
 
 def tiny_config(tmp_path, **overrides):
@@ -129,6 +141,38 @@ class TestTrain:
         assert main(["train", str(cfg_path)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_every_owner_reports_at_once(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, epochs=0, batch_size=0)
+        assert main(["train", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "epochs must" in err and "batch_size must" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides,prefix,owner", [
+        ({"dataset": generator(turns=math.inf)}, "dataset.generator.",
+         lambda: gen_spirals(30, 0.05, math.inf, 0)),
+        ({"dataset": generator(n_per_class=True)}, "dataset.generator.",
+         lambda: gen_spirals(True, 0.05, 1.25, 0)),
+        ({"dataset": generator(noise_std=-1)}, "dataset.generator.",
+         lambda: gen_spirals(30, -1, 1.25, 0)),
+        ({"dataset": generator(seed=-1)}, "dataset.generator.",
+         lambda: gen_spirals(30, 0.05, 1.25, -1)),
+        ({"dataset": {"test_fraction": 1.5}}, "dataset.",
+         lambda: split(gen_spirals(30), 1.5, 0)),
+        ({"epochs": 0}, "", lambda: train_with(epochs=0, batch_size=16)),
+        ({"batch_size": 0}, "", lambda: train_with(epochs=8, batch_size=0)),
+    ], ids=["turns", "n-per-class", "noise-std", "generator-seed", "test-fraction", "epochs",
+            "batch-size"])
+    def test_config_reports_the_owners_rule(self, tmp_path, overrides, prefix, owner):
+        # the config's line is the owner's message under the key's prefix: one rule, one text
+        with pytest.raises(ConfigurationError) as owned:
+            owner()
+        doc = json.loads(tiny_config(tmp_path, **overrides).read_text())
+        with pytest.raises(ConfigurationError) as config:
+            cli.resolve_config(doc)
+        lines = [line.strip() for line in str(config.value).splitlines()[1:]]
+        assert lines == [prefix + str(owned.value)]
 
     @pytest.mark.parametrize("raw", ["true", "NaN", "Infinity"])
     @pytest.mark.parametrize("overrides,key", [
@@ -387,6 +431,24 @@ class TestSweep:
         assert "predictor: s_test must be a positive integer, got True" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("overrides,flags,flag", [
+        ({}, ["--alphas", "1", "--s-values", "1", "--seeds", "0,0"], "--seeds"),
+        ({}, ["--alphas", "1,1.0", "--s-values", "1", "--seeds", "0"], "--alphas"),
+        ({}, ["--alphas", "1", "--s-values", "2,1,2", "--seeds", "0"], "--s-values"),
+        ({"seeds": [0, 0]}, ["--alphas", "1", "--s-values", "1"], "seeds"),
+        ({}, ["--alphas", "inf", "--s-values", "1", "--seeds", "0"], "--alphas"),
+        ({}, ["--alphas", "1,nan", "--s-values", "1", "--seeds", "0"], "--alphas"),
+    ], ids=["seeds-repeat", "alphas-repeat", "s-values-repeat", "config-seeds-repeat",
+            "alpha-inf", "alpha-nan"])
+    def test_bad_list_exits_two_before_training(self, tmp_path, capsys, monkeypatch,
+                                                overrides, flags, flag):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a cell"))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"), **overrides)
+        assert main(["sweep", str(cfg_path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert flag + " must" in captured.err and captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
     def test_aggregate_se_hand_checked(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1",
@@ -538,6 +600,15 @@ class TestGrid:
     def test_dip_without_pool_exits_two(self, trained_run, tmp_path):
         assert main(["grid", "--model", trained_run["model"], "--mode", "dip",
                      "--out-prefix", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--xmin", "nan"), ("--xmax", "inf"),
+                                            ("--ymin", "-inf"), ("--ymax", "nan")])
+    def test_non_finite_box_exits_two(self, trained_run, tmp_path, capsys, flag, value):
+        assert main(["grid", "--model", trained_run["model"], "--res", "2", f"{flag}={value}",
+                     "--out-prefix", str(tmp_path / "g")]) == 2
+        captured = capsys.readouterr()
+        assert "grid bounds must be finite" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_planar_model_exits_two(self, tmp_path):
         model_path = tmp_path / "m3.json"

@@ -49,6 +49,9 @@ class TestGenSpirals:
         for noise_std in (np.inf, np.nan):
             with pytest.raises(ConfigurationError, match="noise_std"):
                 gen_spirals(10, noise_std=noise_std)
+        for seed in (-1, True, 2.5):
+            with pytest.raises(ConfigurationError, match="seed"):
+                gen_spirals(10, seed=seed)
 
 
 class TestCsv:

@@ -152,6 +152,13 @@ class TestPredict:
                 PredictorConfig("raw", bad)
         assert PredictorConfig("raw", np.int64(3)).s_test == 3
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        pool = np.zeros((3, 2))
+        for bad in (-1, True, 2.5, None):
+            with pytest.raises(ConfigurationError, match="seed"):
+                PredictorConfig("dip", 4, BetaParams(2, 1), partner_pool=pool, seed=bad)
+        assert PredictorConfig("raw", seed=np.int64(3)).seed == 3
+
     def test_mc_argmax_stability_in_draw_count(self, mixup_spirals_model):
         params, train_set, test_set = mixup_spirals_model
         out = {}
@@ -233,6 +240,19 @@ class TestDecisionGrid:
         params = mlp_init([3, 4, 2], "relu", seed=0)
         with pytest.raises(ConfigurationError):
             decision_grid(params, PredictorConfig("raw"), (-1, 1), (-1, 1), 4)
+
+    @pytest.mark.parametrize("x_range,y_range,resolution", [
+        ((math.nan, 1.0), (-1.0, 1.0), 2),
+        ((-1.0, math.inf), (-1.0, 1.0), 2),
+        ((-1.0, 1.0), (-math.inf, 1.0), 2),
+        ((-1.0, 1.0), (-1.0, True), 2),
+        ((-1.0, 1.0), (-1.0, 1.0), 2.5),
+        ((-1.0, 1.0), (-1.0, 1.0), True),
+        ((-1.0, 1.0), (-1.0, 1.0), 0),
+    ], ids=["xmin-nan", "xmax-inf", "ymin-inf", "ymax-bool", "res-float", "res-bool", "res-zero"])
+    def test_bad_box_rejected(self, small_net, x_range, y_range, resolution):
+        with pytest.raises(ConfigurationError, match="grid bounds|resolution"):
+            decision_grid(small_net, PredictorConfig("raw"), x_range, y_range, resolution)
 
 
 def test_dip_average_runs_over_logits(mixup_spirals_model):
