@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, is_real
+from .errors import ConfigurationError, check_count, is_real
 from .mixing import BetaParams, sample_lambda
 from .predictor import EvalMetrics
 
@@ -56,6 +56,7 @@ def c_lambda_closed(prior: BetaParams | None) -> float:
 
 def c_lambda_mc(prior: BetaParams | None, n_samples: int, rng):
     """Monte-Carlo estimate of E[lam^2 + (1-lam)^2] with its standard error."""
+    check_count("n_samples", n_samples)
     if n_samples < 10_000:
         raise ConfigurationError(f"need n_samples >= 1e4, got {n_samples}")
     lam = sample_lambda(prior, rng, size=n_samples)

@@ -26,10 +26,10 @@ from .bounds import bound_report, generalization_gap
 from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
                    gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError, is_real, is_seed)
+                     ShapeError, check_count, check_seed, is_real, is_seed)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
-from .objective import _check_count, train as train_loop
+from .objective import train as train_loop
 from .predictor import PREDICT_MODES, PredictorConfig, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
@@ -93,15 +93,15 @@ def resolve_config(doc: dict) -> dict:
         ("model: ", lambda: _check_architecture(**cfg["model"])),
         ("mix: ", lambda: MixConfig(**cfg["mix"])),
         ("optim: ", lambda: OptimState(**cfg["optim"])),
-        ("", lambda: _check_count("epochs", cfg["epochs"])),
-        ("", lambda: _check_count("batch_size", cfg["batch_size"])),
+        ("", lambda: check_count("epochs", cfg["epochs"])),
+        ("", lambda: check_count("batch_size", cfg["batch_size"])),
         ("predictor: ", lambda: PredictorConfig(s_test=pred["s_test"])),
+        ("dataset.", lambda: check_seed("split_seed", ds["split_seed"])),
     ):
         try:
             owner()
         except ConfigurationError as exc:
             errors.append(prefix + str(exc))
-    check(is_seed(ds["split_seed"]), "dataset.split_seed must be a nonnegative integer")
     check(isinstance(ds["standardize"], bool), "dataset.standardize must be true or false")
     for name, path in (("dataset.csv", ds["csv"]), ("output_dir", cfg["output_dir"])):
         check(path is None or (isinstance(path, str) and path != ""),
@@ -300,6 +300,12 @@ def _parse_num_list(flag: str, text: str, cast):
     return values
 
 
+def _alpha_text(alpha: float) -> str:
+    """An alpha as progress keys and sweep.csv name it: short when that reads back exactly."""
+    short = f"{alpha:g}"
+    return short if float(short) == alpha else repr(alpha)
+
+
 def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
     """Train and score one cell: alpha 0 trains without mixing, any other
     alpha in the config's mixing mode (label_mixing if that is none).
@@ -353,10 +359,11 @@ def cmd_sweep(args) -> int:
     scored = {}
     lines = ["alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n"]
     for alpha in alphas:
+        name = _alpha_text(alpha)
         for s in s_values:
             rows = []
             for seed in seeds:
-                key = f"alpha={alpha:g},S={s},seed={seed}"
+                key = f"alpha={name},S={s},seed={seed}"
                 if progress.get(key, {}).get("config_sha256") != digest:
                     try:
                         progress[key] = {**_sweep_cell(cfg, alpha, s, seed, scored),
@@ -369,7 +376,7 @@ def cmd_sweep(args) -> int:
                 row = progress[key]
                 if "error" not in row:
                     rows.append(row)
-                    lines.append(f"{row['alpha']:g},{row['S']},{row['mode']},{row['seed']},"
+                    lines.append(f"{name},{row['S']},{row['mode']},{row['seed']},"
                                  f"{row['train_err']!r},{row['test_err']!r},{row['gap']!r},,,\n")
             if rows:
                 means, ses = [], []
@@ -378,7 +385,7 @@ def cmd_sweep(args) -> int:
                     means.append(float(vals.mean()))
                     ses.append(float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1
                                else 0.0)
-                lines.append(f"{alpha:g},{s},{rows[0]['mode']},mean,"
+                lines.append(f"{name},{s},{rows[0]['mode']},mean,"
                              + ",".join(repr(v) for v in means + ses) + "\n")
     csv_path = out_dir / "sweep.csv"
     write_file(csv_path, "".join(lines))
@@ -482,8 +489,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and not is_seed(args.seed):
-            raise ConfigurationError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if getattr(args, "seed", None) is not None:
+            check_seed("--seed", args.seed)
         return args.func(args)
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, is_int, is_real, is_seed
+from .errors import ConfigurationError, ParseError, ShapeError, check_count, check_seed, is_real
 
 STD_FLOOR = 1e-8
 
@@ -81,14 +81,12 @@ class StandardizeStats:
 
 
 def _check_spirals(n_per_class, noise_std, turns, seed):
-    if not (is_int(n_per_class) and n_per_class >= 1):
-        raise ConfigurationError(f"n_per_class must be an integer >= 1, got {n_per_class!r}")
+    check_count("n_per_class", n_per_class)
     if not (is_real(noise_std) and noise_std >= 0):
         raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
     if not (is_real(turns) and turns > 0):
         raise ConfigurationError(f"turns must be a finite number > 0, got {turns!r}")
-    if not is_seed(seed):
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    check_seed("seed", seed)
 
 
 def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 1.25,
@@ -219,6 +217,7 @@ def _check_fraction(test_fraction):
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):
     """Stratified train/test split, deterministic per seed."""
     _check_fraction(test_fraction)
+    check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     ids = dataset.class_ids()
     test_idx = []

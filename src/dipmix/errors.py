@@ -1,5 +1,5 @@
-"""Exception types, and the one integer rule, seed rule and real-number
-rule, shared across the package."""
+"""Exception types, and the one integer, count, seed and real-number rules,
+shared across the package."""
 
 import math
 import numbers
@@ -10,9 +10,24 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_count(value) -> bool:
+    """An integer of at least 1: a size, or a number of draws or repetitions."""
+    return is_int(value) and value >= 1
+
+
 def is_seed(value) -> bool:
     """A nonnegative integer, the seeds numpy's generators accept."""
     return is_int(value) and value >= 0
+
+
+def check_count(name: str, value) -> None:
+    if not is_count(value):
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_seed(name: str, value) -> None:
+    if not is_seed(value):
+        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def is_real(value) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, is_int, is_real
+from .errors import ConfigurationError, DomainError, ShapeError, check_count, is_real
 
 MODES = ("none", "label_mixing", "label_preserving")
 
@@ -49,8 +49,7 @@ class MixConfig:
     def __post_init__(self):
         if not (is_real(self.alpha) and self.alpha >= 0):
             raise ConfigurationError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
-        if not (is_int(self.s) and self.s >= 1):
-            raise ConfigurationError(f"s must be a positive integer, got {self.s!r}")
+        check_count("s", self.s)
         lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
 
 

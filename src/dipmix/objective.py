@@ -11,13 +11,12 @@ monotone nonincreasing in the number of draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, is_int
+from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, check_count
 from .mixing import (BetaParams, MixConfig, beta_pdf, lambda_prior, mix, sample_lambda,
                      sample_partners)
 from .nn import (
@@ -37,17 +36,12 @@ from .predictor import dip_logits
 DIVERGENCE_FACTOR = 10.0  # healthy default-config runs peak near 1.1 x log(2), the uniform loss
 
 
-@dataclass(frozen=True)
-class LossEstimate:
+class LossEstimate(NamedTuple):
     """A Monte-Carlo loss estimate with its standard error."""
 
     value: float
     std_error: float
     n_reps: int
-
-    def __post_init__(self):
-        if self.std_error < 0 or self.n_reps < 1:
-            raise ConfigurationError("std_error must be >= 0 and n_reps >= 1")
 
 
 class EpochMetrics(NamedTuple):
@@ -142,14 +136,14 @@ def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
     n = dataset.n
     if n > 32:
         raise ConfigurationError(f"pair enumeration is quadratic; need n <= 32, got {n}")
+    check_count("quad_nodes", quad_nodes)
     if quad_nodes < 64:
         raise ConfigurationError(f"need at least 64 quadrature nodes, got {quad_nodes}")
     if alpha < 0.5:
         raise ConfigurationError(
             f"alpha must be >= 0.5 (the ratio density is unbounded below that), got {alpha}"
         )
-    if loss_rows is None:
-        loss_rows = _xent_rows
+    loss_rows = loss_rows or _xent_rows
     x, y = dataset.features, dataset.labels
     first = np.repeat(np.arange(n), n)
     second = np.tile(np.arange(n), n)
@@ -160,8 +154,7 @@ def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
     w = 0.5 * weights
     pdf_mixing = beta_pdf(lam_nodes, alpha, alpha)
     pdf_preserving = beta_pdf(lam_nodes, alpha + 1.0, alpha)
-    lhs = 0.0
-    rhs = 0.0
+    lhs = rhs = 0.0
     for q in range(quad_nodes):
         lam = lam_nodes[q]
         logits = forward(params, mix(xi, xk, lam))
@@ -185,10 +178,12 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
     another per-row functional of the averaged logits (a linear functional
     collapses the ordering to equality).
     """
+    for name, value in (("reps", reps), ("s_proxy", s_proxy), ("proxy_reps", proxy_reps),
+                        *((f"s_list[{i}]", s) for i, s in enumerate(s_list))):
+        check_count(name, value)
     if reps < 1000:
         raise ConfigurationError(f"need reps >= 1000 for stable standard errors, got {reps}")
-    if loss_rows is None:
-        loss_rows = _xent_rows
+    loss_rows = loss_rows or _xent_rows
     prior = BetaParams(alpha + 1.0, alpha)
     x, y = dataset.features, dataset.labels
     n = dataset.n
@@ -196,8 +191,7 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
     def estimate(s: int, n_reps: int) -> LossEstimate:
         vals = np.empty(n_reps)
         chunk = max(1, 200_000 // (n * s))
-        done = 0
-        while done < n_reps:
+        for done in range(0, n_reps, chunk):
             r = min(chunk, n_reps - done)
             rows = r * n * s
             lam = sample_lambda(prior, rng, size=rows)
@@ -205,19 +199,13 @@ def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
             avg_logits = dip_logits(params, np.tile(x, (r, 1)), x[partners], lam)
             losses = loss_rows(avg_logits, np.tile(y, (r, 1)))
             vals[done:done + r] = losses.reshape(r, n).mean(axis=1)
-            done += r
         return LossEstimate(float(vals.mean()),
                             float(vals.std(ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else 0.0,
                             n_reps)
 
-    estimates = [estimate(int(s), reps) for s in s_list]
+    estimates = [estimate(s, reps) for s in s_list]
     proxy = estimate(s_proxy, proxy_reps)
     return estimates, proxy
-
-
-def _check_count(name: str, value):
-    if not (is_int(value) and value >= 1):
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimState,
@@ -236,8 +224,8 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     training row the same logits, and so predicts one class, when the rows
     hold at least two.
     """
-    _check_count("epochs", epochs)
-    _check_count("batch_size", batch_size)
+    check_count("epochs", epochs)
+    check_count("batch_size", batch_size)
     if batch_size > train_set.n:
         raise ConfigurationError(f"batch_size must lie in [1, {train_set.n}], got {batch_size}")
     if train_set.d != params.n_inputs or train_set.k != params.n_outputs:

@@ -70,6 +70,9 @@ class TestCLambdaMc:
     def test_sample_floor(self):
         with pytest.raises(ConfigurationError):
             c_lambda_mc(BetaParams(1, 1), 100, np.random.default_rng(0))
+        for n_samples in (20000.5, True):
+            with pytest.raises(ConfigurationError, match="n_samples must be a positive integer"):
+                c_lambda_mc(BetaParams(1, 1), n_samples, np.random.default_rng(0))
 
 
 class TestRademacherBracket:

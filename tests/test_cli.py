@@ -479,6 +479,15 @@ class TestSweep:
         assert rows[0][4:] == rows[1][4:] == rows[2][4:]
         assert rows[3][4:] == rows[4][4:] == rows[5][4:]
 
+    def test_alphas_that_print_alike_stay_apart(self, tmp_path):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"), epochs=2)
+        assert main(["sweep", str(cfg_path), "--alphas", "0.1234567,0.1234568",
+                     "--s-values", "1", "--seeds", "0"]) == 0
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        assert sorted(progress) == ["alpha=0.1234567,S=1,seed=0", "alpha=0.1234568,S=1,seed=0"]
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [l.split(",")[0] for l in lines] == ["0.1234567"] * 2 + ["0.1234568"] * 2
+
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         args = ["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1",
@@ -606,6 +615,13 @@ class TestGrid:
     def test_non_finite_box_exits_two(self, trained_run, tmp_path, capsys, flag, value):
         assert main(["grid", "--model", trained_run["model"], "--res", "2", f"{flag}={value}",
                      "--out-prefix", str(tmp_path / "g")]) == 2
+        captured = capsys.readouterr()
+        assert "grid bounds must be finite" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reversed_box_exits_two(self, trained_run, tmp_path, capsys):
+        assert main(["grid", "--model", trained_run["model"], "--res", "3", "--xmin", "1",
+                     "--xmax=-1", "--out-prefix", str(tmp_path / "g")]) == 2
         captured = capsys.readouterr()
         assert "grid bounds must be finite" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []

@@ -9,6 +9,7 @@ from dipmix import (
     apply_stats,
     gen_spirals,
     load_csv,
+    mlp_init,
     save_csv,
     split,
     standardize,
@@ -52,6 +53,14 @@ class TestGenSpirals:
         for seed in (-1, True, 2.5):
             with pytest.raises(ConfigurationError, match="seed"):
                 gen_spirals(10, seed=seed)
+
+    def test_split_and_init_check_their_seed(self):
+        ds = gen_spirals(10)
+        for seed in (-1, True, 2.5):
+            with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+                split(ds, 0.5, seed=seed)
+            with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+                mlp_init([2, 3, 2], seed=seed)
 
 
 class TestCsv:

@@ -2,10 +2,22 @@
 real-number rule. A module other than errors.py that reaches for ``numbers``,
 tests ``isinstance(value, (int, float))`` or compares with an infinity writes
 a rule of its own, one that may let JSON true, NaN or Infinity through, and
-fails here."""
+fails here. So does one that calls ``is_int``: a count or a seed goes through
+``errors.check_count`` or ``errors.check_seed`` (or ``is_count``/``is_seed``),
+so that each rule has one message. The last two tests call every function
+that takes a count or a seed with values the rule rejects, and expect that
+message, naming the argument."""
 
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dipmix import (BetaParams, ConfigurationError, MixConfig, OptimState, PredictorConfig,
+                    c_lambda_mc, decision_grid, gen_spirals, jensen_check, mlp_init, prop1_check,
+                    split, train)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 
@@ -32,6 +44,10 @@ def _offences(tree) -> list:
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             if any(isinstance(k, ast.Name) and k.id == "float" for k in kinds):
                 found.append((node.lineno, "isinstance(..., float)"))
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "is_int"
+                or getattr(node.func, "attr", None) == "is_int"):
+            found.append((node.lineno, "is_int call"))
         elif isinstance(node, ast.Compare) and any(
                 _is_infinity(operand) for operand in [node.left, *node.comparators]):
             found.append((node.lineno, "comparison with infinity"))
@@ -49,7 +65,46 @@ def test_the_check_sees_each_form():
     src = ("import numbers\n"
            "a = isinstance(v, (int, float))\n"
            "b = 0 < v < np.inf\n"
-           "c = v == float('-inf')\n")
+           "c = v == float('-inf')\n"
+           "d = is_int(v) and v >= 1\n")
     assert [what for _, what in _offences(ast.parse(src))] == [
         "import numbers", "isinstance(..., float)", "comparison with infinity",
-        "comparison with infinity"]
+        "comparison with infinity", "is_int call"]
+
+
+DS, NET = gen_spirals(4), mlp_init([2, 3, 2])
+RNG = np.random.default_rng
+COUNTS = {  # argument name: a call that passes it the value v
+    "n_per_class": lambda v: gen_spirals(v),
+    "s": lambda v: MixConfig("label_preserving", 1.0, v),
+    "s_test": lambda v: PredictorConfig(s_test=v),
+    "resolution": lambda v: decision_grid(NET, PredictorConfig(), (-1, 1), (-1, 1), v),
+    "epochs": lambda v: train(NET, DS, MixConfig(), OptimState(0.1), v, 4, RNG(0)),
+    "batch_size": lambda v: train(NET, DS, MixConfig(), OptimState(0.1), 1, v, RNG(0)),
+    "reps": lambda v: jensen_check(NET, DS, 1.0, [1], v, RNG(0)),
+    "s_list[0]": lambda v: jensen_check(NET, DS, 1.0, [v], 1000, RNG(0)),
+    "s_proxy": lambda v: jensen_check(NET, DS, 1.0, [1], 1000, RNG(0), s_proxy=v),
+    "proxy_reps": lambda v: jensen_check(NET, DS, 1.0, [1], 1000, RNG(0), proxy_reps=v),
+    "quad_nodes": lambda v: prop1_check(NET, DS, 1.0, quad_nodes=v),
+    "n_samples": lambda v: c_lambda_mc(BetaParams(1, 1), v, RNG(0)),
+}
+SEEDS = {  # function: a call that passes it the seed v
+    "gen_spirals": lambda v: gen_spirals(4, seed=v),
+    "split": lambda v: split(DS, 0.5, seed=v),
+    "mlp_init": lambda v: mlp_init([2, 3, 2], seed=v),
+    "PredictorConfig": lambda v: PredictorConfig(seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [0, True, 1.5])
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_every_count_is_checked(name, value):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(name)} must be a positive integer"):
+        COUNTS[name](value)
+
+
+@pytest.mark.parametrize("value", [-1, True, 2.5])
+@pytest.mark.parametrize("function", list(SEEDS))
+def test_every_seed_is_checked(function, value):
+    with pytest.raises(ConfigurationError, match="^seed must be a nonnegative integer, got"):
+        SEEDS[function](value)

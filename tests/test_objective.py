@@ -262,6 +262,8 @@ class TestProp1Check:
             prop1_check(small_net, tiny_spirals, 1.0, quad_nodes=32)
         with pytest.raises(ConfigurationError):
             prop1_check(small_net, tiny_spirals, 0.25)
+        with pytest.raises(ConfigurationError, match="quad_nodes must be a positive integer"):
+            prop1_check(small_net, tiny_spirals, 1.0, quad_nodes=64.5)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +309,10 @@ class TestJensenCheck:
         p, ds = confident_net
         with pytest.raises(ConfigurationError):
             jensen_check(p, ds, 1.0, [1], 10, np.random.default_rng(0))
+        for s_list, reps, name in (([1], 1000.5, "reps"), ([0], 1000, r"s_list\[0\]"),
+                                   ([1, 1.5], 1000, r"s_list\[1\]")):
+            with pytest.raises(ConfigurationError, match=name + " must be a positive integer"):
+                jensen_check(p, ds, 1.0, s_list, reps, np.random.default_rng(0))
 
 
 def reference_train(params, ds, cfg, optim, epochs, batch_size, rng):

@@ -249,7 +249,10 @@ class TestDecisionGrid:
         ((-1.0, 1.0), (-1.0, 1.0), 2.5),
         ((-1.0, 1.0), (-1.0, 1.0), True),
         ((-1.0, 1.0), (-1.0, 1.0), 0),
-    ], ids=["xmin-nan", "xmax-inf", "ymin-inf", "ymax-bool", "res-float", "res-bool", "res-zero"])
+        ((1.0, -1.0), (-1.0, 1.0), 2),
+        ((-1.0, 1.0), (0.5, 0.5), 2),
+    ], ids=["xmin-nan", "xmax-inf", "ymin-inf", "ymax-bool", "res-float", "res-bool", "res-zero",
+            "x-reversed", "y-equal"])
     def test_bad_box_rejected(self, small_net, x_range, y_range, resolution):
         with pytest.raises(ConfigurationError, match="grid bounds|resolution"):
             decision_grid(small_net, PredictorConfig("raw"), x_range, y_range, resolution)
