@@ -8,13 +8,12 @@ diagnostic that quantifies how mixing shrinks the model class. A CLI drives
 two-spirals experiments end to end.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .bounds import (
     BoundReport,
     bound_report,
     c_lambda_closed,
-    c_lambda_mc,
     generalization_gap,
     rademacher_bracket,
 )
@@ -24,7 +23,7 @@ from .errors import (ConfigurationError, DivergenceError, DomainError, NumericEr
 from .mixing import (
     BetaParams,
     MixConfig,
-    beta_pdf,
+    beta_rule,
     lambda_prior,
     mix,
     sample_lambda,

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, is_real
-from .mixing import BetaParams, sample_lambda
+from .errors import ConfigurationError, is_real
+from .mixing import BetaParams
 from .predictor import EvalMetrics
 
 _JENSEN_SLACK = 1e-12  # relative tolerance for the mean||x||^2 >= ||mean x||^2 assertion
@@ -52,16 +52,6 @@ def c_lambda_closed(prior: BetaParams | None) -> float:
         return 1.0
     a, b = prior.a, prior.b
     return 1.0 - 2.0 * a * b / ((a + b) * (a + b + 1.0))
-
-
-def c_lambda_mc(prior: BetaParams | None, n_samples: int, rng):
-    """Monte-Carlo estimate of E[lam^2 + (1-lam)^2] with its standard error."""
-    check_count("n_samples", n_samples)
-    if n_samples < 10_000:
-        raise ConfigurationError(f"need n_samples >= 1e4, got {n_samples}")
-    lam = sample_lambda(prior, rng, size=n_samples)
-    vals = lam * lam + (1.0 - lam) * (1.0 - lam)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 
 def rademacher_bracket(features, c_lambda: float):

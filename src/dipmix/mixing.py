@@ -1,15 +1,14 @@
 """Sample-mixing primitives.
 
 The convex-combination map between two feature vectors, Beta priors over the
-mixing ratio, draws from those priors, and in-batch partner draws. A prior of
-``None`` stands everywhere for the degenerate distribution with all mass at
-ratio 1, i.e. no mixing at all; under it a mixed classifier collapses to its
-base network.
+mixing ratio, draws from those priors, the Gauss-Jacobi rule that integrates
+against them, and in-batch partner draws. A prior of ``None`` stands
+everywhere for the degenerate distribution with all mass at ratio 1, i.e. no
+mixing at all; under it a mixed classifier collapses to its base network.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,27 +90,46 @@ def lambda_prior(mode: str, alpha: float) -> BetaParams | None:
     return BetaParams(alpha + 1.0, alpha)
 
 
-def sample_lambda(prior: BetaParams | None, rng: np.random.Generator, size=None):
-    """Draw mixing ratios from the prior with numpy's ``Generator.beta``.
+def sample_lambda(prior: BetaParams | None, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` mixing ratios from the prior with numpy's ``Generator.beta``.
 
     The degenerate prior (None) yields exactly 1 and consumes no randomness.
-    With ``size=None`` returns a scalar, otherwise an array of that length.
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    lam = np.ones(n) if prior is None else rng.beta(prior.a, prior.b, size=n)
-    return float(lam[0]) if scalar else lam
+    check_count("size", size)
+    return np.ones(size) if prior is None else rng.beta(prior.a, prior.b, size=size)
 
 
 def sample_partners(m: int, rng: np.random.Generator) -> np.ndarray:
     """Mix partners for a batch of m rows: a uniform random permutation of 0..m-1."""
-    if m < 1:
-        raise ConfigurationError(f"need at least one row to pair, got m={m}")
+    check_count("m", m)
     return rng.permutation(m)
 
 
-def beta_pdf(lam, a: float, b: float) -> np.ndarray:
-    """Beta(a, b) density evaluated at interior points of (0, 1)."""
-    lam = np.asarray(lam, dtype=float)
-    log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return np.exp((a - 1.0) * np.log(lam) + (b - 1.0) * np.log1p(-lam) - log_norm)
+def beta_rule(prior: BetaParams | None, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q-node Gauss-Jacobi rule of the prior on [0, 1], as (nodes, weights).
+
+    The weights are positive and sum to 1, and the rule integrates every
+    polynomial in the ratio of degree below 2q exactly against the prior.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials with (alpha, beta) = (b - 1, a - 1), mapped from
+    [-1, 1] by lam = (1 + x) / 2, and each weight is the squared first
+    component of its unit eigenvector. The degenerate prior (None) gives the
+    node 1 with weight 1, whatever q.
+    """
+    check_count("q", q)
+    if prior is None:
+        return np.ones(1), np.ones(1)
+    al, be = prior.b - 1.0, prior.a - 1.0
+    ab = al + be
+    k = np.arange(1, q)
+    t = 2.0 * k + ab
+    # k = 0 on the diagonal and k = 1 off it take their closed forms: the general
+    # terms are 0/0 at a + b = 2 and at a + b = 1
+    diag = np.concatenate([[(be - al) / (ab + 2.0)], (be * be - al * al) / (t * (t + 2.0))])
+    off_sq = np.empty(q - 1)
+    off_sq[:1] = 4.0 * (1.0 + al) * (1.0 + be) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    k, t = k[1:], t[1:]
+    off_sq[1:] = 4.0 * k * (k + al) * (k + be) * (k + ab) / (t * t * (t + 1.0) * (t - 1.0))
+    off = np.sqrt(off_sq)
+    x, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (1.0 + x) / 2.0, vectors[0] ** 2

@@ -19,8 +19,8 @@ from dipmix import (
     PredictorConfig,
     apply_stats,
     backward,
+    beta_rule,
     c_lambda_closed,
-    c_lambda_mc,
     dip_loss_preserving_grad,
     evaluate,
     gen_spirals,
@@ -31,6 +31,7 @@ from dipmix import (
     predict_batch,
     prop1_check,
     rademacher_bracket,
+    sample_lambda,
     split,
     standardize,
     train,
@@ -49,10 +50,10 @@ def test_criterion_1_label_mixing_equivalence_oracle():
     full = gen_spirals(4, 0.05, 1.25, seed=12)  # n = 8
     params = mlp_init([2, 16, 2], "relu", seed=21)
     worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
-        _, _, diff = prop1_check(params, full, alpha, quad_nodes=128)
+    for alpha in (0.05, 0.5, 1.0, 2.0, 4.0):
+        _, _, diff = prop1_check(params, full, alpha)
         worst = max(worst, diff)
-        assert diff < 1e-8
+        assert diff <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report("1 (pairing-identity oracle)", f"worst |lhs-rhs| {worst:.2e}, {elapsed:.2f}s")
@@ -63,14 +64,18 @@ def test_criterion_2_mixing_constant_formula():
     rng = np.random.default_rng(2024)
     for alpha in (0.5, 1.0, 2.0, 8.0):
         expected = (alpha + 1) / (2 * alpha + 1)
-        assert abs(c_lambda_closed(BetaParams(alpha + 1, alpha)) - expected) < 1e-12
-        est, se = c_lambda_mc(BetaParams(alpha + 1, alpha), 1_000_000, rng)
-        assert abs(est - expected) < 3 * se
+        prior = BetaParams(alpha + 1, alpha)
+        assert abs(c_lambda_closed(prior) - expected) < 1e-12
+        lam, w = beta_rule(prior, 2)  # exact for the degree-2 integrand
+        assert abs(float(w @ (lam**2 + (1 - lam) ** 2)) - expected) < 1e-14
+        lam = sample_lambda(prior, rng, size=1_000_000)
+        vals = lam**2 + (1 - lam) ** 2
+        assert abs(vals.mean() - expected) < 3 * vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(c_lambda_closed(BetaParams(2, 1)) - 2 / 3) < 1e-12
     assert abs(c_lambda_closed(BetaParams(3, 2)) - 3 / 5) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    report("2 (mixing-constant closed form vs MC)", f"{elapsed:.2f}s")
+    report("2 (mixing-constant closed form vs quadrature and MC)", f"{elapsed:.2f}s")
 
 
 def test_criterion_3_jensen_surrogate_ordering():
@@ -82,12 +87,14 @@ def test_criterion_3_jensen_surrogate_ordering():
     params, _ = train(params, train_set, MixConfig("none"), OptimState(0.1, 0.9),
                       60, 16, np.random.default_rng([9, 1]))
     s_list = [1, 2, 4, 16]
-    estimates, _ = jensen_check(params, train_set, 1.0, s_list, 2000,
-                                np.random.default_rng(17))
+    estimates, limit = jensen_check(params, train_set, 1.0, s_list, 2000,
+                                    np.random.default_rng(17))
     for hi, lo in zip(estimates, estimates[1:]):
         combined = math.hypot(hi.std_error, lo.std_error)
         assert lo.value <= hi.value + 2 * combined
+    assert all(e.value >= limit - 3 * e.std_error for e in estimates)
     values = ", ".join(f"S={s}:{e.value:.4f}" for s, e in zip(s_list, estimates))
+    values += f", limit:{limit:.4f}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report("3 (surrogate monotone in draw count)", f"{values}, {elapsed:.1f}s")

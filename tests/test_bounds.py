@@ -7,12 +7,13 @@ from dipmix import (
     BetaParams,
     ConfigurationError,
     EvalMetrics,
+    beta_rule,
     bound_report,
     c_lambda_closed,
-    c_lambda_mc,
     gen_spirals,
     generalization_gap,
     rademacher_bracket,
+    sample_lambda,
     standardize,
 )
 
@@ -42,6 +43,13 @@ class TestCLambdaClosed:
         assert abs(c_lambda_closed(BetaParams(alpha + 1, alpha)) - expected) < 1e-12
         assert abs(c_lambda_closed(BetaParams(alpha, alpha)) - expected) < 1e-12
 
+    @pytest.mark.parametrize("prior", [BetaParams(2, 1), BetaParams(0.3, 0.3), BetaParams(5, 4),
+                                       BetaParams(1.2, 0.2), None])
+    def test_two_node_rule_is_exact(self, prior):
+        # lam^2 + (1-lam)^2 has degree 2, within the rule's exact 2Q - 1 = 3
+        lam, w = beta_rule(prior, 2)
+        assert abs(float(w @ (lam**2 + (1 - lam) ** 2)) - c_lambda_closed(prior)) < 1e-14
+
     def test_strictly_decreasing_with_limits(self):
         alphas = [1e-8, 0.1, 0.5, 1.0, 2.0, 10.0, 1e8]
         vals = [c_lambda_closed(BetaParams(a + 1, a)) for a in alphas]
@@ -50,29 +58,29 @@ class TestCLambdaClosed:
         assert abs(vals[-1] - 0.5) < 1e-6
 
 
+def c_lambda_sampled(prior, n, rng):
+    """Monte-Carlo mean of lam^2 + (1-lam)^2 with its standard error."""
+    lam = sample_lambda(prior, rng, size=n)
+    vals = lam * lam + (1.0 - lam) * (1.0 - lam)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+
 class TestCLambdaMc:
     def test_agrees_with_closed_form(self):
-        est, se = c_lambda_mc(BetaParams(2, 1), 1_000_000, np.random.default_rng(0))
+        est, se = c_lambda_sampled(BetaParams(2, 1), 1_000_000, np.random.default_rng(0))
         assert abs(est - 2 / 3) < 3 * se
         assert abs(est - 0.6667) < 0.002
 
     def test_mixing_and_preserving_priors_share_the_constant(self):
         rng = np.random.default_rng(1)
         for alpha in (0.5, 1.0, 2.0):
-            e1, s1 = c_lambda_mc(BetaParams(alpha, alpha), 200_000, rng)
-            e2, s2 = c_lambda_mc(BetaParams(alpha + 1, alpha), 200_000, rng)
+            e1, s1 = c_lambda_sampled(BetaParams(alpha, alpha), 200_000, rng)
+            e2, s2 = c_lambda_sampled(BetaParams(alpha + 1, alpha), 200_000, rng)
             assert abs(e1 - e2) < 3 * math.hypot(s1, s2)
 
     def test_degenerate_prior_exact(self):
-        est, se = c_lambda_mc(None, 10_000, np.random.default_rng(0))
+        est, se = c_lambda_sampled(None, 10_000, np.random.default_rng(0))
         assert est == 1.0 and se == 0.0
-
-    def test_sample_floor(self):
-        with pytest.raises(ConfigurationError):
-            c_lambda_mc(BetaParams(1, 1), 100, np.random.default_rng(0))
-        for n_samples in (20000.5, True):
-            with pytest.raises(ConfigurationError, match="n_samples must be a positive integer"):
-                c_lambda_mc(BetaParams(1, 1), n_samples, np.random.default_rng(0))
 
 
 class TestRademacherBracket:

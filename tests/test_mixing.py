@@ -7,7 +7,7 @@ from dipmix import (
     DomainError,
     MixConfig,
     ShapeError,
-    beta_pdf,
+    beta_rule,
     lambda_prior,
     mix,
     sample_lambda,
@@ -99,13 +99,7 @@ class TestSampleLambda:
 
     def test_degenerate_prior_is_exactly_one(self):
         rng = np.random.default_rng(0)
-        assert sample_lambda(None, rng) == 1.0
         assert np.all(sample_lambda(None, rng, size=100) == 1.0)
-
-    def test_scalar_draw(self):
-        rng = np.random.default_rng(7)
-        lam = sample_lambda(BetaParams(2.0, 1.0), rng)
-        assert isinstance(lam, float) and 0.0 <= lam <= 1.0
 
     def test_identical_seed_identical_stream(self):
         a = sample_lambda(BetaParams(2.0, 1.0), np.random.default_rng(5), size=1000)
@@ -144,9 +138,20 @@ class TestMixConfig:
             MixConfig("label_preserving", 1.0, s=True)
 
 
-def test_beta_pdf_normalizes():
-    nodes, weights = np.polynomial.legendre.leggauss(128)
-    lam = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    for a, b in [(1.0, 1.0), (2.0, 1.0), (3.0, 2.0)]:
-        assert abs(float(w @ beta_pdf(lam, a, b)) - 1.0) < 1e-10
+class TestBetaRule:
+    @pytest.mark.parametrize("q", [1, 2, 4, 8])
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.2, 0.2), (0.5, 0.5), (1.0, 1.0), (3.0, 2.0),
+                                     (0.05, 0.05)])
+    def test_moments_to_degree_2q_minus_1(self, a, b, q):
+        # oracle: E[lam^j] = prod_{i<j} (a + i) / (a + b + i)
+        nodes, weights = beta_rule(BetaParams(a, b), q)
+        assert nodes.shape == weights.shape == (q,)
+        assert np.all((nodes > 0) & (nodes < 1)) and np.all(weights > 0)
+        moment = 1.0
+        for j in range(2 * q):
+            assert abs(float(weights @ nodes**j) - moment) < 1e-12
+            moment *= (a + j) / (a + b + j)
+
+    def test_degenerate_prior_is_the_point_one(self):
+        nodes, weights = beta_rule(None, 5)
+        assert nodes.tolist() == [1.0] and weights.tolist() == [1.0]

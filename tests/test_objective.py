@@ -18,11 +18,12 @@ from dipmix import (
     MixConfig,
     OptimState,
     backward,
-    beta_pdf,
+    beta_rule,
     dip_loss_preserving_grad,
     forward,
     gen_spirals,
     jensen_check,
+    mix,
     mixup_loss_grad,
     mlp_init,
     prop1_check,
@@ -100,18 +101,14 @@ class TestDipLossPreserving:
         assert abs(loss - manual) < 1e-14
 
     def test_large_s_converges_to_quadrature_marginal_risk(self, tiny_spirals):
-        # oracle: marginalized logits by 128-node Gauss-Legendre against Beta(2,1)
+        # oracle: marginalized logits by the 32-node Gauss-Jacobi rule of Beta(2,1)
         p = mlp_init([2, 8, 2], "tanh", seed=1)
         x, y = tiny_spirals.features, tiny_spirals.labels
         n = tiny_spirals.n
-        nodes, wts = np.polynomial.legendre.leggauss(128)
-        lam_q = 0.5 * (nodes + 1)
-        w_q = 0.5 * wts
-        pdf = beta_pdf(lam_q, 2.0, 1.0)
         f_logits = np.zeros((n, 2))
-        for q in range(128):
-            mixed = lam_q[q] * np.repeat(x, n, axis=0) + (1 - lam_q[q]) * np.tile(x, (n, 1))
-            f_logits += (w_q[q] * pdf[q] / n) * forward(p, mixed).reshape(n, n, 2).sum(axis=1)
+        for lam, w in zip(*beta_rule(BetaParams(2.0, 1.0), 32)):
+            mixed = lam * np.repeat(x, n, axis=0) + (1 - lam) * np.tile(x, (n, 1))
+            f_logits += (w / n) * forward(p, mixed).reshape(n, n, 2).sum(axis=1)
         marginal_risk = float(_xent_rows(f_logits, y).mean())
 
         cfg = MixConfig("label_preserving", 1.0, 256)
@@ -227,16 +224,16 @@ class TestGradients:
 
 
 class TestProp1Check:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 2.0, 4.0])
     def test_equality_for_linear_loss(self, alpha):
         ds = gen_spirals(4, 0.05, 1.25, seed=3)
         p = mlp_init([2, 8, 2], "relu", seed=4)
-        lhs, rhs, diff = prop1_check(p, ds, alpha, quad_nodes=128)
-        assert diff < 1e-8
+        lhs, rhs, diff = prop1_check(p, ds, alpha)
+        assert diff <= 1e-12
 
     def test_single_sample_self_pairs(self, small_net):
         ds = Dataset(np.array([[0.3, -0.7]]), np.array([[1.0, 0.0]]))
-        lhs, rhs, diff = prop1_check(small_net, ds, 1.0, quad_nodes=64)
+        lhs, rhs, diff = prop1_check(small_net, ds, 1.0, quad_nodes=2)
         assert diff < 1e-12
 
     def test_nonlinear_loss_breaks_equality(self, small_net):
@@ -258,12 +255,12 @@ class TestProp1Check:
             prop1_check(small_net, ds, 1.0)
 
     def test_refuses_few_nodes_and_small_alpha(self, small_net, tiny_spirals):
-        with pytest.raises(ConfigurationError):
-            prop1_check(small_net, tiny_spirals, 1.0, quad_nodes=32)
-        with pytest.raises(ConfigurationError):
-            prop1_check(small_net, tiny_spirals, 0.25)
-        with pytest.raises(ConfigurationError, match="quad_nodes must be a positive integer"):
-            prop1_check(small_net, tiny_spirals, 1.0, quad_nodes=64.5)
+        for quad_nodes in (0, 64.5):
+            with pytest.raises(ConfigurationError, match="quad_nodes must be a positive integer"):
+                prop1_check(small_net, tiny_spirals, 1.0, quad_nodes=quad_nodes)
+        for alpha in (0, -1.0, math.nan, math.inf, True):
+            with pytest.raises(ConfigurationError, match="Beta shape parameters must be finite"):
+                prop1_check(small_net, tiny_spirals, alpha)
 
 
 @pytest.fixture(scope="module")
@@ -280,13 +277,31 @@ def confident_net():
 class TestJensenCheck:
     def test_monotone_ordering(self, confident_net):
         p, ds = confident_net
-        ests, proxy = jensen_check(p, ds, 1.0, [1, 2, 4, 16], 1000,
+        ests, limit = jensen_check(p, ds, 1.0, [1, 2, 4, 16], 1000,
                                    np.random.default_rng(17))
         for hi, lo in zip(ests, ests[1:]):
             comb = math.hypot(hi.std_error, lo.std_error)
             assert lo.value <= hi.value + 2 * comb
-        # all surrogate estimates stay above their common limit
-        assert all(e.value >= proxy.value - 3 * e.std_error for e in ests)
+        # every surrogate estimate stays above the common limit, S = 16 visibly
+        assert all(e.value >= limit - 3 * e.std_error for e in ests)
+        assert ests[-1].value - limit > 3 * ests[-1].std_error
+
+    def test_limit_is_deterministic_and_exact_for_linear_functionals(self, confident_net):
+        p, ds = confident_net
+        _, limit = jensen_check(p, ds, 1.0, [1], 1000, np.random.default_rng(1))
+        assert isinstance(limit, float)
+        assert jensen_check(p, ds, 1.0, [1], 1000, np.random.default_rng(2))[1] == limit
+        # a linear functional of the logits commutes with the expectation: the
+        # limit is its mean over every (row, partner) pair under the rule
+        w = np.array([0.7, -1.3])
+        _, linear = jensen_check(p, ds, 1.0, [1], 1000, np.random.default_rng(1),
+                                 loss_rows=lambda logits, labels: logits @ w)
+        x, n = ds.features, ds.n
+        rows, partners = np.repeat(x, n, axis=0), np.tile(x, (n, 1))
+        direct = 0.0
+        for lam, weight in zip(*beta_rule(BetaParams(2.0, 1.0), objective.QUAD_NODES)):
+            direct += weight * float((forward(p, mix(rows, partners, lam)) @ w).mean())
+        assert abs(linear - direct) < 1e-12
 
     def test_first_gap_strictly_positive(self, confident_net):
         p, ds = confident_net

@@ -9,8 +9,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 FORWARDS = {"forward", "_forward_cached"}
 # prop1_check is the quadrature reference oracle: it integrates the ratio over
-# fixed Gauss-Legendre nodes and mixes labels too, so it must stay independent
-# of the Monte-Carlo kernel it is used to check.
+# the Gauss-Jacobi nodes of mixing.beta_rule and mixes labels too, so it must
+# stay independent of the Monte-Carlo kernel it is used to check.
 ALLOWED = {"dip_logits", "prop1_check"}
 
 
