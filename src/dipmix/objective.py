@@ -209,9 +209,10 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     layer-sized array. Configuration problems surface before any update
     runs. An epoch whose mean loss is non-finite or above
     DIVERGENCE_FACTOR * log(k), a multiple of the uniform predictor's loss,
-    raises DivergenceError naming it. So does a final model that gives every
-    training row the same logits, and so predicts one class, when the rows
-    hold at least two.
+    raises DivergenceError naming it. So does a final model that predicts one
+    class for every training row, when the rows hold at least two, if it
+    gives every row the same logits or its last epoch's loss is above
+    2 * log(k).
     """
     check_count("epochs", epochs)
     check_count("batch_size", batch_size)
@@ -257,8 +258,12 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         logits = forward(params, x, eval_hidden)
         acc = float((logits.argmax(axis=1) == ids).mean())
         metrics.append(EpochMetrics(epoch, total / n, acc, optim.lr_at(epoch)))
-    # a model still learning may predict one class too; a collapsed one ignores its input
-    if (logits == logits[0]).all() and not (ids == ids[0]).all():
-        raise DivergenceError(f"training collapsed: after epoch {epochs - 1} the model gives all "
-                              f"{n} training rows the same logits, class {logits[0].argmax()}")
+    # a model still learning may predict one class too, near the uniform loss; a collapsed
+    # one ignores its input or sits far above that loss
+    preds, final_loss = logits.argmax(axis=1), metrics[-1].train_loss
+    if ((preds == preds[0]).all() and not (ids == ids[0]).all()
+            and ((logits == logits[0]).all() or final_loss > 2 * math.log(train_set.k))):
+        raise DivergenceError(f"training collapsed: after epoch {epochs - 1} the model predicts "
+                              f"class {preds[0]} for all {n} training rows at mean loss "
+                              f"{final_loss:g}")
     return params, metrics

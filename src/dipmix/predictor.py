@@ -2,8 +2,10 @@
 
 The marginalized ("dip") mode scores a point by drawing S (ratio, partner)
 pairs, averaging the network outputs of the mixed inputs in logit space, and
-applying softmax; the raw mode is softmax of the unmixed logits. Each scored
-item derives its own random stream from (seed, item position), so batched
+applying softmax; the raw mode is softmax of the unmixed logits. A batch is
+scored in blocks of consecutive rows, each drawing its ratios and partners
+from one stream derived from (seed, block position); the block length depends
+only on S, so a row's draws depend only on (seed, S, row position) and batched
 evaluation is independent of execution order.
 """
 
@@ -21,6 +23,10 @@ from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_soft
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
+# Mixed rows drawn per stream. A block's arrays then stay below glibc's 128 KiB
+# mmap threshold (4096 x 2 float64 = 64 KiB), so they reuse heap pages rather
+# than being mapped and faulted in afresh for every block.
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -67,7 +73,8 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     layer inputs, the mixed rows first) is returned too, as (logits, cache),
     for backpropagation through every branch. ``work`` is passed to the
     forward pass as its hidden-layer buffers, so the cache's hidden entries
-    are those buffers; the logits never alias them.
+    are those buffers; the logits never alias them. Without the cache, the
+    mixed rows go forward in pieces of len(work[0]) rows through ``work``.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
@@ -75,6 +82,13 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     mixed = mix(x if s == 1 else x.repeat(s, axis=0), partners, lam)
     if with_cache:
         out, cache = _forward_cached(params, mixed, work)
+    elif work:
+        piece = len(work[0])
+        out = np.empty((len(mixed), params.n_outputs))
+        for start in range(0, len(mixed), piece):
+            rows = mixed[start:start + piece]
+            out[start:start + piece] = forward(
+                params, rows, work if len(rows) == piece else [buf[:len(rows)] for buf in work])
     else:
         out = forward(params, mixed, work)
     # what mean() computes, with less overhead; one draw is its own mean
@@ -83,7 +97,7 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
 
 
 def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
-    """Probabilities for each row, one derived stream per row position."""
+    """Probabilities for each row, one derived stream per block of rows."""
     features = np.asarray(features, dtype=float)
     if cfg.mode == "raw" or cfg.prior is None:
         # the degenerate prior marginalizes over nothing: f == h exactly
@@ -93,13 +107,16 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         if features.shape[1:] != (params.n_inputs,) or pool.shape[1:] != (params.n_inputs,):
             raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
                              f"{features.shape} and a partner pool of shape {pool.shape}")
+        s = cfg.s_test
+        block = max(1, _BLOCK_ROWS // s)
         logits = np.empty((len(features), params.n_outputs))
-        work = _hidden_buffers(params, cfg.s_test)  # shared by all items
-        for item, x in enumerate(features):
-            rng = np.random.default_rng([cfg.seed, _STREAM_TAG, item])
-            lam = sample_lambda(cfg.prior, rng, size=cfg.s_test)
-            partners = pool[rng.integers(0, len(pool), size=cfg.s_test)]
-            logits[item] = dip_logits(params, x[None], partners, lam, work=work)[0]
+        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+        for start in range(0, len(features), block):
+            x = features[start:start + block]
+            rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
+            lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
+            partners = pool[rng.integers(0, len(pool), size=len(x) * s)]
+            logits[start:start + block] = dip_logits(params, x, partners, lam, work=work)
     return np.exp(log_softmax(logits))
 
 

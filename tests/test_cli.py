@@ -226,6 +226,13 @@ class TestTrain:
         assert "training collapsed: after epoch 4" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_one_class_far_above_uniform_loss_exits_one_without_model(self, tmp_path, capsys):
+        # learning rate 5: the logits still vary, but class 0 everywhere at loss 6.4 > 2 log 2
+        cfg_path = tiny_config(tmp_path, optim={"learning_rate": 5})
+        assert main(["train", str(cfg_path)]) == 1
+        assert "predicts class 0 for all 30 training rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_reproduces_metrics(self, tmp_path):
         cfg_path = tiny_config(tmp_path)
         main(["train", str(cfg_path)])

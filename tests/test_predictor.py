@@ -17,6 +17,7 @@ from dipmix import (
     forward,
     mlp_init,
     predict_batch,
+    sample_lambda,
 )
 from dipmix import predictor
 from dipmix.nn import ModelParams
@@ -27,6 +28,31 @@ def linear_net(w, b=None):
     w = np.asarray(w, dtype=float)
     b = np.zeros(w.shape[1]) if b is None else np.asarray(b, dtype=float)
     return ModelParams([w.shape[0], w.shape[1]], [w], [b], "relu")
+
+
+def margins(params, train_set, test_set, s_test, seed):
+    """log p1 - log p0 of dip prediction at S = s_test."""
+    cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), train_set.features, seed=seed)
+    log_probs = np.log(predict_batch(params, test_set.features, cfg))
+    return log_probs[:, 1] - log_probs[:, 0]
+
+
+def hand_dip_probs(params, features, cfg):
+    """Dip probabilities row by row, from the draws of each row's block stream."""
+    s = cfg.s_test
+    block = max(1, predictor._BLOCK_ROWS // s)
+    probs = []
+    for start in range(0, len(features), block):
+        rows = features[start:start + block]
+        rng = np.random.default_rng([cfg.seed, 2, start // block])
+        lam = sample_lambda(cfg.prior, rng, size=len(rows) * s)[:, None]
+        partners = cfg.partner_pool[rng.integers(0, len(cfg.partner_pool), size=len(rows) * s)]
+        for i, x in enumerate(rows):
+            j = slice(i * s, (i + 1) * s)
+            avg_logits = forward(params, lam[j] * x + (1 - lam[j]) * partners[j]).mean(axis=0)
+            p = np.exp(avg_logits - avg_logits.max())
+            probs.append(p / p.sum())
+    return np.array(probs)
 
 
 class TestDipLogits:
@@ -62,6 +88,9 @@ class TestDipLogits:
         # the mixed rows come first; every hidden layer is computed into its buffer
         assert len(cache) == 3 and all(a is buf for a, buf in zip(cache[1:], work))
         assert not any(np.shares_memory(cache[0], buf) for buf in work)
+        # without the cache, the 10 mixed rows go forward in pieces of 3, 3, 3 and 1
+        pieces = dip_logits(params, x, partners, lam, work=[np.empty((3, 6)), np.empty((3, 4))])
+        np.testing.assert_allclose(pieces, logits, rtol=1e-12, atol=1e-12)
 
 
 class TestPredict:
@@ -99,13 +128,11 @@ class TestPredict:
         with pytest.raises(ConfigurationError):
             PredictorConfig("dip", 10, BetaParams(2, 1), None, seed=0)
 
-    def test_mc_argmax_stability_across_seeds(self, mixup_spirals_model):
+    def test_mc_margin_stable_across_seeds(self, mixup_spirals_model):
+        # RMS 0.07-0.09 over seeds 0-15 at S = 500, 0.24-0.29 at S = 50
         params, train_set, test_set = mixup_spirals_model
-        preds = []
-        for seed in (0, 1):
-            cfg = PredictorConfig("dip", 500, BetaParams(2, 1), train_set.features, seed=seed)
-            preds.append(predict_batch(params, test_set.features, cfg).argmax(axis=1))
-        assert (preds[0] == preds[1]).mean() >= 0.99
+        m0, m1 = (margins(params, train_set, test_set, 500, seed) for seed in (0, 1))
+        assert np.sqrt(np.mean((m0 - m1) ** 2)) <= 0.11
 
     def test_every_item_reuses_the_same_work_buffers(self, monkeypatch):
         calls = []
@@ -159,13 +186,62 @@ class TestPredict:
                 PredictorConfig("dip", 4, BetaParams(2, 1), partner_pool=pool, seed=bad)
         assert PredictorConfig("raw", seed=np.int64(3)).seed == 3
 
-    def test_mc_argmax_stability_in_draw_count(self, mixup_spirals_model):
+    def test_mc_margin_converges_in_draw_count(self, mixup_spirals_model):
+        # RMS 0.05-0.07 over seeds 0-15 at S = 500, 0.17-0.20 at S = 50; a row whose
+        # S = 5000 margin is at least 0.25 from the boundary keeps its class
         params, train_set, test_set = mixup_spirals_model
-        out = {}
-        for s_test in (500, 5000):
-            cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), train_set.features, seed=0)
-            out[s_test] = predict_batch(params, test_set.features, cfg).argmax(axis=1)
-        assert (out[500] == out[5000]).mean() >= 0.99
+        m500, m5000 = (margins(params, train_set, test_set, s, 0) for s in (500, 5000))
+        assert np.sqrt(np.mean((m500 - m5000) ** 2)) <= 0.08
+        clear = np.abs(m5000) >= 0.25
+        assert clear.sum() > 200
+        assert np.array_equal(m500[clear] > 0, m5000[clear] > 0)
+
+    def test_rows_do_not_depend_on_each_other_across_a_block_boundary(self, mixup_spirals_model):
+        params, train_set, test_set = mixup_spirals_model
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), train_set.features, seed=2)
+        block = predictor._BLOCK_ROWS // 500
+        rows = test_set.features[:2 * block].copy()
+        before = predict_batch(params, rows, cfg)
+        for j in (block - 1, block):  # the last row of block 0, the first of block 1
+            changed = rows.copy()
+            changed[j] = [3.0, -2.0]
+            after = predict_batch(params, changed, cfg)
+            others = np.arange(len(rows)) != j
+            assert np.array_equal(after[others], before[others])
+            assert not np.array_equal(after[j], before[j])
+
+    def test_ten_rows_match_a_hand_computation_by_block(self, mixup_spirals_model):
+        params, train_set, test_set = mixup_spirals_model
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), train_set.features, seed=5)
+        x = test_set.features[:10]
+        np.testing.assert_allclose(predict_batch(params, x, cfg),
+                                   hand_dip_probs(params, x, cfg), atol=1e-12)
+
+    def test_one_generator_per_block(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        params = mlp_init([2, 5, 2], "relu", seed=0)
+        pool = default_rng(0).normal(size=(30, 2))
+        for s_test, n in ((500, 20), (500, 16), (30, 20), (5000, 3)):
+            made.clear()
+            cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), pool, seed=4)
+            predict_batch(params, default_rng(1).normal(size=(n, 2)), cfg)
+            block = max(1, predictor._BLOCK_ROWS // s_test)
+            assert made == [[4, 2, b] for b in range(-(-n // block))]
+
+    def test_model_without_hidden_layers(self):
+        params = linear_net([[1.0, -2.0], [0.5, 3.0]], [0.1, -0.2])
+        rng = np.random.default_rng(0)
+        pool, x = rng.normal(size=(40, 2)), rng.normal(size=(10, 2))
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=3)
+        probs = predict_batch(params, x, cfg)
+        np.testing.assert_allclose(probs, hand_dip_probs(params, x, cfg), atol=1e-12)
 
 
 class TestEvaluate:
@@ -265,8 +341,6 @@ def test_dip_average_runs_over_logits(mixup_spirals_model):
     cfg = PredictorConfig("dip", 64, BetaParams(2, 1), train_set.features, seed=5)
     probs = predict_batch(params, x[None], cfg)[0]
     rng = np.random.default_rng([5, 2, 0])
-    from dipmix import sample_lambda
-
     lam = sample_lambda(cfg.prior, rng, size=64)[:, None]
     partners = rng.integers(0, len(train_set.features), size=64)
     mixed = lam * x + (1 - lam) * train_set.features[partners]
