@@ -5,10 +5,11 @@ label-mixing, and a label-preserving Jensen surrogate that averages several
 mixed forwards inside the loss), a Monte-Carlo marginalized predictor that
 applies the same mixing at test time, and a data-dependent complexity
 diagnostic that quantifies how mixing shrinks the model class. A CLI drives
-two-spirals experiments end to end.
+two-spirals experiments end to end. The oracles that check Prop. 1 and the
+Jensen ordering are test helpers, in tests/oracles.py.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .bounds import (
     BoundReport,
@@ -42,13 +43,5 @@ from .nn import (
     sgd_step,
     softmax_xent,
 )
-from .objective import (
-    EpochMetrics,
-    LossEstimate,
-    dip_loss_preserving_grad,
-    jensen_check,
-    mixup_loss_grad,
-    prop1_check,
-    train,
-)
+from .objective import EpochMetrics, dip_loss_preserving_grad, mixup_loss_grad, train
 from .predictor import EvalMetrics, PredictorConfig, decision_grid, evaluate, predict_batch

@@ -19,8 +19,6 @@ from .errors import ConfigurationError, is_real
 from .mixing import BetaParams
 from .predictor import EvalMetrics
 
-_JENSEN_SLACK = 1e-12  # relative tolerance for the mean||x||^2 >= ||mean x||^2 assertion
-
 
 @dataclass
 class BoundReport:
@@ -57,21 +55,18 @@ def c_lambda_closed(prior: BetaParams | None) -> float:
 def rademacher_bracket(features, c_lambda: float):
     """The data bracket sqrt(C * mean||x||^2 + (1-C) * ||mean x||^2).
 
-    Returns (bracket, mean_sq_norm, sq_norm_mean) and checks the moment
-    inequality mean||x||^2 >= ||mean x||^2 that keeps the bracket monotone
-    in C.
+    Returns (bracket, mean_sq_norm, sq_norm_mean). Their difference is the
+    mean squared deviation, so the bracket is nondecreasing in C.
     """
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ConfigurationError("features must be a nonempty 2-D matrix")
+    if x.ndim != 2 or x.shape[0] < 1 or not np.isfinite(x).all():
+        raise ConfigurationError("features must be a nonempty 2-D matrix of finite numbers")
     if not 0.0 <= c_lambda <= 1.0:
         raise ConfigurationError(f"c_lambda must lie in [0, 1], got {c_lambda}")
     sq_norms = (x * x).sum(axis=1)
     mean_sq_norm = float(sq_norms.mean())
     mean_vec = x.mean(axis=0)
     sq_norm_mean = float(mean_vec @ mean_vec)
-    if mean_sq_norm < sq_norm_mean - _JENSEN_SLACK * max(1.0, mean_sq_norm):
-        raise ConfigurationError("moment inequality violated; features are corrupt")
     bracket = math.sqrt(c_lambda * mean_sq_norm + (1.0 - c_lambda) * sq_norm_mean)
     return bracket, mean_sq_norm, sq_norm_mean
 

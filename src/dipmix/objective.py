@@ -1,12 +1,8 @@
 """Training objectives for mixed and unmixed classifiers.
 
 The label-mixing (Mixup-style) loss, the S-draw label-preserving Jensen
-surrogate whose inner average runs over logits, a training loop that also
-runs plain empirical risk through nn.backward and stops on divergence, and
-two verification oracles: a quadrature check of the label-mixing /
-label-preserving equivalence, and a Monte-Carlo check that the surrogate is
-monotone nonincreasing in the number of draws, down to the marginalized risk
-computed by quadrature.
+surrogate whose inner average runs over logits, and a training loop that
+also runs plain empirical risk through nn.backward and stops on divergence.
 """
 
 from __future__ import annotations
@@ -18,8 +14,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, check_count
-from .mixing import (BetaParams, MixConfig, beta_rule, lambda_prior, mix, sample_lambda,
-                     sample_partners)
+from .mixing import MixConfig, lambda_prior, mix, sample_lambda, sample_partners
 from .nn import (
     ModelParams,
     OptimState,
@@ -28,22 +23,12 @@ from .nn import (
     _hidden_buffers,
     backward,
     forward,
-    log_softmax,
     sgd_step,
     softmax_xent,
 )
 from .predictor import dip_logits
 
 DIVERGENCE_FACTOR = 10.0  # healthy default-config runs peak near 1.1 x log(2), the uniform loss
-QUAD_NODES = 32  # ratio nodes of both oracles; a trained net's Jensen limit moves < 1e-6 at 128
-
-
-class LossEstimate(NamedTuple):
-    """A Monte-Carlo loss estimate with its standard error."""
-
-    value: float
-    std_error: float
-    n_reps: int
 
 
 class EpochMetrics(NamedTuple):
@@ -51,11 +36,6 @@ class EpochMetrics(NamedTuple):
     train_loss: float
     train_acc: float
     lr: float
-
-
-def _xent_rows(logits: np.ndarray, soft_labels: np.ndarray) -> np.ndarray:
-    """Per-row softmax cross-entropy."""
-    return -(soft_labels * log_softmax(logits)).sum(axis=1)
 
 
 def mixup_loss_grad(params: ModelParams, x, y, alpha: float, rng, *,
@@ -119,82 +99,6 @@ def dip_loss_preserving_grad(params: ModelParams, x, y, cfg: MixConfig, rng, *,
     # each of the s branches of one example carries an equal share of its gradient
     dlogits = np.repeat(davg / s, s, axis=0)
     return loss, _backprop(params, cache, dlogits, work)
-
-
-def prop1_check(params: ModelParams, dataset: Dataset, alpha: float,
-                quad_nodes: int = QUAD_NODES, loss_rows=None):
-    """Brute-force check that label-mixing under Beta(alpha, alpha) equals
-    label-preserving under Beta(alpha+1, alpha) for losses linear in the label.
-
-    Both sides average over all n^2 ordered pairs and integrate the ratio on
-    one quad_nodes-node Gauss-Jacobi rule of Beta(alpha, alpha). The
-    label-preserving side weights each node by 2 * lam, the density ratio of
-    Beta(alpha+1, alpha) to Beta(alpha, alpha), so the two sides share every
-    node and a label-linear loss makes them agree to rounding. Returns
-    (lhs, rhs, abs_diff).
-
-    ``loss_rows(logits, labels) -> per-row losses`` replaces the default
-    cross-entropy, e.g. to demonstrate that a label-nonlinear loss breaks the
-    equality.
-    """
-    n = dataset.n
-    if n > 32:
-        raise ConfigurationError(f"pair enumeration is quadratic; need n <= 32, got {n}")
-    check_count("quad_nodes", quad_nodes)
-    nodes, weights = beta_rule(BetaParams(alpha, alpha), quad_nodes)
-    loss_rows = loss_rows or _xent_rows
-    x, y = dataset.features, dataset.labels
-    xi, xk = np.repeat(x, n, axis=0), np.tile(x, (n, 1))  # pair (i, k) is row i * n + k
-    yi, yk = np.repeat(y, n, axis=0), np.tile(y, (n, 1))
-    lhs = rhs = 0.0
-    for lam, w in zip(nodes, weights):
-        logits = forward(params, mix(xi, xk, lam))
-        lhs += w * float(loss_rows(logits, mix(yi, yk, lam)).mean())
-        rhs += w * 2.0 * lam * float(loss_rows(logits, yi).mean())
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def jensen_check(params: ModelParams, dataset: Dataset, alpha: float, s_list,
-                 reps: int, rng, *, loss_rows=None):
-    """Monte-Carlo estimates of the Jensen surrogate for each draw count in
-    s_list, on frozen params, and the marginalized risk they bound.
-
-    Ratios follow Beta(alpha+1, alpha); partners are i.i.d. uniform over the
-    dataset. Returns (estimates aligned with s_list, limit). The estimates are
-    monotone nonincreasing in s up to Monte-Carlo noise. ``limit`` is their
-    common limit as s grows: the loss of the marginalized logits, which sum
-    the QUAD_NODES-node Beta rule's weights times the mixed logits over every
-    dataset partner, so it reads no randomness. ``loss_rows`` replaces the
-    cross-entropy with another per-row functional of the averaged logits (a
-    linear functional collapses the ordering to equality).
-    """
-    for name, value in (("reps", reps), *((f"s_list[{i}]", s) for i, s in enumerate(s_list))):
-        check_count(name, value)
-    if reps < 1000:
-        raise ConfigurationError(f"need reps >= 1000 for stable standard errors, got {reps}")
-    loss_rows = loss_rows or _xent_rows
-    prior = BetaParams(alpha + 1.0, alpha)
-    x, y = dataset.features, dataset.labels
-    n = dataset.n
-
-    def estimate(s: int) -> LossEstimate:
-        vals = np.empty(reps)
-        chunk = max(1, 200_000 // (n * s))
-        for done in range(0, reps, chunk):
-            r = min(chunk, reps - done)
-            rows = r * n * s
-            lam = sample_lambda(prior, rng, size=rows)
-            partners = rng.integers(0, n, size=rows)
-            avg_logits = dip_logits(params, np.tile(x, (r, 1)), x[partners], lam)
-            losses = loss_rows(avg_logits, np.tile(y, (r, 1)))
-            vals[done:done + r] = losses.reshape(r, n).mean(axis=1)
-        return LossEstimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(reps)), reps)
-
-    estimates = [estimate(s) for s in s_list]
-    everyone = np.tile(x, (n, 1))  # row i's n partners are the whole dataset
-    marginal = sum(w * dip_logits(params, x, everyone, np.full(n * n, lam))
-                   for lam, w in zip(*beta_rule(prior, QUAD_NODES)))
-    return estimates, float(loss_rows(marginal, y).mean())
 
 
 def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimState,

@@ -23,9 +23,8 @@ from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_soft
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
-# Mixed rows drawn per stream. A block's arrays then stay below glibc's 128 KiB
-# mmap threshold (4096 x 2 float64 = 64 KiB), so they reuse heap pages rather
-# than being mapped and faulted in afresh for every block.
+# Mixed rows drawn per stream. A block's arrays (4096 x 2 float64 = 64 KiB) stay below
+# glibc's 128 KiB mmap threshold, so they reuse heap pages rather than being mapped afresh.
 _BLOCK_ROWS = 4096
 
 
@@ -67,14 +66,14 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
 
     Row i of x is mixed with partners[i*s:(i+1)*s] at ratios
     lam[i*s:(i+1)*s], where s = len(lam) // len(x); the network outputs of
-    the mixed rows are averaged over s. Training, prediction and the Jensen
-    check all estimate the marginalized classifier through this one step.
-    With ``with_cache`` the forward cache of the len(x)*s mixed rows (their
-    layer inputs, the mixed rows first) is returned too, as (logits, cache),
-    for backpropagation through every branch. ``work`` is passed to the
-    forward pass as its hidden-layer buffers, so the cache's hidden entries
-    are those buffers; the logits never alias them. Without the cache, the
-    mixed rows go forward in pieces of len(work[0]) rows through ``work``.
+    the mixed rows are averaged over s. Training and prediction both
+    estimate the marginalized classifier through this one step. With
+    ``with_cache`` the forward cache of the len(x)*s mixed rows (their layer
+    inputs, the mixed rows first) is returned too, as (logits, cache), for
+    backpropagation through every branch. ``work`` is passed to the forward
+    pass as its hidden-layer buffers, so the cache's hidden entries are those
+    buffers; the logits never alias them. Without the cache, the mixed rows
+    go forward in pieces of len(work[0]) rows, or at once if work is empty.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
@@ -82,15 +81,13 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     mixed = mix(x if s == 1 else x.repeat(s, axis=0), partners, lam)
     if with_cache:
         out, cache = _forward_cached(params, mixed, work)
-    elif work:
-        piece = len(work[0])
+    else:
+        piece = len(work[0]) if work else len(mixed)
         out = np.empty((len(mixed), params.n_outputs))
         for start in range(0, len(mixed), piece):
             rows = mixed[start:start + piece]
             out[start:start + piece] = forward(
                 params, rows, work if len(rows) == piece else [buf[:len(rows)] for buf in work])
-    else:
-        out = forward(params, mixed, work)
     # what mean() computes, with less overhead; one draw is its own mean
     avg = out if s == 1 else out.reshape(len(x), s, -1).sum(axis=1) / s
     return (avg, cache) if with_cache else avg
@@ -123,6 +120,8 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
 def evaluate(params: ModelParams, dataset: Dataset, cfg: PredictorConfig) -> EvalMetrics:
     """Accuracy, misclassification rate, and mean cross-entropy of the
     predicted probability vectors; argmax ties break to the lowest index."""
+    if dataset.k != params.n_outputs:
+        raise ShapeError(f"label width {dataset.k} does not match {params.n_outputs} model outputs")
     probs = predict_batch(params, dataset.features, cfg)
     preds = probs.argmax(axis=1)
     accuracy = float((preds == dataset.class_ids()).mean())

@@ -25,11 +25,9 @@ from dipmix import (
     evaluate,
     gen_spirals,
     generalization_gap,
-    jensen_check,
     mixup_loss_grad,
     mlp_init,
     predict_batch,
-    prop1_check,
     rademacher_bracket,
     sample_lambda,
     split,
@@ -38,6 +36,7 @@ from dipmix import (
 )
 from dipmix.cli import main as cli_main
 
+from oracles import jensen_check, prop1_check
 from test_nn import fd_param_grads, flatten_grads, max_rel_err
 
 

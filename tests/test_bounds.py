@@ -126,6 +126,14 @@ class TestRademacherBracket:
         with pytest.raises(ConfigurationError):
             rademacher_bracket(np.zeros((0, 2)), 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.array([[bad, 0.0], [1.0, 2.0]])
+        with pytest.raises(ConfigurationError, match="finite"):
+            rademacher_bracket(x, 0.75)
+        with pytest.raises(ConfigurationError, match="finite"):
+            bound_report(x, BetaParams(2, 1))
+
     @pytest.mark.parametrize("c", [-0.1, 1.5])
     def test_c_outside_unit_interval_rejected(self, c):
         with pytest.raises(ConfigurationError):

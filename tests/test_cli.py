@@ -373,6 +373,19 @@ class TestEval:
             assert main(["eval", "--model", trained_run["model"], "--data", data,
                          "--mode", "dip", "--partner-data", pool]) == 2
 
+    @pytest.mark.parametrize("rows,width", [
+        ("0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n", 3),
+        ("0.1,0.2,1\n0.3,0.4,1\n", 1),  # one class present: a one-column label matrix
+    ], ids=["three-classes", "class-one-only"])
+    def test_label_width_other_than_model_outputs_exits_two(self, trained_run, tmp_path,
+                                                            capsys, rows, width):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,label\n" + rows)
+        assert main(["eval", "--model", trained_run["model"], "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"label width {width} does not match 2 model outputs" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_missing_file_exits_one(self, trained_run):
         assert main(["eval", "--model", trained_run["model"],
                      "--data", "/nonexistent.csv"]) == 1

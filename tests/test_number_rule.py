@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from dipmix import (BetaParams, ConfigurationError, MixConfig, OptimState, PredictorConfig,
-                    beta_rule, decision_grid, gen_spirals, jensen_check, mlp_init, prop1_check,
-                    sample_lambda, sample_partners, split, train)
+                    beta_rule, decision_grid, gen_spirals, mlp_init, sample_lambda,
+                    sample_partners, split, train)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 
@@ -81,9 +81,6 @@ COUNTS = {  # argument name: a call that passes it the value v
     "resolution": lambda v: decision_grid(NET, PredictorConfig(), (-1, 1), (-1, 1), v),
     "epochs": lambda v: train(NET, DS, MixConfig(), OptimState(0.1), v, 4, RNG(0)),
     "batch_size": lambda v: train(NET, DS, MixConfig(), OptimState(0.1), 1, v, RNG(0)),
-    "reps": lambda v: jensen_check(NET, DS, 1.0, [1], v, RNG(0)),
-    "s_list[0]": lambda v: jensen_check(NET, DS, 1.0, [v], 1000, RNG(0)),
-    "quad_nodes": lambda v: prop1_check(NET, DS, 1.0, quad_nodes=v),
     "q": lambda v: beta_rule(BetaParams(1, 1), v),
     "size": lambda v: sample_lambda(BetaParams(1, 1), RNG(0), v),
     "m": lambda v: sample_partners(v, RNG(0)),
