@@ -181,8 +181,7 @@ def cmd_gen_data(args) -> int:
     ds = gen_spirals(args.n, args.noise, args.turns, args.seed)
     save_csv(ds, args.out)
     counts = ds.labels.sum(axis=0).astype(int)
-    names = ds.class_names or [str(i) for i in range(ds.k)]
-    per_class = ", ".join(f"class {n}: {c}" for n, c in zip(names, counts))
+    per_class = ", ".join(f"class {c}: {n}" for c, n in enumerate(counts))
     print(f"wrote {ds.n} rows to {args.out} ({per_class})")
     return 0
 

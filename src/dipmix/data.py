@@ -1,5 +1,6 @@
 """Synthetic two-spirals data, file reading and atomic writing, CSV
-persistence, standardization, splitting."""
+persistence, standardization, splitting. Class id c is one thing throughout:
+CSV label c, one-hot label column c and model output c."""
 
 from __future__ import annotations
 
@@ -13,19 +14,20 @@ import numpy as np
 from .errors import ConfigurationError, ParseError, ShapeError, check_count, check_seed, is_real
 
 STD_FLOOR = 1e-8
+# a label sizes an n x (id + 1) one-hot matrix before any model is known
+MAX_CLASSES = 1024
 
 
 @dataclass
 class Dataset:
     """Feature matrix with one-hot labels.
 
-    Every label row has exactly one 1; features are finite. class_names maps
-    label columns back to the external class ids.
+    Every label row has exactly one 1, in the column of its class id;
+    features are finite. A class no row holds leaves its column empty.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    class_names: list = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -44,8 +46,6 @@ class Dataset:
         zero = self.labels == 0.0
         if not np.all(one.sum(axis=1) == 1) or not np.all(one | zero):
             raise ConfigurationError("labels must be one-hot rows")
-        if self.class_names is not None and len(self.class_names) != self.labels.shape[1]:
-            raise ConfigurationError("class_names length does not match label width")
 
     @property
     def n(self) -> int:
@@ -65,7 +65,7 @@ class Dataset:
 
 @dataclass
 class StandardizeStats:
-    """Per-dimension train moments; std entries are floored to stay positive."""
+    """Per-dimension train moments, all finite; std entries are floored to stay positive."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -76,8 +76,8 @@ class StandardizeStats:
         if self.mean.ndim != 1 or self.std.shape != self.mean.shape:
             raise ConfigurationError("standardization mean and std must be 1-D of equal length, "
                                      f"got shapes {self.mean.shape} and {self.std.shape}")
-        if np.any(self.std <= 0):
-            raise ConfigurationError("standardization std entries must be positive")
+        if not (np.isfinite([self.mean, self.std]).all() and (self.std > 0).all()):
+            raise ConfigurationError("standardization mean and std must be finite, std positive")
 
 
 def _check_spirals(n_per_class, noise_std, turns, seed):
@@ -113,17 +113,23 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
         onehot = np.zeros((n_per_class, 2))
         onehot[:, c] = 1.0
         labels.append(onehot)
-    return Dataset(np.vstack(feats), np.vstack(labels), class_names=["0", "1"])
+    return Dataset(np.vstack(feats), np.vstack(labels))
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
 def read_json(path, what: str):
-    """Parse a JSON file; malformed content raises ParseError naming ``what``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}",
-                             line=exc.lineno) from exc
+    """Parse a JSON file; content that is not UTF-8 JSON raises ParseError naming ``what``."""
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
 
 
 def write_file(path, text: str) -> None:
@@ -140,20 +146,16 @@ def write_file(path, text: str) -> None:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write `x1,...,xd,label` rows; 17 significant digits keep floats lossless."""
-    names = dataset.class_names or [str(i) for i in range(dataset.k)]
     write_file(path, ",".join(f"x{j + 1}" for j in range(dataset.d)) + ",label\n" + "".join(
-        ",".join(f"{v:.17g}" for v in row) + f",{names[cid]}\n"
+        ",".join(f"{v:.17g}" for v in row) + f",{cid}\n"
         for row, cid in zip(dataset.features, dataset.class_ids())))
 
 
 def load_csv(path) -> Dataset:
-    """Read a `x1,...,xd,label` file; labels are integer class ids.
-
-    One-hot encodes over the observed class set in ascending order. Raises
-    ParseError with the offending line number on any malformed content.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a `x1,...,xd,label` file; a row labelled c, a class id in
+    [0, MAX_CLASSES), is one-hot in column c, so the label width is the largest
+    id plus one. Malformed content raises ParseError naming its line or file."""
+    lines = _read_text(path, "CSV file").splitlines()
     if not lines:
         raise ParseError("file is empty", line=1)
     header = [h.strip() for h in lines[0].split(",")]
@@ -177,18 +179,17 @@ def load_csv(path) -> Dataset:
         try:
             label = int(cells[d])
         except ValueError:
-            raise ParseError(f"label must be an integer class id, got {cells[d]!r}",
-                             line=lineno) from None
+            label = -1  # reported with the ids out of range
+        if not 0 <= label < MAX_CLASSES:
+            raise ParseError(f"label must be an integer class id in [0, {MAX_CLASSES}), "
+                             f"got {cells[d]!r}", line=lineno)
         feats.append(row)
         raw_labels.append(label)
     if not feats:
         raise ParseError("no data rows", line=len(lines))
-    classes = sorted(set(raw_labels))
-    col = {c: j for j, c in enumerate(classes)}
-    labels = np.zeros((len(feats), len(classes)))
-    for i, c in enumerate(raw_labels):
-        labels[i, col[c]] = 1.0
-    return Dataset(np.asarray(feats), labels, class_names=[str(c) for c in classes])
+    labels = np.zeros((len(feats), max(raw_labels) + 1))
+    labels[np.arange(len(feats)), raw_labels] = 1.0
+    return Dataset(np.asarray(feats), labels)
 
 
 def standardize(train: Dataset):
@@ -206,7 +207,7 @@ def apply_stats(dataset: Dataset, stats: StandardizeStats) -> Dataset:
             f"stats are {stats.mean.shape[0]}-dimensional, dataset is {dataset.d}-dimensional"
         )
     feats = (dataset.features - stats.mean) / stats.std
-    return Dataset(feats, dataset.labels.copy(), class_names=dataset.class_names)
+    return Dataset(feats, dataset.labels.copy())
 
 
 def _check_fraction(test_fraction):
@@ -215,14 +216,14 @@ def _check_fraction(test_fraction):
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):
-    """Stratified train/test split, deterministic per seed."""
+    """Split each class that some row holds between train and test, deterministic per seed."""
     _check_fraction(test_fraction)
     check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     ids = dataset.class_ids()
     test_idx = []
     train_idx = []
-    for c in range(dataset.k):
+    for c in np.flatnonzero(dataset.labels.any(axis=0)):
         members = np.flatnonzero(ids == c)
         n_test = int(round(test_fraction * members.size))
         if n_test < 1 or n_test >= members.size:
@@ -235,7 +236,5 @@ def split(dataset: Dataset, test_fraction: float, seed: int = 0):
         train_idx.extend(members[perm[n_test:]])
     train_idx = np.sort(np.asarray(train_idx))
     test_idx = np.sort(np.asarray(test_idx))
-    make = lambda idx: Dataset(
-        dataset.features[idx].copy(), dataset.labels[idx].copy(), dataset.class_names
-    )
+    make = lambda idx: Dataset(dataset.features[idx].copy(), dataset.labels[idx].copy())
     return make(train_idx), make(test_idx)

@@ -118,14 +118,14 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
 
 
 def evaluate(params: ModelParams, dataset: Dataset, cfg: PredictorConfig) -> EvalMetrics:
-    """Accuracy, misclassification rate, and mean cross-entropy of the
-    predicted probability vectors; argmax ties break to the lowest index."""
-    if dataset.k != params.n_outputs:
-        raise ShapeError(f"label width {dataset.k} does not match {params.n_outputs} model outputs")
+    """Accuracy, misclassification rate and mean cross-entropy, each row scored
+    at the output of its class id; argmax ties break to the lowest index."""
+    if dataset.k > params.n_outputs:
+        raise ShapeError(f"class id {dataset.k - 1} has no output in a {params.n_outputs}-output model")
     probs = predict_batch(params, dataset.features, cfg)
-    preds = probs.argmax(axis=1)
-    accuracy = float((preds == dataset.class_ids()).mean())
-    losses = -np.log(np.clip((probs * dataset.labels).sum(axis=1), 1e-300, None))
+    ids = dataset.class_ids()
+    accuracy = float((probs.argmax(axis=1) == ids).mean())
+    losses = -np.log(np.clip(probs[np.arange(dataset.n), ids], 1e-300, None))
     return EvalMetrics(accuracy, 1.0 - accuracy, float(losses.mean()))
 
 

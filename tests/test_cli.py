@@ -1,14 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dipmix import (ConfigurationError, MixConfig, OptimState, cli, gen_spirals, mlp_init, split,
-                    train)
+from dipmix import (ConfigurationError, MixConfig, OptimState, cli, gen_spirals, load_csv,
+                    mlp_init, split, train)
 from dipmix.cli import main
-from dipmix.nn import save_model
-from dipmix.nn import ModelParams
+from dipmix.nn import ModelParams, forward, load_model, save_model
 
 
 def generator(**fields):
@@ -246,6 +246,31 @@ class TestTrain:
         cfg_path.write_text(json.dumps({"epochz": 5}))
         assert main(["train", str(cfg_path)]) == 2
 
+    def test_non_utf8_config_exits_two_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(b'{"epochs": 5, "output_dir": "\xff"}')
+        assert main(["train", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"config {cfg_path} is not UTF-8 text" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_absent_class_id_keeps_its_output(self, tmp_path, capsys):
+        # class ids 0 and 2: split skips id 1, and the model needs outputs 0 to 2
+        data = tmp_path / "gapped.csv"
+        main(["gen-data", "--n", "30", "--out", str(data)])
+        data.write_text(data.read_text().replace(",1\n", ",2\n"))
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)},
+                               model={"layer_sizes": [2, 8, 3]})
+        assert main(["train", str(cfg_path)]) == 0
+        assert load_model(tmp_path / "run" / "model.json").n_outputs == 3
+        capsys.readouterr()
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)},
+                               output_dir=str(tmp_path / "r2"))
+        assert main(["train", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert "do not fit data with 2 features and 3 classes" in captured.err
+        assert not (tmp_path / "r2").exists()
+
     def test_separable_spirals_reach_high_train_accuracy(self, tmp_path):
         cfg_path = tiny_config(
             tmp_path,
@@ -346,6 +371,8 @@ class TestEval:
         ('[[0, 0], [1, 1]]', "'mean'"),
         ('{"mean": [0, 0], "std": ["a", 1]}', "'std'"),
         ('{"mean": [0, 0], ', "not valid JSON"),
+        ('{"mean": [0, 0], "std": [Infinity, 1]}', "must be finite"),
+        ('{"mean": [NaN, 0], "std": [1, 1]}', "must be finite"),
     ])
     def test_bad_stats_file_exits_two(self, trained_run, tmp_path, capsys, doc, field):
         bad = tmp_path / "stats.json"
@@ -373,18 +400,52 @@ class TestEval:
             assert main(["eval", "--model", trained_run["model"], "--data", data,
                          "--mode", "dip", "--partner-data", pool]) == 2
 
-    @pytest.mark.parametrize("rows,width", [
-        ("0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n", 3),
-        ("0.1,0.2,1\n0.3,0.4,1\n", 1),  # one class present: a one-column label matrix
-    ], ids=["three-classes", "class-one-only"])
+    @pytest.mark.parametrize("rows", [
+        "0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,2\n",
+        "0.1,0.2,2\n0.3,0.4,2\n",  # one class present, and the model has no output for it
+    ], ids=["three-classes", "class-two-only"])
     def test_label_width_other_than_model_outputs_exits_two(self, trained_run, tmp_path,
-                                                            capsys, rows, width):
+                                                            capsys, rows):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,label\n" + rows)
         assert main(["eval", "--model", trained_run["model"], "--data", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert f"label width {width} does not match 2 model outputs" in captured.err
+        assert "class id 2 has no output in a 2-output model" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_shifted_labels_exit_two_naming_class_two(self, trained_run, tmp_path, capsys):
+        lines = Path(trained_run["data"]).read_text().splitlines()
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join([lines[0]] + [
+            f"{row.rsplit(',', 1)[0]},{int(row.rsplit(',', 1)[1]) + 1}" for row in lines[1:]]))
+        assert main(["eval", "--model", trained_run["model"], "--data", str(shifted)]) == 2
+        captured = capsys.readouterr()
+        assert "class id 2 has no output" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("cls", [0, 1], ids=["class-zero-only", "class-one-only"])
+    def test_single_class_file_scores_against_its_output(self, trained_run, tmp_path, capsys,
+                                                         cls):
+        lines = Path(trained_run["data"]).read_text().splitlines()
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join([lines[0]] + [r for r in lines[1:] if r.endswith(f",{cls}")]))
+        rows = load_csv(one).features
+        assert main(["eval", "--model", trained_run["model"], "--data", str(one),
+                     "--stats", trained_run["stats"]]) == 0
+        out = json.loads(capsys.readouterr().out)
+        stats = json.loads(Path(trained_run["stats"]).read_text())
+        logits = forward(load_model(trained_run["model"]),
+                         (rows - stats["mean"]) / np.array(stats["std"]))
+        assert out["n"] == len(rows) > 0
+        assert out["accuracy"] == np.mean(logits.argmax(axis=1) == cls)
+        log_probs = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        assert out["mean_loss"] == pytest.approx(-log_probs[:, cls].mean(), rel=1e-12)
+
+    def test_non_utf8_data_exits_two_naming_it(self, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x1,x2,label\n0.1,0.2,0\xff\n")
+        assert main(["eval", "--model", trained_run["model"], "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"CSV file {bad} is not UTF-8 text" in captured.err and captured.out == ""
 
     def test_missing_file_exits_one(self, trained_run):
         assert main(["eval", "--model", trained_run["model"],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dipmix import (
     split,
     standardize,
 )
+from dipmix.data import MAX_CLASSES
 
 
 class TestGenSpirals:
@@ -70,7 +73,7 @@ class TestCsv:
         ds = load_csv(path)
         assert ds.labels.shape == (3, 2)
         np.testing.assert_array_equal(ds.labels, [[1, 0], [0, 1], [1, 0]])
-        assert ds.class_names == ["0", "1"]
+        np.testing.assert_array_equal(ds.class_ids(), [0, 1, 0])
 
     def test_round_trip(self, tmp_path):
         ds = gen_spirals(40, 0.05, 1.25, seed=1)
@@ -110,17 +113,44 @@ class TestCsv:
 
     def test_nonconsecutive_class_ids_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("x1,label\n1.0,7\n2.0,3\n3.0,7\n")
+        path.write_text("x1,label\n1,7\n2,3\n3,7\n")
         ds = load_csv(path)
-        assert ds.class_names == ["3", "7"]
+        assert ds.k == 8  # class id c is column c; the absent ids leave empty columns
+        np.testing.assert_array_equal(ds.class_ids(), [7, 3, 7])
         out = tmp_path / "out.csv"
         save_csv(ds, out)
-        back = load_csv(out)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert back.class_names == ds.class_names
+        assert out.read_text() == path.read_text()
+        np.testing.assert_array_equal(load_csv(out).labels, ds.labels)
+
+    @pytest.mark.parametrize("label", ["-1", str(MAX_CLASSES), "1.5", "a"])
+    def test_label_outside_class_range_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(ParseError, match=rf"line 3: label must be an integer class id "
+                                             rf"in \[0, {MAX_CLASSES}\), got '{label}'"):
+            load_csv(path)
+
+    def test_largest_class_id_loads(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,label\n1.0,{MAX_CLASSES - 1}\n")
+        assert load_csv(path).k == MAX_CLASSES
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,label\n1.0,0\n\xff,1\n")
+        with pytest.raises(ParseError, match=re.escape(f"CSV file {path} is not UTF-8 text")):
+            load_csv(path)
 
 
 class TestStandardize:
+    @pytest.mark.parametrize("mean,std", [
+        ([0.0, 0.0], [np.inf, 1.0]), ([0.0, 0.0], [np.nan, 1.0]), ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, -np.inf], [1.0, 1.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [1.0, -2.0]),
+    ], ids=["std-inf", "std-nan", "mean-nan", "mean-inf", "std-zero", "std-negative"])
+    def test_stats_must_be_finite_with_positive_std(self, mean, std):
+        with pytest.raises(ConfigurationError, match="must be finite, std positive"):
+            StandardizeStats(np.array(mean), np.array(std))
+
     def test_train_moments(self):
         ds = gen_spirals(100, 0.05, 1.25, seed=9)
         out, stats = standardize(ds)
@@ -163,6 +193,14 @@ class TestSplit:
         a2, b2 = split(ds, 0.4, seed=9)
         assert np.array_equal(a1.features, a2.features)
         assert np.array_equal(b1.features, b2.features)
+
+    def test_absent_class_id_is_skipped(self):
+        ds = gen_spirals(10, 0.05, 1.25, seed=4)
+        ds = Dataset(ds.features, np.eye(3)[2 * ds.class_ids()])  # ids 0 and 2
+        train_set, test_set = split(ds, 0.5, seed=0)
+        for half in (train_set, test_set):
+            assert half.k == 3
+            np.testing.assert_array_equal(half.labels.sum(axis=0), [5, 0, 5])
 
     def test_empty_side_rejected(self):
         ds = gen_spirals(10, 0.05, 1.25, seed=4)
