@@ -96,6 +96,24 @@ def _hidden_buffers(params: ModelParams, rows: int) -> list:
     return [np.empty((rows, n)) for n in params.layer_sizes[1:-1]]
 
 
+class FixedWork(list):
+    """Hidden-layer buffers, as _hidden_buffers gives them, for forwards of
+    ``rows`` rows through parameters that stay fixed while it is used. It also
+    holds the same-shape operands numpy adds and clamps fastest: ``biases[l]``,
+    hidden bias l repeated to (rows, width), and ``zeros[l]``, a contiguous
+    (rows, width) block of zeros. Training changes its biases every step, so
+    it passes plain lists, and the forward pass broadcasts instead."""
+
+    @classmethod
+    def for_model(cls, params: ModelParams, rows: int) -> FixedWork:
+        work = cls(_hidden_buffers(params, rows))
+        zeros = np.zeros(max((buf.size for buf in work), default=0))
+        work.biases = [np.tile(b, (rows, 1)) for b in params.biases[:-1]]
+        # a reshaped prefix is contiguous; a column slice of one wide block would be strided
+        work.zeros = [zeros[:buf.size].reshape(buf.shape) for buf in work]
+        return work
+
+
 @dataclass
 class Workspace:
     """Buffers one training step writes into instead of allocating.
@@ -200,17 +218,19 @@ def _forward_cached(params: ModelParams, features, work=None):
     """Logits and the cache _backprop needs: each layer's input, that is the
     features followed by every hidden layer's activation output. Hidden layer l
     is computed into work[l], an (m, layer_sizes[l+1]) float64 array, when
-    ``work`` is given; the cache then aliases it, the logits never do.
+    ``work`` is given; the cache then aliases it, the logits never do. A
+    FixedWork's bias rows and zero blocks replace the broadcast bias and 0.0.
     _backprop overwrites every hidden entry of the cache."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(f"features must be (m, {params.n_inputs}), got {x.shape}")
+    fixed = isinstance(work, FixedWork)
     outputs = [x]
     for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         buf = None if work is None else work[l]
-        z = np.add(np.matmul(outputs[-1], w, out=buf), b, out=buf)
-        outputs.append(np.maximum(z, 0.0, out=buf) if params.activation == "relu"
-                       else np.tanh(z, out=buf))
+        z = np.add(np.matmul(outputs[-1], w, out=buf), work.biases[l] if fixed else b, out=buf)
+        outputs.append(np.maximum(z, work.zeros[l] if fixed else 0.0, out=buf)
+                       if params.activation == "relu" else np.tanh(z, out=buf))
     return outputs[-1] @ params.weights[-1] + params.biases[-1], outputs
 
 

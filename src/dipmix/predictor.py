@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigurationError, ShapeError, check_count, check_seed, is_real
 from .mixing import BetaParams, mix, sample_lambda
-from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
+from .nn import FixedWork, ModelParams, _forward_cached, forward, log_softmax
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
@@ -107,12 +107,12 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         s = cfg.s_test
         block = max(1, _BLOCK_ROWS // s)
         logits = np.empty((len(features), params.n_outputs))
-        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+        work = FixedWork.for_model(params, s)  # one S-row forward per item, all through these
         for start in range(0, len(features), block):
             x = features[start:start + block]
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
             lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
-            partners = pool[rng.integers(0, len(pool), size=len(x) * s)]
+            partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
             logits[start:start + block] = dip_logits(params, x, partners, lam, work=work)
     return np.exp(log_softmax(logits))
 

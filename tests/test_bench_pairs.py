@@ -1,0 +1,74 @@
+"""tools/bench_pairs.py's summary states the repository's verdicts: a claimed
+gain needs at least nine tenths of at least ten pairs won and a median gap
+wider than the parent's spread; no regression means a median within the
+benchmark's bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+END_TO_END = [{"name": "items_per_s", "better": "higher", "bound": 0.2},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def runs_of(parent, change, setup=(1.0, 1.0)):
+    """Synthetic run records: pair i holds parent[i] and change[i] items_per_s."""
+    runs = []
+    for seed, pair in enumerate(zip(parent, change), 1):
+        for side, items, setup_s in zip(("parent", "change"), pair, setup):
+            runs.append({"workload": "w", "seed": seed, "side": side,
+                         "result": {"correct": True, "failed": 0, "attempted": 10, "metrics": {
+                             "items_per_s": {"value": items}, "setup_s": {"value": setup_s},
+                             "test_err": {"value": 0.1}}},
+                         "unscaled_items_per_s": items / 2, "child_cpu_s": 10 / items})
+    return runs
+
+
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0, 104.0]  # q75-q25 2
+
+
+@pytest.mark.parametrize("change,met", [
+    ([p + 3 for p in PARENT], True),  # 10/10 won, median gap 3 > 2
+    ([p + 1.5 for p in PARENT], False),  # 10/10 won, median gap 1.5 within the spread
+    ([p + 3 for p in PARENT[:8]] + [p - 1 for p in PARENT[8:]], False),  # 8/10 won
+    ([p + 3 for p in PARENT[:9]] + PARENT[9:], True),  # 9/10 won, the tie counts for neither
+])
+def test_gain_rule(change, met):
+    entry = load_tool().summarize(runs_of(PARENT, change), END_TO_END)["w"]
+    assert entry["pairs"] == 10
+    assert entry["items_per_s"]["gain_rule_met"] is met
+    # the unscaled figures are half and the inverse: the same verdict in their directions
+    assert entry["unscaled_items_per_s"]["gain_rule_met"] is met
+    assert entry["cpu_s_per_op"]["gain_rule_met"] is met
+
+
+def test_gain_rule_needs_ten_pairs():
+    entry = load_tool().summarize(runs_of(PARENT[:9], [p + 50 for p in PARENT[:9]]),
+                                  END_TO_END)["w"]
+    assert entry["items_per_s"]["change_better_in_pairs"] == 9
+    assert entry["items_per_s"]["gain_rule_met"] is False
+
+
+@pytest.mark.parametrize("scale,setup,within", [
+    (0.81, (1.0, 1.24), True),  # 19% slower, 24% longer set-up: inside 20% and 25%
+    (0.79, (1.0, 1.0), False),  # 21% slower
+    (1.0, (1.0, 1.26), False),  # 26% longer set-up
+])
+def test_within_bound(scale, setup, within):
+    entry = load_tool().summarize(runs_of(PARENT, [p * scale for p in PARENT], setup),
+                                  END_TO_END)["w"]
+    assert (entry["items_per_s"]["within_bound"] and entry["setup_s"]["within_bound"]) is within
+    assert entry["items_per_s"]["within_bound"] is (scale >= 0.8)
+    assert entry["setup_s"]["within_bound"] is (setup[1] <= 1.25)
+    # figures with no bound in the benchmark get no verdict
+    assert entry["unscaled_items_per_s"]["within_bound"] is None
+    assert entry["test_err_identical_per_pair"] is True

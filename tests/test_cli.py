@@ -668,6 +668,20 @@ class TestGrid:
         body = " ".join(pgm[3:]).split()
         assert set(body) <= {"0", "1"} and len(body) == 16
 
+    def test_out_of_memory_is_one_line_and_exit_one(self, trained_run, tmp_path, monkeypatch,
+                                                     capsys):
+        def refuse(*args, **kwargs):  # what numpy raises for --res 100000, without allocating
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                              "(100000, 100000) and data type float64")
+
+        monkeypatch.setattr(cli, "decision_grid", refuse)
+        assert main(["grid", "--model", trained_run["model"], "--res", "100000",
+                     "--out-prefix", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: out of memory: Unable to allocate 74.5 GiB for an array with "
+                       "shape (100000, 100000) and data type float64\n")
+        assert not list(tmp_path.glob("g*"))
+
     def test_raw_and_dip_grids_differ(self, trained_run, tmp_path):
         raw_prefix = tmp_path / "raw"
         dip_prefix = tmp_path / "dip"

@@ -15,12 +15,13 @@ from dipmix import (
     decision_grid,
     evaluate,
     forward,
+    mix,
     mlp_init,
     predict_batch,
     sample_lambda,
 )
 from dipmix import predictor
-from dipmix.nn import ModelParams
+from dipmix.nn import ModelParams, log_softmax
 from dipmix.predictor import dip_logits
 
 
@@ -37,22 +38,44 @@ def margins(params, train_set, test_set, s_test, seed):
     return log_probs[:, 1] - log_probs[:, 0]
 
 
-def hand_dip_probs(params, features, cfg):
-    """Dip probabilities row by row, from the draws of each row's block stream."""
+def block_draws(features, cfg):
+    """Each block of rows with its ratio column and partners, from the block's stream."""
     s = cfg.s_test
     block = max(1, predictor._BLOCK_ROWS // s)
-    probs = []
     for start in range(0, len(features), block):
         rows = features[start:start + block]
         rng = np.random.default_rng([cfg.seed, 2, start // block])
         lam = sample_lambda(cfg.prior, rng, size=len(rows) * s)[:, None]
-        partners = cfg.partner_pool[rng.integers(0, len(cfg.partner_pool), size=len(rows) * s)]
+        yield rows, lam, cfg.partner_pool[rng.integers(0, len(cfg.partner_pool),
+                                                       size=len(rows) * s)]
+
+
+def hand_dip_probs(params, features, cfg):
+    """Dip probabilities row by row, from the draws of each row's block stream."""
+    s = cfg.s_test
+    probs = []
+    for rows, lam, partners in block_draws(features, cfg):
         for i, x in enumerate(rows):
             j = slice(i * s, (i + 1) * s)
             avg_logits = forward(params, lam[j] * x + (1 - lam[j]) * partners[j]).mean(axis=0)
             p = np.exp(avg_logits - avg_logits.max())
             probs.append(p / p.sum())
     return np.array(probs)
+
+
+def reference_dip_probs(params, features, cfg):
+    """Dip probabilities from each row's S mixed rows sent through forward with no
+    work buffers, on the draws of each row's block stream, and reduced as
+    dip_logits reduces them, so that predict_batch must match it bit for bit."""
+    s = cfg.s_test
+    logits = []
+    for rows, lam, partners in block_draws(features, cfg):
+        out = np.concatenate([forward(params, mix(np.repeat(x[None], s, axis=0),
+                                                  partners[i * s:(i + 1) * s],
+                                                  lam[i * s:(i + 1) * s]))
+                              for i, x in enumerate(rows)])
+        logits.append(out if s == 1 else out.reshape(len(rows), s, -1).sum(axis=1) / s)
+    return np.exp(log_softmax(np.concatenate(logits)))
 
 
 class TestDipLogits:
@@ -143,13 +166,36 @@ class TestPredict:
 
         monkeypatch.setattr(predictor, "forward", spy)
         params = mlp_init([2, 9, 5, 2], "relu", seed=0)
+        params.flat[:] = np.random.default_rng(1).normal(size=params.flat.size)
         pool = np.random.default_rng(0).normal(size=(30, 2))
         cfg = PredictorConfig("dip", 40, BetaParams(2, 1), pool, seed=0)
         predict_batch(params, pool[:4], cfg)
         assert len(calls) == 4
-        assert [buf.shape for buf in calls[0]] == [(40, 9), (40, 5)]
+        first = calls[0]
+        assert [buf.shape for buf in first] == [(40, 9), (40, 5)]
         for work in calls[1:]:
-            assert len(work) == 2 and all(a is b for a, b in zip(work, calls[0]))
+            assert len(work) == 2 and all(a is b for a, b in zip(work, first))
+        # one set of bias rows and zero blocks per call, shared by every item
+        assert len(first.biases) == len(first.zeros) == 2
+        for bias, rows, zeros in zip(params.biases, first.biases, first.zeros):
+            assert np.array_equal(rows, np.tile(bias, (40, 1))) and rows.flags.c_contiguous
+            assert zeros.shape == rows.shape and zeros.flags.c_contiguous and not zeros.any()
+        assert all(work.biases is first.biases and work.zeros is first.zeros
+                   for work in calls[1:])
+        predict_batch(params, pool[:1], cfg)
+        assert calls[-1].biases is not first.biases and calls[-1].zeros is not first.zeros
+
+    @pytest.mark.parametrize("s_test", [1, 7, 500])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_probabilities_equal_an_unbuffered_forward_bit_for_bit(self, mixup_spirals_model,
+                                                                   activation, s_test):
+        params, train_set, test_set = mixup_spirals_model
+        if activation == "tanh":
+            params = mlp_init([2, 9, 5, 3], "tanh", seed=4)
+            params.flat[:] = np.random.default_rng(4).normal(size=params.flat.size)
+        cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), train_set.features, seed=6)
+        x = test_set.features[:20]  # three blocks at S = 500
+        assert np.array_equal(predict_batch(params, x, cfg), reference_dip_probs(params, x, cfg))
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux rusage")
     def test_prediction_does_not_fault_in_fresh_pages_per_item(self):

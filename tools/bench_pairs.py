@@ -14,7 +14,16 @@ The output, BENCH_<label>.json in the repository root, holds those lines,
 the run order, the host (CPU count, Python and numpy versions, the BLAS and
 OpenMP thread variables of the environment) and, per workload and metric,
 each side's quartiles, the median ratio and the number of pairs the working
-tree won, "won" following each metric's direction in BENCHMARK.json.
+tree won, "won" following each metric's direction in BENCHMARK.json. Two
+verdicts follow the repository's rules for a claimed gain and for no
+regression, and are also printed to stderr:
+
+- ``gain_rule_met``: at least ten pairs ran, the working tree won at least
+  nine tenths of them (ties count for neither side), and its median beats the
+  parent's by more than the parent's spread, q75 - q25;
+- ``within_bound``: the working tree's median is no worse than the parent's
+  by more than the metric's relative ``bound`` in BENCHMARK.json (null for a
+  figure with no bound).
 
 Each run also records two figures that the host-speed reference does not
 rescale: run.py's "unscaled: items_per_s" line and the CPU seconds the run
@@ -97,9 +106,12 @@ def value(result: dict, name: str) -> float:
     return result["metrics"][name]["value"]
 
 
-def summarize(runs, directions) -> dict:
+def summarize(runs, end_to_end) -> dict:
+    """Per workload, each metric's quartiles, ratio, wins and verdicts; ``end_to_end``
+    lists BENCHMARK.json's metrics, each with its name, direction and bound."""
     summary = {}
-    directions = {**directions, **UNSCALED}
+    directions = {**{m["name"]: m["better"] for m in end_to_end}, **UNSCALED}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed = {}
         for r in runs:
@@ -120,11 +132,18 @@ def summarize(runs, directions) -> dict:
             parent = [value(p["parent"], name) for p in pairs]
             change = [value(p["change"], name) for p in pairs]
             sign = 1 if better == "higher" else -1
+            (q25, parent_median, q75), change_median = quartiles(parent), statistics.median(change)
+            won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            bound = bounds.get(name)
             entry[name] = {
-                "parent_q25_median_q75": quartiles(parent),
+                "parent_q25_median_q75": [q25, parent_median, q75],
                 "change_q25_median_q75": quartiles(change),
-                "change_over_parent_median": statistics.median(change) / statistics.median(parent),
-                "change_better_in_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "change_over_parent_median": change_median / parent_median,
+                "change_better_in_pairs": won,
+                "gain_rule_met": (len(pairs) >= 10 and won * 10 >= len(pairs) * 9
+                                  and sign * (change_median - parent_median) > q75 - q25),
+                "within_bound": None if bound is None else
+                sign * (change_median - parent_median) >= -bound * abs(parent_median),
             }
         if pairs:
             entry["test_err_identical_per_pair"] = all(
@@ -179,7 +198,14 @@ def main(argv=None) -> int:
                     f"items_per_s {items:.6g}, unscaled {unscaled:.6g}, cpu {cpu_s:.3g} s")),
                       file=sys.stderr)
 
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    summary = summarize(runs, bench["end_to_end"])
+    for workload, entry in summary.items():
+        for name, m in entry.items():
+            if isinstance(m, dict):  # one metric's figures
+                print(f"{workload} {name}: change/parent median "
+                      f"{m['change_over_parent_median']:.4g}, won {m['change_better_in_pairs']}/"
+                      f"{entry['pairs']}, gain_rule_met {m['gain_rule_met']}, within_bound "
+                      f"{m['within_bound']}", file=sys.stderr)
     doc = {
         "what": (f"perfbench/run.py --seconds {seconds:g} --trace 0: parent {parent_rev} "
                  f"(side 'parent') against the working tree (side 'change'), one run per side "
@@ -195,7 +221,7 @@ def main(argv=None) -> int:
             "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
         },
         "run_order": [f"{r['workload']}:{r['seed']}:{r['side']}" for r in runs],
-        "summary": summarize(runs, directions),
+        "summary": summary,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.label}.json"
