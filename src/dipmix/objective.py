@@ -61,9 +61,9 @@ def mixup_loss_grad(params: ModelParams, x, y, alpha: float, rng, *,
     if partners is None:
         partners = sample_partners(m, rng)
     # one draw per example: the mixed classifier at S = 1
-    logits, cache = dip_logits(params, x, x.take(partners, axis=0), lam, with_cache=True,
+    logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True,
                                work=None if work is None else work.hidden)
-    loss, dlogits = softmax_xent(logits, mix(y, y.take(partners, axis=0), lam[:, None]),
+    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]),
                                  None if work is None else work.dlogits)
     return loss, _backprop(params, cache, dlogits, work)
 
@@ -93,7 +93,7 @@ def dip_loss_preserving_grad(params: ModelParams, x, y, cfg: MixConfig, rng, *,
         partners = np.column_stack([sample_partners(m, rng) for _ in range(s)])
     elif lam is None or partners is None:
         raise ConfigurationError("lam and partners must be overridden together")
-    avg_logits, cache = dip_logits(params, x, x.take(np.reshape(partners, m * s), axis=0), lam,
+    avg_logits, cache = dip_logits(params, x, x[np.asarray(partners).reshape(m * s)], lam,
                                    with_cache=True, work=None if work is None else work.hidden)
     loss, davg = softmax_xent(avg_logits, y)
     # each of the s branches of one example carries an equal share of its gradient
@@ -142,7 +142,7 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
         try:
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
-                xb, yb = x.take(idx, axis=0), y.take(idx, axis=0)
+                xb, yb = x[idx], y[idx]
                 step = work if len(idx) == batch_size else tail
                 # x stays positional and cfg goes by keyword: the benchmark's tracer reads them so
                 if cfg.mode == "label_mixing":

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigurationError, ShapeError, check_count, check_seed, is_real
 from .mixing import BetaParams, mix, sample_lambda
-from .nn import FixedWork, ModelParams, _forward_cached, forward, log_softmax
+from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
@@ -107,7 +107,7 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         s = cfg.s_test
         block = max(1, _BLOCK_ROWS // s)
         logits = np.empty((len(features), params.n_outputs))
-        work = FixedWork.for_model(params, s)  # one S-row forward per item, all through these
+        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
         for start in range(0, len(features), block):
             x = features[start:start + block]
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])

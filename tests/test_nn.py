@@ -21,6 +21,7 @@ from dipmix import (
     softmax_xent,
     train,
 )
+from dipmix import nn
 from dipmix.nn import ModelParams, Workspace, _forward_cached, from_dict, to_dict
 
 
@@ -33,6 +34,14 @@ def nan_workspace(params, rows):
 
 def all_buffers(work):
     return [*work.hidden, *work.deltas, work.dlogits, *work.grads.weights, *work.grads.biases]
+
+
+def broadcast_logits(params, x):
+    """Logits with each bias row broadcast over its layer, as numpy does unasked."""
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = x @ w + b
+        x = np.maximum(z, 0.0) if params.activation == "relu" else np.tanh(z)
+    return x @ params.weights[-1] + params.biases[-1]
 
 
 def flatten_grads(grads):
@@ -138,6 +147,47 @@ class TestForward:
         for buf, a in zip(work, outputs[1:]):
             assert np.array_equal(buf, a)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_bias_blocks_follow_the_biases(self, activation, monkeypatch):
+        monkeypatch.setattr(nn, "_BIAS_BLOCK_ENTRIES", 20)  # blocks of 2 and 4 rows
+        rng = np.random.default_rng(4)
+        p = mlp_init([3, 7, 5, 4], activation, seed=2)
+        # after an in-place change of every parameter, the new biases are broadcast once,
+        # then added from blocks, filled for as many rows as a forward needs
+        for rows in (1, 9, 3, 0):
+            p.flat[:] = rng.normal(size=p.flat.size)
+            for m in (rows, rows, 9):
+                x = rng.normal(size=(m, 3))
+                assert forward(p, x).tobytes() == broadcast_logits(p, x).tobytes()
+        assert [len(block) for block, _, _ in p._bias_blocks] == [2, 4]
+        # another model with other biases keeps its own blocks
+        q = mlp_init([3, 7, 5, 4], activation, seed=2)
+        x = rng.normal(size=(9, 3))
+        for _ in range(2):
+            assert forward(q, x).tobytes() == broadcast_logits(q, x).tobytes()
+            assert forward(p, x).tobytes() == broadcast_logits(p, x).tobytes()
+        # bits decide, since 0.0 and -0.0 add differently
+        p.biases[0][:] = 0.0
+        assert p.bias_rows(0, 2) is None and not np.signbit(p.bias_rows(0, 2)).any()
+        p.biases[0][:] = -0.0
+        assert p.bias_rows(0, 2) is None and np.signbit(p.bias_rows(0, 2)).all()
+
+    def test_training_steps_broadcast_their_biases(self, monkeypatch):
+        got_rows = []
+        bias_rows = nn.ModelParams.bias_rows
+
+        def spy(self, l, rows):
+            out = bias_rows(self, l, rows)
+            got_rows.append(out is not None)
+            return out
+
+        monkeypatch.setattr(nn.ModelParams, "bias_rows", spy)
+        train(mlp_init([2, 8, 6, 2], "relu", seed=1), gen_spirals(40, 0.1, 1.25, seed=1),
+              MixConfig("none", 0.0, 1), OptimState(0.1, 0.9), 3, 16, np.random.default_rng(0))
+        # 5 steps and an accuracy pass per epoch, 2 layers each; every step changes the
+        # biases, so only the first step of epochs 1 and 2, which sees the biases that the
+        # pass before it saw, adds them from rows
+        assert len(got_rows) == 2 * (3 * 5 + 3) and sum(got_rows) == 2 * 2
 
 class TestSoftmaxXent:
     def test_uniform_logits_onehot(self):

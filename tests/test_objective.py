@@ -387,8 +387,6 @@ class TestTrain:
             assert work.dlogits.base is full.dlogits and work.dlogits.shape == (2 * branches, 2)
         assert len(evals) == 3 and [buf.shape for buf in evals[0]] == [(50, 12), (50, 8)]
         assert all(all(a is b for a, b in zip(work, evals[0])) for work in evals)
-        # parameters change every step, so training never passes fixed bias rows or zeros
-        assert type(full.hidden) is list and all(type(work) is list for work in evals)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are Linux rusage")
     def test_training_does_not_fault_in_fresh_pages_per_step(self):

@@ -63,16 +63,24 @@ def hand_dip_probs(params, features, cfg):
     return np.array(probs)
 
 
+def broadcast_forward(params, x):
+    """Logits with each bias row broadcast over its layer, as numpy does unasked."""
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = x @ w + b
+        x = np.maximum(z, 0.0) if params.activation == "relu" else np.tanh(z)
+    return x @ params.weights[-1] + params.biases[-1]
+
+
 def reference_dip_probs(params, features, cfg):
-    """Dip probabilities from each row's S mixed rows sent through forward with no
-    work buffers, on the draws of each row's block stream, and reduced as
+    """Dip probabilities from each row's S mixed rows sent through
+    broadcast_forward, on the draws of each row's block stream, and reduced as
     dip_logits reduces them, so that predict_batch must match it bit for bit."""
     s = cfg.s_test
     logits = []
     for rows, lam, partners in block_draws(features, cfg):
-        out = np.concatenate([forward(params, mix(np.repeat(x[None], s, axis=0),
-                                                  partners[i * s:(i + 1) * s],
-                                                  lam[i * s:(i + 1) * s]))
+        out = np.concatenate([broadcast_forward(params, mix(np.repeat(x[None], s, axis=0),
+                                                            partners[i * s:(i + 1) * s],
+                                                            lam[i * s:(i + 1) * s]))
                               for i, x in enumerate(rows)])
         logits.append(out if s == 1 else out.reshape(len(rows), s, -1).sum(axis=1) / s)
     return np.exp(log_softmax(np.concatenate(logits)))
@@ -162,7 +170,11 @@ class TestPredict:
 
         def spy(params, features, work=None):
             calls.append(work)
-            return forward(params, features, work)
+            logits = forward(params, features, work)
+            for block, _, _ in params._bias_blocks:  # written once: later items only read it
+                if block is not None:
+                    block.flags.writeable = False
+            return logits
 
         monkeypatch.setattr(predictor, "forward", spy)
         params = mlp_init([2, 9, 5, 2], "relu", seed=0)
@@ -171,27 +183,24 @@ class TestPredict:
         cfg = PredictorConfig("dip", 40, BetaParams(2, 1), pool, seed=0)
         predict_batch(params, pool[:4], cfg)
         assert len(calls) == 4
-        first = calls[0]
-        assert [buf.shape for buf in first] == [(40, 9), (40, 5)]
+        assert [buf.shape for buf in calls[0]] == [(40, 9), (40, 5)]
         for work in calls[1:]:
-            assert len(work) == 2 and all(a is b for a, b in zip(work, first))
-        # one set of bias rows and zero blocks per call, shared by every item
-        assert len(first.biases) == len(first.zeros) == 2
-        for bias, rows, zeros in zip(params.biases, first.biases, first.zeros):
-            assert np.array_equal(rows, np.tile(bias, (40, 1))) and rows.flags.c_contiguous
-            assert zeros.shape == rows.shape and zeros.flags.c_contiguous and not zeros.any()
-        assert all(work.biases is first.biases and work.zeros is first.zeros
-                   for work in calls[1:])
+            assert len(work) == 2 and all(a is b for a, b in zip(work, calls[0]))
+        # the first item broadcasts the biases and the second fills rows of them, which serve
+        # every later item and the next call
+        blocks = list(params._bias_blocks)
+        for bias, (block, filled, _) in zip(params.biases, blocks):
+            assert filled == 40 and np.array_equal(block[:40], np.tile(bias, (40, 1)))
         predict_batch(params, pool[:1], cfg)
-        assert calls[-1].biases is not first.biases and calls[-1].zeros is not first.zeros
+        assert all(a[0] is b[0] for a, b in zip(params._bias_blocks, blocks))
 
     @pytest.mark.parametrize("s_test", [1, 7, 500])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_probabilities_equal_an_unbuffered_forward_bit_for_bit(self, mixup_spirals_model,
-                                                                   activation, s_test):
-        params, train_set, test_set = mixup_spirals_model
+    def test_probabilities_equal_a_broadcast_forward_bit_for_bit(self, mixup_spirals_model,
+                                                                 activation, s_test):
+        params, train_set, test_set = mixup_spirals_model  # 64-wide: two bias blocks at S = 500
         if activation == "tanh":
-            params = mlp_init([2, 9, 5, 3], "tanh", seed=4)
+            params = mlp_init([2, 48, 9, 3], "tanh", seed=4)
             params.flat[:] = np.random.default_rng(4).normal(size=params.flat.size)
         cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), train_set.features, seed=6)
         x = test_set.features[:20]  # three blocks at S = 500
