@@ -9,7 +9,7 @@ two-spirals experiments end to end. The oracles that check Prop. 1 and the
 Jensen ordering are test helpers, in tests/oracles.py.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .bounds import (
     BoundReport,

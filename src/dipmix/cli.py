@@ -305,6 +305,15 @@ def _alpha_text(alpha: float) -> str:
     return short if float(short) == alpha else repr(alpha)
 
 
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _scores_sha256(cell: dict) -> str:
+    """Digest of a progress cell's scores: every field but its digests."""
+    return _sha256({k: v for k, v in cell.items() if not k.endswith("_sha256")})
+
+
 def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
     """Train and score one cell: alpha 0 trains without mixing, any other
     alpha in the config's mixing mode (label_mixing if that is none).
@@ -347,10 +356,10 @@ def cmd_sweep(args) -> int:
     out_dir = _output_dir(cfg, args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     progress_path = out_dir / "sweep_progress.json"
-    # a cell is reused only if it was computed under this config
-    digest = hashlib.sha256(json.dumps(
-        {k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}, sort_keys=True
-    ).encode()).hexdigest()
+    # a cell is reused only if this version computed it under this config and
+    # its scores still match their digest
+    digest = _sha256({"package": __version__, "config": {
+        k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}})
     progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
@@ -363,10 +372,13 @@ def cmd_sweep(args) -> int:
             rows = []
             for seed in seeds:
                 key = f"alpha={name},S={s},seed={seed}"
-                if progress.get(key, {}).get("config_sha256") != digest:
+                cell = progress.get(key, {})
+                if (cell.get("config_sha256") != digest
+                        or cell.get("scores_sha256") != _scores_sha256(cell)):
                     try:
-                        progress[key] = {**_sweep_cell(cfg, alpha, s, seed, scored),
-                                         "config_sha256": digest}
+                        scores = _sweep_cell(cfg, alpha, s, seed, scored)
+                        progress[key] = {**scores, "config_sha256": digest,
+                                         "scores_sha256": _scores_sha256(scores)}
                     except Exception as exc:  # keep sweeping; record the failure
                         failures += 1
                         progress[key] = {"error": f"{type(exc).__name__}: {exc}"}

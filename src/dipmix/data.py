@@ -42,9 +42,10 @@ class Dataset:
             raise ConfigurationError("dataset is empty")
         if not np.isfinite(self.features).all():
             raise ConfigurationError("features contain NaN or Inf")
-        one = self.labels == 1.0
-        zero = self.labels == 0.0
-        if not np.all(one.sum(axis=1) == 1) or not np.all(one | zero):
+        # every nonzero entry (NaN is one, -0.0 is not) is a 1, and each row sums
+        # to 1; a matrix-vector product, as numpy's axis-1 sum over a few columns is slow
+        if (np.count_nonzero(self.labels == 1.0) != np.count_nonzero(self.labels)
+                or not (self.labels @ np.ones(self.k) == 1.0).all()):
             raise ConfigurationError("labels must be one-hot rows")
 
     @property
@@ -100,20 +101,17 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     _check_spirals(n_per_class, noise_std, turns, seed)
     rng = np.random.default_rng(seed)
     span = 2.0 * np.pi * turns
-    feats = []
-    labels = []
+    feats = np.empty((2 * n_per_class, 2))
+    labels = np.zeros((2 * n_per_class, 2))
     for c in (0, 1):
+        rows = slice(c * n_per_class, (c + 1) * n_per_class)
         theta = rng.uniform(0.0, span, size=n_per_class)
         radius = theta / span
-        pts = np.column_stack(
-            [radius * np.cos(theta + c * np.pi), radius * np.sin(theta + c * np.pi)]
-        )
-        pts += noise_std * rng.standard_normal((n_per_class, 2))
-        feats.append(pts)
-        onehot = np.zeros((n_per_class, 2))
-        onehot[:, c] = 1.0
-        labels.append(onehot)
-    return Dataset(np.vstack(feats), np.vstack(labels))
+        feats[rows, 0] = radius * np.cos(theta + c * np.pi)
+        feats[rows, 1] = radius * np.sin(theta + c * np.pi)
+        feats[rows] += noise_std * rng.standard_normal((n_per_class, 2))
+        labels[rows, c] = 1.0
+    return Dataset(feats, labels)
 
 
 def _read_text(path, what: str) -> str:
@@ -196,7 +194,7 @@ def standardize(train: Dataset):
     """Center and scale features to train moments; returns (dataset, stats)."""
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
-    std = np.where(std < STD_FLOOR, STD_FLOOR, std)
+    std = np.maximum(std, STD_FLOOR)
     stats = StandardizeStats(mean, std)
     return apply_stats(train, stats), stats
 
@@ -223,7 +221,7 @@ def split(dataset: Dataset, test_fraction: float, seed: int = 0):
     ids = dataset.class_ids()
     test_idx = []
     train_idx = []
-    for c in np.flatnonzero(dataset.labels.any(axis=0)):
+    for c in np.flatnonzero(np.bincount(ids)):
         members = np.flatnonzero(ids == c)
         n_test = int(round(test_fraction * members.size))
         if n_test < 1 or n_test >= members.size:
@@ -232,9 +230,8 @@ def split(dataset: Dataset, test_fraction: float, seed: int = 0):
                 f"({members.size} members)"
             )
         perm = rng.permutation(members.size)
-        test_idx.extend(members[perm[:n_test]])
-        train_idx.extend(members[perm[n_test:]])
-    train_idx = np.sort(np.asarray(train_idx))
-    test_idx = np.sort(np.asarray(test_idx))
-    make = lambda idx: Dataset(dataset.features[idx].copy(), dataset.labels[idx].copy())
-    return make(train_idx), make(test_idx)
+        test_idx.append(members[perm[:n_test]])
+        train_idx.append(members[perm[n_test:]])
+    # fancy indexing copies, so neither half shares memory with dataset
+    make = lambda idx: Dataset(dataset.features[idx], dataset.labels[idx])
+    return make(np.sort(np.concatenate(train_idx))), make(np.sort(np.concatenate(test_idx)))

@@ -594,6 +594,56 @@ class TestSweep:
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         assert len({cell["config_sha256"] for cell in progress.values()}) == 1
 
+    def test_resume_reruns_cells_of_another_version(self, tmp_path, monkeypatch):
+        args = ["sweep", str(tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))),
+                "--alphas", "1", "--s-values", "1", "--seeds", "0,1"]
+        assert main(args) == 0
+        csv_path = tmp_path / "sweep" / "sweep.csv"
+        progress_path = tmp_path / "sweep" / "sweep_progress.json"
+        first, first_progress = csv_path.read_bytes(), progress_path.read_bytes()
+        # cells another version computed, with other scores and digests that match them
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        monkeypatch.setattr(cli, "_sweep_cell",
+                            lambda *a: {"alpha": 1.0, "S": 1, "mode": "label_mixing",
+                                        "seed": a[3], "train_err": 0.999, "test_err": 0.999,
+                                        "gap": 0.0})
+        progress_path.unlink()
+        assert main(args) == 0
+        assert b"0.999" in csv_path.read_bytes()
+        monkeypatch.undo()
+        trained = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+        assert main(args) == 0
+        assert trained == [0, 1]
+        assert csv_path.read_bytes() == first
+        assert progress_path.read_bytes() == first_progress
+
+    @pytest.mark.parametrize("edit", [
+        lambda cell: cell.update(test_err=0.999),
+        lambda cell: cell.pop("gap"),
+        lambda cell: cell.pop("scores_sha256"),
+    ], ids=["test-err", "field-dropped", "digest-dropped"])
+    def test_resume_reruns_edited_cells(self, tmp_path, monkeypatch, edit):
+        args = ["sweep", str(tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))),
+                "--alphas", "1", "--s-values", "1", "--seeds", "0,1"]
+        assert main(args) == 0
+        csv_path = tmp_path / "sweep" / "sweep.csv"
+        progress_path = tmp_path / "sweep" / "sweep_progress.json"
+        first, first_progress = csv_path.read_bytes(), progress_path.read_bytes()
+        progress = json.loads(first_progress)
+        edit(progress["alpha=1,S=1,seed=1"])
+        progress_path.write_text(json.dumps(progress, indent=2))
+        trained = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+        assert main(args) == 0
+        assert trained == [1]
+        assert csv_path.read_bytes() == first
+        assert progress_path.read_bytes() == first_progress
+
     def test_failed_cell_recorded_sweep_continues(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         # alpha=-1 cells cannot build a mix config; the alpha=1 cells still run

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -202,6 +204,17 @@ class TestSplit:
             assert half.k == 3
             np.testing.assert_array_equal(half.labels.sum(axis=0), [5, 0, 5])
 
+    def test_halves_do_not_alias_the_source(self):
+        ds = gen_spirals(10, 0.05, 1.25, seed=4)
+        features, labels = ds.features.copy(), ds.labels.copy()
+        for half in split(ds, 0.5, seed=0):
+            assert not np.shares_memory(half.features, ds.features)
+            assert not np.shares_memory(half.labels, ds.labels)
+            half.features[:] = 7.0
+            half.labels[:] = 0.0
+        np.testing.assert_array_equal(ds.features, features)
+        np.testing.assert_array_equal(ds.labels, labels)
+
     def test_empty_side_rejected(self):
         ds = gen_spirals(10, 0.05, 1.25, seed=4)
         with pytest.raises(ConfigurationError):
@@ -210,15 +223,77 @@ class TestSplit:
             split(ds, 0.99, seed=0)
 
 
+def _path_digest(full, fraction, seed):
+    """SHA-256 of the features and labels bytes at each stage of the data path."""
+    train_set, test_set = split(full, fraction, seed=seed)
+    std_train, stats = standardize(train_set)
+    h = hashlib.sha256()
+    for ds in (full, train_set, test_set, std_train, apply_stats(test_set, stats)):
+        h.update(ds.features.tobytes())
+        h.update(ds.labels.tobytes())
+    return h.hexdigest()
+
+
+class TestDataPathBits:
+    """Digests recorded with the list-built data path of 0.16.0 (numpy 2.4, x86-64):
+    building in whole-array calls changed no bit. A numpy whose sin or cos rounds
+    differently would move them too."""
+
+    @pytest.mark.parametrize("seed,n_per_class,fraction,digest", [
+        (0, 3, 0.3, "f3812e8a7100d9dc7b55835780e6abdc450b2176b64d5e90f9ef073c159292c7"),
+        (0, 3, 0.5, "56db51705afebd282a5d74ef816692ceede2af4e3f4557dea2cbe180c39b27f0"),
+        (0, 500, 0.3, "3c00b165b22cf4a6365cc12de2dac46ec7d8badf66b11186aa2f2c092a995bba"),
+        (0, 500, 0.5, "aa86c6695fd571129e3bc0dbe7a9e193ca0add6e3beefe4d36e49a063fb5547c"),
+        (7, 3, 0.3, "fe8390a96fec05b4ab21b0d2a4506a8a681248f471f4af1e0c2eb801a049ef81"),
+        (7, 3, 0.5, "b0d0fc512ca96bbb9894b11f31d35143714daa46f41b6d85a966642fe0d06446"),
+        (7, 500, 0.3, "ca2b921247589b4ff5a203212e80e8e6c1dc894f40026a80bb1f0f436da66a66"),
+        (7, 500, 0.5, "70c186a9a6c0c5638971f4d0cfcca8b56b83b7789ef8e8668d00d38b6ade6492"),
+    ])
+    def test_spirals_path(self, seed, n_per_class, fraction, digest):
+        full = gen_spirals(n_per_class, 0.05, 1.25, seed=seed)
+        assert _path_digest(full, fraction, seed) == digest
+
+    def test_absent_class_id_path(self):
+        ds = gen_spirals(10, 0.05, 1.25, seed=4)
+        ds = Dataset(ds.features, np.eye(3)[2 * ds.class_ids()])  # ids 0 and 2
+        assert _path_digest(ds, 0.5, 0) == (
+            "36cbc0c350192f733ae496f59896d62ac57835ffe7cf8162cfb72a5194d1fe90")
+
+
 class TestDatasetInvariants:
     def test_one_hot_enforced(self):
-        with pytest.raises(ConfigurationError):
-            Dataset(np.zeros((2, 2)), np.array([[0.5, 0.5], [1.0, 0.0]]))
+        for row in ([0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0], [1.0, np.nan],
+                    [-1.0, 1.0], [2.0, -1.0], [1.0, np.inf]):
+            with pytest.raises(ConfigurationError, match="labels must be one-hot rows"):
+                Dataset(np.zeros((2, 2)), np.array([row, [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("labels,ids", [
+        ([[1.0, -0.0], [-0.0, 1.0]], [0, 1]),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0, 2]),
+    ], ids=["negative-zero", "empty-class-column"])
+    def test_one_hot_accepted(self, labels, ids):
+        ds = Dataset(np.zeros((2, 1)), np.array(labels))
+        np.testing.assert_array_equal(ds.class_ids(), ids)
+
+    def test_one_hot_rule_matches_its_definition(self):
+        # one-hot: every entry is 0 or 1 (-0.0 is 0, NaN neither) and each row holds one 1
+        values = [0.0, -0.0, 1.0, 0.5, 2.0, -1.0, np.nan, np.inf]
+        for n, k in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 1)]:
+            for entries in itertools.product(values, repeat=n * k):
+                rows = [entries[i * k:(i + 1) * k] for i in range(n)]
+                one_hot = all(all(v in (0.0, 1.0) for v in row)
+                              and sum(v == 1.0 for v in row) == 1 for row in rows)
+                try:
+                    Dataset(np.zeros((n, 1)), np.array(rows))
+                    accepted = True
+                except ConfigurationError:
+                    accepted = False
+                assert accepted == one_hot, rows
 
     def test_nan_features_rejected(self):
         with pytest.raises(ConfigurationError):
             Dataset(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
 
     def test_empty_rejected(self):
-        with pytest.raises((ConfigurationError, Exception)):
+        with pytest.raises(ConfigurationError, match="dataset is empty"):
             Dataset(np.zeros((0, 2)), np.zeros((0, 2)))
