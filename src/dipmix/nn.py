@@ -17,8 +17,6 @@ from .data import read_json, write_file
 from .errors import ConfigurationError, NumericError, ShapeError, check_seed, is_count, is_real
 
 ACTIVATIONS = ("relu", "tanh")
-# Entries of one block of hidden-bias rows: 16,384 float64 (128 KiB), 256 rows of a 64-wide layer
-_BIAS_BLOCK_ENTRIES = 1 << 14
 
 
 def _pack(holder) -> None:
@@ -52,7 +50,6 @@ class ModelParams:
     biases: tuple
     activation: str = "relu"
     flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _bias_blocks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_architecture(self.layer_sizes, self.activation)
@@ -68,31 +65,9 @@ class ModelParams:
         _pack(self)
         if not np.isfinite(self.flat).all():
             raise NumericError("model parameters contain non-finite entries")
-        # per hidden layer: the block, how many of its leading rows hold the bias, and its bits
-        object.__setattr__(self, "_bias_blocks", [(None, 0, None)] * (len(pairs) - 1))
 
     def __deepcopy__(self, memo):
         return ModelParams(list(self.layer_sizes), self.weights, self.biases, self.activation)
-
-    def bias_rows(self, l: int, rows: int):
-        """Hidden bias l repeated down min(max(rows, 1), _BIAS_BLOCK_ENTRIES // width)
-        rows in one array, which numpy adds to a same-shape block in half the
-        time it takes to broadcast the bias; None if the bias bits differ from
-        the previous call's. Filling costs what adding saves, so only bits seen
-        twice running are filled: every dip point's, and no training step's."""
-        b = self.biases[l]
-        bits = b.tobytes()  # bits, since 0.0 and -0.0 add differently
-        block, filled, seen = self._bias_blocks[l]
-        if bits != seen:
-            self._bias_blocks[l] = block, 0, bits
-            return None
-        if block is None:
-            block = np.empty((max(1, _BIAS_BLOCK_ENTRIES // b.size), b.size))
-        rows = min(max(rows, 1), len(block))
-        if filled < rows:
-            block[:rows] = b
-            self._bias_blocks[l] = block, rows, bits
-        return block[:rows]
 
     @property
     def n_inputs(self) -> int:
@@ -214,27 +189,29 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     return ModelParams(list(layer_sizes), weights, biases, activation)
 
 
-def forward(params: ModelParams, features, work=None) -> np.ndarray:
+def forward(params: ModelParams, features, work=None, bias_rows=None) -> np.ndarray:
     """Logits for a feature matrix; pure function of (params, features).
-    ``work`` holds optional hidden-layer buffers, as for _forward_cached."""
-    logits, _ = _forward_cached(params, features, work)
+    ``work`` and ``bias_rows`` are optional, as for _forward_cached."""
+    logits, _ = _forward_cached(params, features, work, bias_rows)
     return logits
 
 
-def _forward_cached(params: ModelParams, features, work=None):
+def _forward_cached(params: ModelParams, features, work=None, bias_rows=None):
     """Logits and the cache _backprop needs: each layer's input, that is the
     features followed by every hidden layer's activation output. Hidden layer l
     is computed into work[l], an (m, layer_sizes[l+1]) float64 array, when
-    ``work`` is given; the cache then aliases it, the logits never do. A
-    hidden bias is added block by block when params.bias_rows gives rows, and
-    broadcast otherwise. _backprop overwrites every hidden entry of the cache."""
+    ``work`` is given; the cache then aliases it, the logits never do. Hidden
+    bias l is broadcast, or with ``bias_rows`` added block by block from
+    bias_rows[l], rows that each hold that bias: numpy adds same-shape operands
+    faster, with the same result bits. _backprop overwrites every hidden entry
+    of the cache."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(f"features must be (m, {params.n_inputs}), got {x.shape}")
     outputs = [x]
     for l, w in enumerate(params.weights[:-1]):
         z = np.matmul(outputs[-1], w, out=None if work is None else work[l])
-        bias = params.bias_rows(l, len(z))
+        bias = None if bias_rows is None else bias_rows[l]
         if bias is None:
             np.add(z, params.biases[l], out=z)
         else:

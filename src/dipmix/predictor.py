@@ -26,6 +26,8 @@ _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
 # Mixed rows drawn per stream. A block's arrays (4096 x 2 float64 = 64 KiB) stay below
 # glibc's 128 KiB mmap threshold, so they reuse heap pages rather than being mapped afresh.
 _BLOCK_ROWS = 4096
+# Entries of one block of hidden-bias rows: 16,384 float64 (128 KiB), 256 rows of a 64-wide layer
+_BIAS_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -61,7 +63,7 @@ class EvalMetrics(NamedTuple):
 
 
 def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = False,
-               work=None):
+               work=None, bias_rows=None):
     """Logits of the mixed classifier estimated from s draws per row.
 
     Row i of x is mixed with partners[i*s:(i+1)*s] at ratios
@@ -72,22 +74,24 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     inputs, the mixed rows first) is returned too, as (logits, cache), for
     backpropagation through every branch. ``work`` is passed to the forward
     pass as its hidden-layer buffers, so the cache's hidden entries are those
-    buffers; the logits never alias them. Without the cache, the mixed rows
-    go forward in pieces of len(work[0]) rows, or at once if work is empty.
+    buffers; the logits never alias them. ``bias_rows`` is passed on too.
+    Without the cache, the mixed rows go forward in pieces of len(work[0])
+    rows, or at once if work is empty.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
     s = len(lam) // len(x)
     mixed = mix(x if s == 1 else x.repeat(s, axis=0), partners, lam)
     if with_cache:
-        out, cache = _forward_cached(params, mixed, work)
+        out, cache = _forward_cached(params, mixed, work, bias_rows)
     else:
         piece = len(work[0]) if work else len(mixed)
         out = np.empty((len(mixed), params.n_outputs))
         for start in range(0, len(mixed), piece):
             rows = mixed[start:start + piece]
             out[start:start + piece] = forward(
-                params, rows, work if len(rows) == piece else [buf[:len(rows)] for buf in work])
+                params, rows, work if len(rows) == piece else [buf[:len(rows)] for buf in work],
+                bias_rows)
     # what mean() computes, with less overhead; one draw is its own mean
     avg = out if s == 1 else out.reshape(len(x), s, -1).sum(axis=1) / s
     return (avg, cache) if with_cache else avg
@@ -108,12 +112,16 @@ def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.nda
         block = max(1, _BLOCK_ROWS // s)
         logits = np.empty((len(features), params.n_outputs))
         work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+        # the biases are fixed for the call, so every item adds them from the same rows
+        bias_rows = [np.tile(b, (max(1, min(s, _BIAS_BLOCK_ENTRIES // b.size)), 1))
+                     for b in params.biases[:-1]]
         for start in range(0, len(features), block):
             x = features[start:start + block]
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
             lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
             partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
-            logits[start:start + block] = dip_logits(params, x, partners, lam, work=work)
+            logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
+                                                     bias_rows=bias_rows)
     return np.exp(log_softmax(logits))
 
 

@@ -20,16 +20,21 @@ def load_tool():
     return tool
 
 
-def runs_of(parent, change, setup=(1.0, 1.0)):
-    """Synthetic run records: pair i holds parent[i] and change[i] items_per_s."""
+def runs_of(parent, change, setup=(1.0, 1.0), unscaled=None):
+    """Synthetic run records: pair i holds parent[i] and change[i] items_per_s,
+    and unscaled[0][i] and unscaled[1][i] unscaled, by default half of those.
+    The reference median is what run.py's scaling implies, 0.05 s x scaled /
+    unscaled: 0.1 s when the unscaled figures are halves."""
     runs = []
-    for seed, pair in enumerate(zip(parent, change), 1):
-        for side, items, setup_s in zip(("parent", "change"), pair, setup):
+    unscaled = unscaled or ([p / 2 for p in parent], [c / 2 for c in change])
+    for seed, pair in enumerate(zip(parent, change, *unscaled), 1):
+        for side, items, plain, setup_s in zip(("parent", "change"), pair[:2], pair[2:], setup):
             runs.append({"workload": "w", "seed": seed, "side": side,
                          "result": {"correct": True, "failed": 0, "attempted": 10, "metrics": {
                              "items_per_s": {"value": items}, "setup_s": {"value": setup_s},
                              "test_err": {"value": 0.1}}},
-                         "unscaled_items_per_s": items / 2, "child_cpu_s": 10 / items})
+                         "unscaled_items_per_s": plain, "reference_median_s": 0.05 * (items / plain),
+                         "child_cpu_s": 10 / items})
     return runs
 
 
@@ -49,6 +54,23 @@ def test_gain_rule(change, met):
     # the unscaled figures are half and the inverse: the same verdict in their directions
     assert entry["unscaled_items_per_s"]["gain_rule_met"] is met
     assert entry["cpu_s_per_op"]["gain_rule_met"] is met
+    # the work moved, not the reference
+    reference = entry["reference_median_s"]
+    assert reference["change_over_parent_median"] == 1.0
+    assert reference["change_better_in_pairs"] == 0 and reference["gain_rule_met"] is False
+
+
+def test_scaled_move_with_unchanged_work_is_a_reference_shift():
+    halves = [p / 2 for p in PARENT]
+    entry = load_tool().summarize(runs_of(PARENT, [p * 1.1 for p in PARENT],
+                                          unscaled=(halves, halves)), END_TO_END)["w"]
+    assert entry["items_per_s"]["change_over_parent_median"] == pytest.approx(1.1)
+    assert entry["unscaled_items_per_s"]["change_over_parent_median"] == 1.0
+    reference = entry["reference_median_s"]
+    assert reference["change_over_parent_median"] == pytest.approx(1.1)
+    assert reference["parent_q25_median_q75"] == pytest.approx([0.1] * 3)
+    assert reference["change_better_in_pairs"] == 0  # a longer reference on every change run
+    assert reference["within_bound"] is None
 
 
 def test_gain_rule_needs_ten_pairs():

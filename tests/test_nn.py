@@ -21,7 +21,6 @@ from dipmix import (
     softmax_xent,
     train,
 )
-from dipmix import nn
 from dipmix.nn import ModelParams, Workspace, _forward_cached, from_dict, to_dict
 
 
@@ -148,46 +147,31 @@ class TestForward:
             assert np.array_equal(buf, a)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_bias_blocks_follow_the_biases(self, activation, monkeypatch):
-        monkeypatch.setattr(nn, "_BIAS_BLOCK_ENTRIES", 20)  # blocks of 2 and 4 rows
+    def test_bias_blocks_follow_the_biases(self, activation):
         rng = np.random.default_rng(4)
         p = mlp_init([3, 7, 5, 4], activation, seed=2)
-        # after an in-place change of every parameter, the new biases are broadcast once,
-        # then added from blocks, filled for as many rows as a forward needs
+
+        def check(x):
+            # blocks of 2 and 4 rows, shorter than a 9-row forward: added block by block,
+            # the last block in part, and never written
+            bias_rows = [np.tile(b, (n, 1)) for b, n in zip(p.biases[:-1], (2, 4))]
+            for rows in bias_rows:
+                rows.flags.writeable = False
+            logits, cache = _forward_cached(p, x, bias_rows=bias_rows)
+            _, expected = _forward_cached(p, x)  # broadcasts
+            assert logits.tobytes() == broadcast_logits(p, x).tobytes()
+            assert forward(p, x, bias_rows=bias_rows).tobytes() == logits.tobytes()
+            assert [a.tobytes() for a in cache] == [a.tobytes() for a in expected]
+
+        # after each in-place change of every parameter, rows built from the new biases
         for rows in (1, 9, 3, 0):
             p.flat[:] = rng.normal(size=p.flat.size)
-            for m in (rows, rows, 9):
-                x = rng.normal(size=(m, 3))
-                assert forward(p, x).tobytes() == broadcast_logits(p, x).tobytes()
-        assert [len(block) for block, _, _ in p._bias_blocks] == [2, 4]
-        # another model with other biases keeps its own blocks
-        q = mlp_init([3, 7, 5, 4], activation, seed=2)
-        x = rng.normal(size=(9, 3))
-        for _ in range(2):
-            assert forward(q, x).tobytes() == broadcast_logits(q, x).tobytes()
-            assert forward(p, x).tobytes() == broadcast_logits(p, x).tobytes()
-        # bits decide, since 0.0 and -0.0 add differently
-        p.biases[0][:] = 0.0
-        assert p.bias_rows(0, 2) is None and not np.signbit(p.bias_rows(0, 2)).any()
-        p.biases[0][:] = -0.0
-        assert p.bias_rows(0, 2) is None and np.signbit(p.bias_rows(0, 2)).all()
+            check(rng.normal(size=(rows, 3)))
+        # a -0.0 bias against a 0.0 one, since the two add differently
+        for zero in (0.0, -0.0):
+            p.biases[0][:] = zero
+            check(rng.normal(size=(9, 3)))
 
-    def test_training_steps_broadcast_their_biases(self, monkeypatch):
-        got_rows = []
-        bias_rows = nn.ModelParams.bias_rows
-
-        def spy(self, l, rows):
-            out = bias_rows(self, l, rows)
-            got_rows.append(out is not None)
-            return out
-
-        monkeypatch.setattr(nn.ModelParams, "bias_rows", spy)
-        train(mlp_init([2, 8, 6, 2], "relu", seed=1), gen_spirals(40, 0.1, 1.25, seed=1),
-              MixConfig("none", 0.0, 1), OptimState(0.1, 0.9), 3, 16, np.random.default_rng(0))
-        # 5 steps and an accuracy pass per epoch, 2 layers each; every step changes the
-        # biases, so only the first step of epochs 1 and 2, which sees the biases that the
-        # pass before it saw, adds them from rows
-        assert len(got_rows) == 2 * (3 * 5 + 3) and sum(got_rows) == 2 * 2
 
 class TestSoftmaxXent:
     def test_uniform_logits_onehot(self):

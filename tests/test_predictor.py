@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -168,13 +169,11 @@ class TestPredict:
     def test_every_item_reuses_the_same_work_buffers(self, monkeypatch):
         calls = []
 
-        def spy(params, features, work=None):
-            calls.append(work)
-            logits = forward(params, features, work)
-            for block, _, _ in params._bias_blocks:  # written once: later items only read it
-                if block is not None:
-                    block.flags.writeable = False
-            return logits
+        def spy(params, features, work=None, bias_rows=None):
+            calls.append((work, bias_rows))
+            for rows in bias_rows:  # built before the first item: every item only reads them
+                rows.flags.writeable = False
+            return forward(params, features, work, bias_rows)
 
         monkeypatch.setattr(predictor, "forward", spy)
         params = mlp_init([2, 9, 5, 2], "relu", seed=0)
@@ -183,16 +182,31 @@ class TestPredict:
         cfg = PredictorConfig("dip", 40, BetaParams(2, 1), pool, seed=0)
         predict_batch(params, pool[:4], cfg)
         assert len(calls) == 4
-        assert [buf.shape for buf in calls[0]] == [(40, 9), (40, 5)]
-        for work in calls[1:]:
-            assert len(work) == 2 and all(a is b for a, b in zip(work, calls[0]))
-        # the first item broadcasts the biases and the second fills rows of them, which serve
-        # every later item and the next call
-        blocks = list(params._bias_blocks)
-        for bias, (block, filled, _) in zip(params.biases, blocks):
-            assert filled == 40 and np.array_equal(block[:40], np.tile(bias, (40, 1)))
+        work, bias_rows = calls[0]
+        assert [buf.shape for buf in work] == [(40, 9), (40, 5)]
+        # one S-row tile of each hidden bias per call, shared by every item
+        assert len(bias_rows) == 2
+        for bias, rows in zip(params.biases, bias_rows):
+            assert np.array_equal(rows, np.tile(bias, (40, 1)))
+        for later_work, later_rows in calls[1:]:
+            assert len(later_work) == 2 and all(a is b for a, b in zip(later_work, work))
+            assert later_rows is bias_rows
         predict_batch(params, pool[:1], cfg)
-        assert all(a[0] is b[0] for a, b in zip(params._bias_blocks, blocks))
+        assert not any(a is b for a, b in zip(calls[-1][1], bias_rows))
+
+    def test_prediction_leaves_the_model_as_it_found_it(self):
+        params = mlp_init([2, 64, 64, 2], "relu", seed=3)  # tiles of 256 rows at S = 500
+        rng = np.random.default_rng(3)
+        params.flat[:] = rng.normal(size=params.flat.size)
+        pool, x = rng.normal(size=(50, 2)), rng.normal(size=(3, 2))
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=3)
+        names, flat, state = sorted(vars(params)), params.flat.tobytes(), pickle.dumps(params)
+        predict_batch(params, x, cfg)
+        assert sorted(vars(params)) == names and params.flat.tobytes() == flat
+        assert pickle.dumps(params) == state  # no field written, not even in place
+        # new parameters in place between calls: the next call uses them
+        params.flat[:] = rng.normal(size=params.flat.size)
+        assert np.array_equal(predict_batch(params, x, cfg), reference_dip_probs(params, x, cfg))
 
     @pytest.mark.parametrize("s_test", [1, 7, 500])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])

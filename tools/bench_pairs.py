@@ -26,11 +26,14 @@ regression, and are also printed to stderr:
   figure with no bound).
 
 Each run also records two figures that the host-speed reference does not
-rescale: run.py's "unscaled: items_per_s" line and the CPU seconds the run
-took (the RUSAGE_CHILDREN delta of user plus system time). They are
-summarized the same way, as ``unscaled_items_per_s`` (higher is better) and
-``cpu_s_per_op``, CPU seconds per attempted operation (lower is better). When
-the scaled figure moves but these do not, the reference moved, not the work.
+rescale, run.py's "unscaled: items_per_s" and the CPU seconds the run took
+(the RUSAGE_CHILDREN delta of user plus system time), and the reference
+itself, the "reference median" on the same line of run.py's output. They are
+summarized the same way, as ``unscaled_items_per_s`` (higher is better),
+``cpu_s_per_op``, CPU seconds per attempted operation (lower is better), and
+``reference_median_s`` (lower is a faster host). When the scaled figure moves
+but the unscaled ones do not, the reference moved, not the work, and
+``reference_median_s`` shows by how much.
 """
 
 from __future__ import annotations
@@ -77,30 +80,34 @@ def child_cpu_s() -> float:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """One run.py run: (its result line, its unscaled items_per_s, its CPU seconds)."""
+    """One run.py run: (its result line, its unscaled items_per_s and reference
+    median, each None when run.py printed none, its CPU seconds)."""
     before = child_cpu_s()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     cpu_s = child_cpu_s() - before
     if proc.returncode != 0:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}, None, cpu_s
-    unscaled = re.search(rf"^{workload} unscaled: items_per_s = (\S+) 1/s", proc.stdout, re.M)
-    return (json.loads(proc.stdout.strip().splitlines()[-1]),
-            float(unscaled.group(1)) if unscaled else None, cpu_s)
+        return ({"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}, None, None,
+                cpu_s)
+    unscaled = re.search(rf"^{workload} unscaled: items_per_s = (\S+) 1/s; "
+                         rf"reference median (\S+) s", proc.stdout, re.M)
+    items, reference = (float(v) for v in unscaled.groups()) if unscaled else (None, None)
+    return json.loads(proc.stdout.strip().splitlines()[-1]), items, reference, cpu_s
 
 
 def quartiles(values) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-UNSCALED = {"unscaled_items_per_s": "higher", "cpu_s_per_op": "lower"}
+UNSCALED = {"unscaled_items_per_s": "higher", "cpu_s_per_op": "lower",
+            "reference_median_s": "lower"}
 
 
 def value(result: dict, name: str) -> float:
     """A metric of one run's result, or one of the UNSCALED figures."""
-    if name == "unscaled_items_per_s":
-        return result["unscaled_items_per_s"]
+    if name in ("unscaled_items_per_s", "reference_median_s"):
+        return result[name]
     if name == "cpu_s_per_op":
         return result["child_cpu_s"] / result["attempted"]
     return result["metrics"][name]["value"]
@@ -118,6 +125,7 @@ def summarize(runs, end_to_end) -> dict:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = {
                     **r["result"], "unscaled_items_per_s": r["unscaled_items_per_s"],
+                    "reference_median_s": r["reference_median_s"],
                     "child_cpu_s": r["child_cpu_s"]}
         pairs = [p for p in by_seed.values() if "metrics" in p.get("parent", {})
                  and "metrics" in p.get("change", {})]
@@ -189,14 +197,16 @@ def main(argv=None) -> int:
             seed = args.first_seed + i
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for position, side in enumerate(order, 1):
-                result, unscaled, cpu_s = run_once(sides[side], workload, seed, seconds)
+                result, unscaled, reference, cpu_s = run_once(sides[side], workload, seed,
+                                                              seconds)
                 runs.append({"run_index": len(runs), "workload": workload, "seed": seed,
                              "side": side, "position_in_pair": position, "result": result,
-                             "unscaled_items_per_s": unscaled, "child_cpu_s": cpu_s})
+                             "unscaled_items_per_s": unscaled, "reference_median_s": reference,
+                             "child_cpu_s": cpu_s})
                 items = result.get("metrics", {}).get("items_per_s", {}).get("value")
                 print(f"{workload} seed {seed} {side}: " + (result.get("error") or (
-                    f"items_per_s {items:.6g}, unscaled {unscaled:.6g}, cpu {cpu_s:.3g} s")),
-                      file=sys.stderr)
+                    f"items_per_s {items:.6g}, unscaled {unscaled:.6g}, reference "
+                    f"{reference:.4g} s, cpu {cpu_s:.3g} s")), file=sys.stderr)
 
     summary = summarize(runs, bench["end_to_end"])
     for workload, entry in summary.items():
