@@ -18,7 +18,7 @@ STD_FLOOR = 1e-8
 MAX_CLASSES = 1024
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature matrix with one-hot labels.
 
@@ -64,7 +64,7 @@ class Dataset:
         return self.labels.argmax(axis=1)
 
 
-@dataclass
+@dataclass(eq=False)
 class StandardizeStats:
     """Per-dimension train moments, all finite; std entries are floored to stay positive."""
 

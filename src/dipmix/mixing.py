@@ -31,7 +31,7 @@ class BetaParams:
                                      f"got ({self.a}, {self.b})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixConfig:
     """How mixing enters training: mode, ratio prior and draw count.
 

@@ -36,7 +36,7 @@ def _pack(holder) -> None:
         object.__setattr__(holder, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Weights and biases of a dense multilayer classifier.
 
@@ -49,7 +49,7 @@ class ModelParams:
     weights: tuple
     biases: tuple
     activation: str = "relu"
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_architecture(self.layer_sizes, self.activation)
@@ -78,14 +78,14 @@ class ModelParams:
         return self.layer_sizes[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamGrads:
     """Gradient arrays, shape-congruent with the ModelParams they differentiate,
     packed like them into one ``flat`` vector."""
 
     weights: tuple
     biases: tuple
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _pack(self)
@@ -96,7 +96,7 @@ def _hidden_buffers(params: ModelParams, rows: int) -> list:
     return [np.empty((rows, n)) for n in params.layer_sizes[1:-1]]
 
 
-@dataclass
+@dataclass(eq=False)
 class Workspace:
     """Buffers one training step writes into instead of allocating.
 
@@ -126,7 +126,7 @@ class Workspace:
                          self.dlogits[:rows], self.grads)
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimState:
     """Momentum-SGD state with a stepwise learning-rate schedule.
 

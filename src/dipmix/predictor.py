@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, ShapeError, check_count, check_seed, is_real
+from .errors import ConfigurationError, NumericError, ShapeError, check_count, check_seed, is_real
 from .mixing import BetaParams, mix, sample_lambda
 from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
 
@@ -30,13 +30,13 @@ _BLOCK_ROWS = 4096
 _BIAS_BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PredictorConfig:
     """Test-stage settings.
 
     prior None pins the mixing ratio at 1, collapsing dip onto raw.
-    partner_pool must hold features in the same (post-standardization) space
-    the model was trained on.
+    partner_pool must hold finite features in the same (post-standardization)
+    space the model was trained on.
     """
 
     mode: str = "raw"
@@ -50,8 +50,9 @@ class PredictorConfig:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
         check_count("s_test", self.s_test)
         check_seed("seed", self.seed)
-        if self.partner_pool is not None:
-            self.partner_pool = np.asarray(self.partner_pool, dtype=float)
+        if self.partner_pool is not None and not np.isfinite(
+                np.asarray(self.partner_pool, dtype=float)).all():
+            raise ConfigurationError("partner_pool contains NaN or Inf")
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
             raise ConfigurationError("dip prediction requires a nonempty partner_pool")
 
@@ -98,13 +99,16 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
 
 
 def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
-    """Probabilities for each row, one derived stream per block of rows."""
+    """Probabilities for each row of finite features, one derived stream per block
+    of rows."""
     features = np.asarray(features, dtype=float)
+    if not np.isfinite(features).all():
+        raise NumericError("features contain NaN or Inf")
     if cfg.mode == "raw" or cfg.prior is None:
         # the degenerate prior marginalizes over nothing: f == h exactly
         logits = forward(params, features)
     else:
-        pool = cfg.partner_pool
+        pool = np.asarray(cfg.partner_pool, dtype=float)
         if features.shape[1:] != (params.n_inputs,) or pool.shape[1:] != (params.n_inputs,):
             raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
                              f"{features.shape} and a partner pool of shape {pool.shape}")

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py's summary states the repository's verdicts: a claimed
 gain needs at least nine tenths of at least ten pairs won and a median gap
 wider than the parent's spread; no regression means a median within the
-benchmark's bound."""
+benchmark's bound. Its host block names the environment variables that change
+what a run measures."""
 
 import importlib.util
 from pathlib import Path
@@ -94,3 +95,15 @@ def test_within_bound(scale, setup, within):
     # figures with no bound in the benchmark get no verdict
     assert entry["unscaled_items_per_s"]["within_bound"] is None
     assert entry["test_err_identical_per_pair"] is True
+
+
+def test_host_records_the_thread_and_bytecode_variables(monkeypatch):
+    tool = load_tool()
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    host = tool.host()
+    assert host["thread_env"]["OMP_NUM_THREADS"] == "1"
+    assert set(host["thread_env"]) == set(tool.THREAD_VARS)
+    assert host["bytecode_env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert tool.host()["bytecode_env"] == {"PYTHONDONTWRITEBYTECODE": None}

@@ -12,6 +12,7 @@ from dipmix import (
     BetaParams,
     ConfigurationError,
     Dataset,
+    NumericError,
     PredictorConfig,
     decision_grid,
     evaluate,
@@ -254,6 +255,26 @@ class TestPredict:
             with pytest.raises(ConfigurationError, match="seed"):
                 PredictorConfig("dip", 4, BetaParams(2, 1), partner_pool=pool, seed=bad)
         assert PredictorConfig("raw", seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        params = mlp_init([2, 4, 2], seed=0)
+        pool = np.zeros((3, 2))
+        x = np.array([[0.0, 0.0], [1.0, bad]])
+        for cfg in (PredictorConfig("raw"), PredictorConfig("dip", 5, BetaParams(2, 1), pool)):
+            with pytest.raises(NumericError, match="features"):
+                predict_batch(params, x, cfg)
+        with pytest.raises(ConfigurationError, match="partner_pool"):
+            PredictorConfig("dip", 5, BetaParams(2, 1), np.vstack([pool, x]))
+
+    def test_pool_may_be_any_array_like(self):
+        params = mlp_init([2, 4, 2], seed=0)
+        pool = [[0.5, -1.0], [2.0, 0.25], [-0.5, 1.0]]
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        as_list = PredictorConfig("dip", 7, BetaParams(2, 1), pool, seed=2)
+        as_array = PredictorConfig("dip", 7, BetaParams(2, 1), np.array(pool), seed=2)
+        assert as_list.partner_pool is pool  # kept as given, converted per call
+        assert np.array_equal(predict_batch(params, x, as_list), predict_batch(params, x, as_array))
 
     def test_mc_margin_converges_in_draw_count(self, mixup_spirals_model):
         # RMS 0.05-0.07 over seeds 0-15 at S = 500, 0.17-0.20 at S = 50; a row whose

@@ -12,7 +12,9 @@ favour one side. Every result line is kept, in run order.
 
 The output, BENCH_<label>.json in the repository root, holds those lines,
 the run order, the host (CPU count, Python and numpy versions, the BLAS and
-OpenMP thread variables of the environment) and, per workload and metric,
+OpenMP thread variables of the environment, and PYTHONDONTWRITEBYTECODE,
+which when set makes every run compile the package as it imports it, about
+half of ``import dipmix`` and so of ``setup_s``) and, per workload and metric,
 each side's quartiles, the median ratio and the number of pairs the working
 tree won, "won" following each metric's direction in BENCHMARK.json. Two
 verdicts follow the repository's rules for a claimed gain and for no
@@ -55,6 +57,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+BYTECODE_VAR = "PYTHONDONTWRITEBYTECODE"
 
 
 def export_parent(rev: str, dest: Path) -> None:
@@ -94,6 +97,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
                          rf"reference median (\S+) s", proc.stdout, re.M)
     items, reference = (float(v) for v in unscaled.groups()) if unscaled else (None, None)
     return json.loads(proc.stdout.strip().splitlines()[-1]), items, reference, cpu_s
+
+
+def host() -> dict:
+    """The machine and the environment variables that the runs inherit."""
+    return {
+        "cpus": os.cpu_count(),
+        "cpus_available": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
+        "bytecode_env": {BYTECODE_VAR: os.environ.get(BYTECODE_VAR)},
+    }
 
 
 def quartiles(values) -> list:
@@ -221,15 +238,7 @@ def main(argv=None) -> int:
                  f"(side 'parent') against the working tree (side 'change'), one run per side "
                  f"per seed, each side in its own fresh copy; the parent runs first for odd "
                  f"seeds. Made by tools/bench_pairs.py."),
-        "host": {
-            "cpus": os.cpu_count(),
-            "cpus_available": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else None,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "thread_env": {name: os.environ.get(name) for name in THREAD_VARS},
-        },
+        "host": host(),
         "run_order": [f"{r['workload']}:{r['seed']}:{r['side']}" for r in runs],
         "summary": summary,
         "runs": runs,
