@@ -9,15 +9,9 @@ two-spirals experiments end to end. The oracles that check Prop. 1 and the
 Jensen ordering are test helpers, in tests/oracles.py.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
-from .bounds import (
-    BoundReport,
-    bound_report,
-    c_lambda_closed,
-    generalization_gap,
-    rademacher_bracket,
-)
+from .bounds import BoundReport, bound_report, c_lambda_closed, rademacher_bracket
 from .data import Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv, split, standardize
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
                      ShapeError)

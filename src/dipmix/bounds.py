@@ -2,9 +2,9 @@
 
 The mixing prior's second-moment constant E[lam^2 + (1-lam)^2], the
 data-dependent complexity bracket sqrt(C * mean ||x||^2 + (1-C) * ||mean x||^2)
-it scales, the assembled generalization-bound terms, and measured train/test
-gaps. The Lipschitz constant, hypothesis-class constant, and loss bound are
-user inputs: comparative use cancels them.
+it scales, and the assembled generalization-bound terms. The Lipschitz
+constant, hypothesis-class constant, and loss bound are user inputs:
+comparative use cancels them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError, is_real
 from .mixing import BetaParams
-from .predictor import EvalMetrics
 
 
 @dataclass
@@ -103,8 +102,3 @@ def bound_report(features, prior: BetaParams | None, rho: float = 1.0, c_h: floa
         confidence_term=confidence_term,
         loss_bound=loss_bound,
     )
-
-
-def generalization_gap(train_eval: EvalMetrics, test_eval: EvalMetrics) -> float:
-    """Test misclassification minus train misclassification (0-1 loss gap)."""
-    return test_eval.misclassification_rate - train_eval.misclassification_rate

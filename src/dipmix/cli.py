@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import bound_report, generalization_gap
+from .bounds import bound_report
 from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
                    gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
@@ -309,22 +309,26 @@ def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _scores_sha256(cell: dict) -> str:
-    """Digest of a progress cell's scores: every field but its digests."""
-    return _sha256({k: v for k, v in cell.items() if not k.endswith("_sha256")})
+def _scores(cell: dict) -> dict:
+    """A progress cell's scores: every field but its digests."""
+    return {k: v for k, v in cell.items() if not k.endswith("_sha256")}
+
+
+def _cell_model(cfg: dict, alpha: float, s: int, seed: int):
+    """A sweep cell's mixing mode and the key of its model's scores: alpha 0
+    trains without mixing, any other alpha in the config's mixing mode
+    (label_mixing if that is none). Modes none and label_mixing ignore S, so
+    their key, (alpha, seed, S or None), holds None for S."""
+    base = cfg["mix"]["mode"]
+    mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
+    return mode, (alpha, seed, s if mode == "label_preserving" else None)
 
 
 def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
-    """Train and score one cell: alpha 0 trains without mixing, any other
-    alpha in the config's mixing mode (label_mixing if that is none).
-
-    Modes none and label_mixing ignore S, so scored, which maps
-    (alpha, seed, S or None) to results, holds one model per (alpha, seed).
-    """
-    base = cfg["mix"]["mode"]
-    mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
+    """Train and score one cell, unless scored, which maps the keys of
+    _cell_model to scores, already holds its model's."""
+    mode, key = _cell_model(cfg, alpha, s, seed)
     cell_cfg = resolve_config({**cfg, "mix": {**cfg["mix"], "mode": mode, "alpha": alpha, "s": s}})
-    key = (alpha, seed, s if mode == "label_preserving" else None)
     if key not in scored:
         params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
         pred = cell_cfg["predictor"]
@@ -339,7 +343,7 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
             "seed": int(seed),
             "train_err": train_eval.misclassification_rate,
             "test_err": test_eval.misclassification_rate,
-            "gap": generalization_gap(train_eval, test_eval),
+            "gap": test_eval.misclassification_rate - train_eval.misclassification_rate,
         }
     return {**scored[key], "S": int(s)}
 
@@ -374,16 +378,18 @@ def cmd_sweep(args) -> int:
                 key = f"alpha={name},S={s},seed={seed}"
                 cell = progress.get(key, {})
                 if (cell.get("config_sha256") != digest
-                        or cell.get("scores_sha256") != _scores_sha256(cell)):
+                        or cell.get("scores_sha256") != _sha256(_scores(cell))):
                     try:
                         scores = _sweep_cell(cfg, alpha, s, seed, scored)
                         progress[key] = {**scores, "config_sha256": digest,
-                                         "scores_sha256": _scores_sha256(scores)}
+                                         "scores_sha256": _sha256(scores)}
                     except Exception as exc:  # keep sweeping; record the failure
                         failures += 1
                         progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
                         print(f"cell {key} failed: {exc}", file=sys.stderr)
                     write_file(progress_path, json.dumps(progress, indent=2))
+                else:  # a later S of a mode that ignores S reuses these scores
+                    scored[_cell_model(cfg, alpha, s, seed)[1]] = _scores(cell)
                 row = progress[key]
                 if "error" not in row:
                     rows.append(row)

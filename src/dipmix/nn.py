@@ -19,11 +19,12 @@ from .errors import ConfigurationError, NumericError, ShapeError, check_seed, is
 ACTIVATIONS = ("relu", "tanh")
 
 
-def _pack(holder) -> None:
+def _pack(holder, **fixed) -> None:
     """Copy the frozen ``holder``'s weights, then its biases, in layer order
     into one contiguous float64 vector ``holder.flat``, and fix both fields as
     tuples of views of it, so that one ufunc call on ``flat`` updates every
-    array. Neither field can then be rebound, nor an item of it replaced."""
+    array. Neither field can then be rebound, nor an item of it replaced.
+    Each of ``fixed`` is set as given too."""
     arrays = [*holder.weights, *holder.biases]
     flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
     views, start = [], 0
@@ -32,7 +33,7 @@ def _pack(holder) -> None:
         start += a.size
     n = len(holder.weights)
     for name, value in (("flat", flat), ("weights", tuple(views[:n])),
-                        ("biases", tuple(views[n:]))):
+                        ("biases", tuple(views[n:])), *fixed.items()):
         object.__setattr__(holder, name, value)
 
 
@@ -41,11 +42,11 @@ class ModelParams:
     """Weights and biases of a dense multilayer classifier.
 
     weights[l] has shape (layer_sizes[l], layer_sizes[l+1]) and biases[l]
-    length layer_sizes[l+1]; all entries finite. Construction copies them into
-    ``flat`` (see _pack), so each entry is a view of that vector.
+    length layer_sizes[l+1]; all entries finite. Construction copies the sizes
+    into a tuple and the arrays into ``flat`` (see _pack), each a view of it.
     """
 
-    layer_sizes: list
+    layer_sizes: tuple
     weights: tuple
     biases: tuple
     activation: str = "relu"
@@ -62,12 +63,12 @@ class ModelParams:
                                    ("biases", self.biases[l], (fan_out,))):
                 if a.shape != shape:
                     raise ShapeError(f"{name}[{l}] has shape {a.shape}, expected {shape}")
-        _pack(self)
+        _pack(self, layer_sizes=tuple(self.layer_sizes))
         if not np.isfinite(self.flat).all():
             raise NumericError("model parameters contain non-finite entries")
 
     def __deepcopy__(self, memo):
-        return ModelParams(list(self.layer_sizes), self.weights, self.biases, self.activation)
+        return ModelParams(self.layer_sizes, self.weights, self.biases, self.activation)
 
     @property
     def n_inputs(self) -> int:
@@ -186,7 +187,7 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         weights.append(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
         biases.append(np.zeros(fan_out))
-    return ModelParams(list(layer_sizes), weights, biases, activation)
+    return ModelParams(layer_sizes, weights, biases, activation)
 
 
 def forward(params: ModelParams, features, work=None, bias_rows=None) -> np.ndarray:

@@ -50,9 +50,6 @@ class PredictorConfig:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
         check_count("s_test", self.s_test)
         check_seed("seed", self.seed)
-        if self.partner_pool is not None and not np.isfinite(
-                np.asarray(self.partner_pool, dtype=float)).all():
-            raise ConfigurationError("partner_pool contains NaN or Inf")
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
             raise ConfigurationError("dip prediction requires a nonempty partner_pool")
 
@@ -76,8 +73,9 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     backpropagation through every branch. ``work`` is passed to the forward
     pass as its hidden-layer buffers, so the cache's hidden entries are those
     buffers; the logits never alias them. ``bias_rows`` is passed on too.
-    Without the cache, the mixed rows go forward in pieces of len(work[0])
-    rows, or at once if work is empty.
+    Without the cache, each row's s mixed rows go forward as one piece through
+    ``work``, whose buffers then hold s rows each, or all rows at once if work
+    is empty.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
@@ -86,59 +84,62 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     if with_cache:
         out, cache = _forward_cached(params, mixed, work, bias_rows)
     else:
-        piece = len(work[0]) if work else len(mixed)
+        piece = s if work else len(mixed)
         out = np.empty((len(mixed), params.n_outputs))
         for start in range(0, len(mixed), piece):
-            rows = mixed[start:start + piece]
-            out[start:start + piece] = forward(
-                params, rows, work if len(rows) == piece else [buf[:len(rows)] for buf in work],
-                bias_rows)
+            out[start:start + piece] = forward(params, mixed[start:start + piece], work,
+                                               bias_rows)
     # what mean() computes, with less overhead; one draw is its own mean
     avg = out if s == 1 else out.reshape(len(x), s, -1).sum(axis=1) / s
     return (avg, cache) if with_cache else avg
 
 
-def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
-    """Probabilities for each row of finite features, one derived stream per block
-    of rows."""
+def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
+    """Logits for each row of finite features, one derived stream per block of rows."""
     features = np.asarray(features, dtype=float)
     if not np.isfinite(features).all():
         raise NumericError("features contain NaN or Inf")
     if cfg.mode == "raw" or cfg.prior is None:
         # the degenerate prior marginalizes over nothing: f == h exactly
-        logits = forward(params, features)
-    else:
-        pool = np.asarray(cfg.partner_pool, dtype=float)
-        if features.shape[1:] != (params.n_inputs,) or pool.shape[1:] != (params.n_inputs,):
-            raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
-                             f"{features.shape} and a partner pool of shape {pool.shape}")
-        s = cfg.s_test
-        block = max(1, _BLOCK_ROWS // s)
-        logits = np.empty((len(features), params.n_outputs))
-        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
-        # the biases are fixed for the call, so every item adds them from the same rows
-        bias_rows = [np.tile(b, (max(1, min(s, _BIAS_BLOCK_ENTRIES // b.size)), 1))
-                     for b in params.biases[:-1]]
-        for start in range(0, len(features), block):
-            x = features[start:start + block]
-            rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
-            lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
-            partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
-            logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
-                                                     bias_rows=bias_rows)
-    return np.exp(log_softmax(logits))
+        return forward(params, features)
+    pool = np.asarray(cfg.partner_pool, dtype=float)
+    if not np.isfinite(pool).all():
+        raise NumericError("partner_pool contains NaN or Inf")
+    if features.shape[1:] != (params.n_inputs,) or pool.shape[1:] != (params.n_inputs,):
+        raise ShapeError(f"model takes {params.n_inputs} features, got points of shape "
+                         f"{features.shape} and a partner pool of shape {pool.shape}")
+    s = cfg.s_test
+    block = max(1, _BLOCK_ROWS // s)
+    logits = np.empty((len(features), params.n_outputs))
+    work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+    # the biases are fixed for the call, so every item adds them from the same rows
+    bias_rows = [np.tile(b, (max(1, min(s, _BIAS_BLOCK_ENTRIES // b.size)), 1))
+                 for b in params.biases[:-1]]
+    for start in range(0, len(features), block):
+        x = features[start:start + block]
+        rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
+        lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
+        partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
+        logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
+                                                 bias_rows=bias_rows)
+    return logits
+
+
+def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
+    """Probabilities for each row of finite features: softmax of _logits."""
+    return np.exp(log_softmax(_logits(params, features, cfg)))
 
 
 def evaluate(params: ModelParams, dataset: Dataset, cfg: PredictorConfig) -> EvalMetrics:
     """Accuracy, misclassification rate and mean cross-entropy, each row scored
-    at the output of its class id; argmax ties break to the lowest index."""
+    by its log-probability at its class id; argmax ties break to the lowest index."""
     if dataset.k > params.n_outputs:
         raise ShapeError(f"class id {dataset.k - 1} has no output in a {params.n_outputs}-output model")
-    probs = predict_batch(params, dataset.features, cfg)
+    log_probs = log_softmax(_logits(params, dataset.features, cfg))
     ids = dataset.class_ids()
-    accuracy = float((probs.argmax(axis=1) == ids).mean())
-    losses = -np.log(np.clip(probs[np.arange(dataset.n), ids], 1e-300, None))
-    return EvalMetrics(accuracy, 1.0 - accuracy, float(losses.mean()))
+    accuracy = float((log_probs.argmax(axis=1) == ids).mean())
+    return EvalMetrics(accuracy, 1.0 - accuracy,
+                       float(-log_probs[np.arange(dataset.n), ids].mean()))
 
 
 def decision_grid(params: ModelParams, cfg: PredictorConfig, x_range, y_range,

@@ -24,7 +24,6 @@ from dipmix import (
     dip_loss_preserving_grad,
     evaluate,
     gen_spirals,
-    generalization_gap,
     mixup_loss_grad,
     mlp_init,
     predict_batch,

@@ -560,6 +560,18 @@ class TestSweep:
         assert rows[0][4:] == rows[1][4:] == rows[2][4:]
         assert rows[3][4:] == rows[4][4:] == rows[5][4:]
 
+    @pytest.mark.parametrize("alpha", ["0", "1"], ids=["none", "label-mixing"])
+    def test_resumed_sweep_reuses_the_models_it_holds(self, tmp_path, monkeypatch, alpha):
+        cfg_path = tiny_config(tmp_path)
+        fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+        flags = ["--alphas", alpha, "--seeds", "0,1", "--s-values"]
+        assert main(["sweep", str(cfg_path), *flags, "1,2,4", "--output-dir", str(fresh)]) == 0
+        assert main(["sweep", str(cfg_path), *flags, "1", "--output-dir", str(resumed)]) == 0
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a held model"))
+        assert main(["sweep", str(cfg_path), *flags, "1,2,4", "--output-dir", str(resumed)]) == 0
+        for name in ("sweep.csv", "sweep_progress.json"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_alphas_that_print_alike_stay_apart(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"), epochs=2)
         assert main(["sweep", str(cfg_path), "--alphas", "0.1234567,0.1234568",

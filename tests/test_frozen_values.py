@@ -10,6 +10,8 @@ generated ``__eq__`` would compare its arrays and raise on every use, and
 configs are frozen, so nothing changes them after their checks ran."""
 
 import ast
+import copy
+import json
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 
 from dipmix import (BetaParams, Dataset, MixConfig, OptimState, PredictorConfig,
                     StandardizeStats, backward, mlp_init, sgd_step)
-from dipmix.nn import Workspace
+from dipmix.nn import ModelParams, Workspace, to_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 ALLOWED = {("nn.py", "_pack")}
@@ -112,3 +114,16 @@ def test_configs_cannot_change_after_validation():
             setattr(obj, name, value)
     assert (mix_cfg.mode, mix_cfg.s, cfg.s_test) == ("label_mixing", 1, 5)
     assert cfg.partner_pool.shape == (3, 2)
+
+
+def test_model_keeps_its_own_layer_sizes():
+    sizes = [2, 3, 2]
+    weights = [np.zeros((2, 3)), np.zeros((3, 2))]
+    p = ModelParams(sizes, weights, [np.zeros(3), np.zeros(2)])
+    sizes[-1] = 5
+    assert p.layer_sizes == (2, 3, 2) and p.n_outputs == 2
+    q = mlp_init(sizes, seed=0)
+    sizes[0] = 7
+    assert q.layer_sizes == (2, 3, 5) and q.n_inputs == 2
+    assert copy.deepcopy(p).layer_sizes == (2, 3, 2)
+    assert json.loads(json.dumps(to_dict(p)))["layer_sizes"] == [2, 3, 2]

@@ -1,0 +1,32 @@
+"""tools/output_digests.py digests every file of its fixed CLI matrix, so that
+comparing two trees' outputs is two runs and a diff. A run that leaves a file
+out, or writes one whose bytes depend on the run rather than the code, would
+make that comparison say nothing, and fails here."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_two_runs_digest_every_output_alike():
+    tool = load_tool()
+    first, second = tool.digests(SRC), tool.digests(SRC)
+    assert first == second
+    expected = {"spirals.csv", "grid.csv", "grid.pgm", "predict_raw.npy",
+                "sweep/sweep.csv", "sweep/sweep_progress.json"}
+    for mode, _ in tool.MODES:
+        expected |= {f"run/{mode}/{name}" for name in
+                     ("model.json", "metrics.csv", "standardize.json", "manifest.json")}
+        expected |= {f"eval_{mode}_raw.out", f"eval_{mode}_dip.out"}
+    expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
+    assert expected <= set(first)
+    assert all(len(digest) == 64 for digest in first.values())

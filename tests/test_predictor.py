@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from dipmix import (
     sample_lambda,
 )
 from dipmix import predictor
-from dipmix.nn import ModelParams, log_softmax
+from dipmix.nn import ModelParams, load_model, log_softmax
 from dipmix.predictor import dip_logits
+
+
+PERFBENCH_MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "model" / "mixup_model.json"
 
 
 def linear_net(w, b=None):
@@ -121,9 +125,19 @@ class TestDipLogits:
         # the mixed rows come first; every hidden layer is computed into its buffer
         assert len(cache) == 3 and all(a is buf for a, buf in zip(cache[1:], work))
         assert not any(np.shares_memory(cache[0], buf) for buf in work)
-        # without the cache, the 10 mixed rows go forward in pieces of 3, 3, 3 and 1
-        pieces = dip_logits(params, x, partners, lam, work=[np.empty((3, 6)), np.empty((3, 4))])
-        np.testing.assert_allclose(pieces, logits, rtol=1e-12, atol=1e-12)
+        # without the cache, each row's s = 5 mixed rows go forward as one piece
+        pieces = []
+
+        def spy(p, rows, work, bias_rows):
+            pieces.append(rows)
+            return forward(p, rows, work, bias_rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictor, "forward", spy)
+            by_row = dip_logits(params, x, partners, lam, work=[np.empty((s, 6)), np.empty((s, 4))])
+        assert [len(rows) for rows in pieces] == [s] * m
+        assert np.array_equal(np.concatenate(pieces), cache[0])
+        np.testing.assert_allclose(by_row, logits, rtol=1e-12, atol=1e-12)
 
 
 class TestPredict:
@@ -136,11 +150,16 @@ class TestPredict:
 
     def test_degenerate_prior_equals_raw_exactly(self, mixup_spirals_model):
         params, train_set, test_set = mixup_spirals_model
-        raw = PredictorConfig("raw", seed=4)
-        dip = PredictorConfig("dip", 500, None, train_set.features, seed=4)
-        x = test_set.features[7]
-        assert np.array_equal(predict_batch(params, x[None], dip)[0],
-                              predict_batch(params, x[None], raw)[0])
+        models = [params, mlp_init([2, 48, 9, 3], "tanh", seed=4), mlp_init([2, 5, 2], seed=1),
+                  linear_net([[1.0, -2.0], [0.5, 3.0]], [0.1, -0.2])]
+        for i, model in enumerate(models[1:]):
+            model.flat[:] = np.random.default_rng(i).normal(size=model.flat.size)
+        for model in models:
+            for seed in (0, 4, 9):
+                raw = PredictorConfig("raw", seed=seed)
+                dip = PredictorConfig("dip", 500, None, train_set.features, seed=seed)
+                x = test_set.features[seed:seed + 20]
+                assert np.array_equal(predict_batch(model, x, dip), predict_batch(model, x, raw))
 
     def test_self_pool_collapses_to_raw(self, mixup_spirals_model):
         params, _, test_set = mixup_spirals_model
@@ -264,8 +283,17 @@ class TestPredict:
         for cfg in (PredictorConfig("raw"), PredictorConfig("dip", 5, BetaParams(2, 1), pool)):
             with pytest.raises(NumericError, match="features"):
                 predict_batch(params, x, cfg)
-        with pytest.raises(ConfigurationError, match="partner_pool"):
-            PredictorConfig("dip", 5, BetaParams(2, 1), np.vstack([pool, x]))
+        cfg = PredictorConfig("dip", 5, BetaParams(2, 1), np.vstack([pool, x]))
+        with pytest.raises(NumericError, match="partner_pool"):
+            predict_batch(params, pool, cfg)
+
+    def test_pool_is_checked_when_it_is_read(self):
+        params = mlp_init([2, 4, 2], seed=0)
+        pool = np.zeros((3, 2))
+        cfg = PredictorConfig("dip", 5, BetaParams(2, 1), pool)
+        pool[1, 0] = np.nan  # the caller still owns the array the config holds
+        with pytest.raises(NumericError, match="partner_pool"):
+            predict_batch(params, np.ones((2, 2)), cfg)
 
     def test_pool_may_be_any_array_like(self):
         params = mlp_init([2, 4, 2], seed=0)
@@ -287,18 +315,23 @@ class TestPredict:
         assert np.array_equal(m500[clear] > 0, m5000[clear] > 0)
 
     def test_rows_do_not_depend_on_each_other_across_a_block_boundary(self, mixup_spirals_model):
-        params, train_set, test_set = mixup_spirals_model
-        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), train_set.features, seed=2)
-        block = predictor._BLOCK_ROWS // 500
-        rows = test_set.features[:2 * block].copy()
-        before = predict_batch(params, rows, cfg)
-        for j in (block - 1, block):  # the last row of block 0, the first of block 1
-            changed = rows.copy()
-            changed[j] = [3.0, -2.0]
-            after = predict_batch(params, changed, cfg)
-            others = np.arange(len(rows)) != j
-            assert np.array_equal(after[others], before[others])
-            assert not np.array_equal(after[j], before[j])
+        relu, train_set, _ = mixup_spirals_model
+        tanh = mlp_init([2, 48, 9, 3], "tanh", seed=4)
+        tanh.flat[:] = np.random.default_rng(4).normal(size=tanh.flat.size)
+        rng = np.random.default_rng(2)
+        for params in (relu, tanh):
+            for s in (1, 7, 33, 500, 5000):  # blocks of 4096, 585, 124, 8 and 1 rows
+                cfg = PredictorConfig("dip", s, BetaParams(2, 1), train_set.features, seed=2)
+                block = max(1, predictor._BLOCK_ROWS // s)
+                rows = rng.normal(size=(2 * block, 2))
+                before = predict_batch(params, rows, cfg)
+                for j in (block - 1, block):  # the last row of block 0, the first of block 1
+                    changed = rows.copy()
+                    changed[j] = [3.0, -2.0]
+                    after = predict_batch(params, changed, cfg)
+                    others = np.arange(len(rows)) != j
+                    assert np.array_equal(after[others], before[others])
+                    assert not np.array_equal(after[j], before[j])
 
     def test_ten_rows_match_a_hand_computation_by_block(self, mixup_spirals_model):
         params, train_set, test_set = mixup_spirals_model
@@ -352,6 +385,28 @@ class TestEvaluate:
         labels[5:, 1] = 1.0
         result = evaluate(params, Dataset(feats, labels), PredictorConfig("raw"))
         assert result.accuracy == 0.5
+
+    def test_loss_is_exact_far_from_the_data(self):
+        # rows far outside the spirals, where the softmax of the true class underflows
+        params = load_model(PERFBENCH_MODEL)
+        x = np.array([[60.0, -80.0], [200.0, 300.0], [-500.0, 40.0]])
+        ds = Dataset(x, np.eye(2)[[0, 0, 0]])
+        result = evaluate(params, ds, PredictorConfig("raw"))
+        exact = -log_softmax(forward(params, x))[np.arange(3), [0, 0, 0]].mean()
+        assert result.mean_loss == exact
+        assert abs(result.mean_loss - 984.21) < 0.01  # no row's loss is capped
+        assert result.accuracy == float((predict_batch(params, x, PredictorConfig("raw"))
+                                         .argmax(axis=1) == 0).mean())
+
+    def test_dip_scores_come_from_the_logits_predict_batch_uses(self, mixup_spirals_model):
+        params, train_set, test_set = mixup_spirals_model
+        cfg = PredictorConfig("dip", 50, BetaParams(2, 1), train_set.features, seed=3)
+        result = evaluate(params, test_set, cfg)
+        log_probs = log_softmax(predictor._logits(params, test_set.features, cfg))
+        ids = test_set.class_ids()
+        assert np.array_equal(np.exp(log_probs), predict_batch(params, test_set.features, cfg))
+        assert result.mean_loss == -log_probs[np.arange(test_set.n), ids].mean()
+        assert result.accuracy == float((log_probs.argmax(axis=1) == ids).mean())
 
     def test_hand_scored_ten_samples(self):
         # logits = (x1, x2): predicted class is argmax coordinate, ties to 0

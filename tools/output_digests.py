@@ -1,0 +1,117 @@
+"""Print a SHA-256 of every file a fixed, small dipmix run writes, as JSON.
+
+    python3 tools/output_digests.py --src ../parent/src > before.json
+    python3 tools/output_digests.py --src src > after.json
+    diff before.json after.json
+
+The package under --src runs in a fresh interpreter, inside a new temporary
+directory, through this matrix; every path in it is relative, so two runs of
+one tree print the same digests:
+
+- ``gen-data``: 60 spiral points per class, ``spirals.csv``;
+- ``train`` of a [2, 16, 2] ReLU net for 8 epochs in each mixing mode, none,
+  label_mixing and label_preserving at S = 3, into ``run/<mode>/``;
+- raw and dip ``eval`` (S = 7, alpha 1) of each model on the spirals;
+- a dip ``grid`` (16 x 16, S = 7) of the label-preserving model;
+- a 2 x 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seeds 0 and 1) scored by
+  dip prediction at S = 7, into ``sweep/``;
+- ``predict_batch`` of the shipped perfbench model on the spirals, raw and
+  dip at S = 1, 7 and 500 (Beta(2, 1), the spirals as the pool), saved as
+  ``.npy``.
+
+Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
+is digested too. The configs the run writes are listed as well.
+``manifest.json`` and ``sweep_progress.json`` hold the package version, so
+they differ between versions that compute the same numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL = ROOT / "perfbench" / "model" / "mixup_model.json"
+MODES = (("none", 0.0), ("label_mixing", 1.0), ("label_preserving", 1.0))
+S_VALUES = (1, 7, 500)
+CONFIG = {
+    "dataset": {"csv": "spirals.csv", "test_fraction": 0.5, "split_seed": 0,
+                "standardize": True},
+    "model": {"layer_sizes": [2, 16, 2], "activation": "relu"},
+    "optim": {"learning_rate": 0.1, "momentum": 0.9, "schedule": [[5, 0.1]]},
+    "epochs": 8,
+    "batch_size": 16,
+    "predictor": {"mode": "dip", "s_test": 7, "alpha": None},
+}
+
+
+def run_matrix(model_path: str) -> None:
+    """Run the matrix in the working directory with the dipmix on sys.path."""
+    import numpy as np
+
+    import dipmix
+    from dipmix.cli import main
+
+    def step(name, argv):
+        with open(f"{name}.out", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+            code = main(argv)
+        if code != 0:
+            sys.exit(f"dipmix {' '.join(argv)} exited {code}")
+
+    predictor = ["--s-test", "7", "--alpha", "1", "--partner-data", "spirals.csv"]
+    step("gen-data", ["gen-data", "--n", "60", "--seed", "3", "--out", "spirals.csv"])
+    for mode, alpha in MODES:
+        config = f"config_{mode}.json"
+        Path(config).write_text(json.dumps({**CONFIG, "mix": {"mode": mode, "alpha": alpha,
+                                                               "s": 3}}))
+        step(f"train_{mode}", ["train", config, "--output-dir", f"run/{mode}"])
+        model = ["--model", f"run/{mode}/model.json", "--stats", f"run/{mode}/standardize.json"]
+        step(f"eval_{mode}_raw", ["eval", *model, "--data", "spirals.csv"])
+        step(f"eval_{mode}_dip", ["eval", *model, "--data", "spirals.csv", "--mode", "dip",
+                                  *predictor])
+    step("grid", ["grid", "--model", "run/label_preserving/model.json", "--stats",
+                  "run/label_preserving/standardize.json", "--res", "16", "--mode", "dip",
+                  *predictor, "--out-prefix", "grid"])
+    step("sweep", ["sweep", "config_none.json", "--alphas", "0,1", "--s-values", "1,3",
+                   "--seeds", "0,1", "--output-dir", "sweep"])
+    params = dipmix.load_model(model_path)
+    x = dipmix.load_csv("spirals.csv").features
+    np.save("predict_raw.npy", dipmix.predict_batch(params, x, dipmix.PredictorConfig("raw")))
+    for s in S_VALUES:
+        cfg = dipmix.PredictorConfig("dip", s, dipmix.BetaParams(2.0, 1.0), x, seed=0)
+        np.save(f"predict_dip_s{s}.npy", dipmix.predict_batch(params, x, cfg))
+
+
+def digests(src) -> dict:
+    """{relative path: SHA-256} of every file the matrix writes, running the
+    package under ``src`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory(prefix="dipmix-digests-") as tmp:
+        subprocess.run([sys.executable, str(Path(__file__).resolve()), "--matrix", str(MODEL)],
+                       cwd=tmp, env=env, check=True)
+        return {path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(tmp).rglob("*")) if path.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--src", help="directory holding the dipmix package to run")
+    source.add_argument("--matrix", metavar="MODEL", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.matrix:
+        run_matrix(args.matrix)
+    else:
+        print(json.dumps(digests(args.src), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
