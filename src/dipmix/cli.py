@@ -314,38 +314,33 @@ def _scores(cell: dict) -> dict:
     return {k: v for k, v in cell.items() if not k.endswith("_sha256")}
 
 
-def _cell_model(cfg: dict, alpha: float, s: int, seed: int):
-    """A sweep cell's mixing mode and the key of its model's scores: alpha 0
-    trains without mixing, any other alpha in the config's mixing mode
-    (label_mixing if that is none). Modes none and label_mixing ignore S, so
-    their key, (alpha, seed, S or None), holds None for S."""
+def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
+    """Train and score one cell: alpha 0 trains without mixing, any other alpha
+    in the config's mixing mode (label_mixing if that is none). Modes none and
+    label_mixing ignore S, so such a cell reports, under its own S, the scores
+    of the earliest cell of its alpha and seed that table holds without an error."""
     base = cfg["mix"]["mode"]
     mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
-    return mode, (alpha, seed, s if mode == "label_preserving" else None)
-
-
-def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, scored: dict):
-    """Train and score one cell, unless scored, which maps the keys of
-    _cell_model to scores, already holds its model's."""
-    mode, key = _cell_model(cfg, alpha, s, seed)
     cell_cfg = resolve_config({**cfg, "mix": {**cfg["mix"], "mode": mode, "alpha": alpha, "s": s}})
-    if key not in scored:
-        params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
-        pred = cell_cfg["predictor"]
-        pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
-        pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
-        train_eval = evaluate(params, train_set, pred_cfg)
-        test_eval = evaluate(params, test_set, pred_cfg)
-        scored[key] = {
-            "alpha": float(alpha),
-            "S": int(s),
-            "mode": mode,
-            "seed": int(seed),
-            "train_err": train_eval.misclassification_rate,
-            "test_err": test_eval.misclassification_rate,
-            "gap": test_eval.misclassification_rate - train_eval.misclassification_rate,
-        }
-    return {**scored[key], "S": int(s)}
+    if mode != "label_preserving":
+        for cell in table.values():
+            if "error" not in cell and (cell["alpha"], cell["seed"]) == (alpha, seed):
+                return {**_scores(cell), "S": int(s)}
+    params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
+    pred = cell_cfg["predictor"]
+    pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
+    pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
+    train_eval = evaluate(params, train_set, pred_cfg)
+    test_eval = evaluate(params, test_set, pred_cfg)
+    return {
+        "alpha": float(alpha),
+        "S": int(s),
+        "mode": mode,
+        "seed": int(seed),
+        "train_err": train_eval.misclassification_rate,
+        "test_err": test_eval.misclassification_rate,
+        "gap": test_eval.misclassification_rate - train_eval.misclassification_rate,
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -367,34 +362,29 @@ def cmd_sweep(args) -> int:
     progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
-    failures = 0
-    scored = {}
+    table = {}  # this grid's cells in (alpha, S, seed) order; the file's others follow
     lines = ["alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n"]
     for alpha in alphas:
         name = _alpha_text(alpha)
         for s in s_values:
-            rows = []
-            for seed in seeds:
-                key = f"alpha={name},S={s},seed={seed}"
+            keys = [f"alpha={name},S={s},seed={seed}" for seed in seeds]
+            for key, seed in zip(keys, seeds):
                 cell = progress.get(key, {})
                 if (cell.get("config_sha256") != digest
                         or cell.get("scores_sha256") != _sha256(_scores(cell))):
                     try:
-                        scores = _sweep_cell(cfg, alpha, s, seed, scored)
-                        progress[key] = {**scores, "config_sha256": digest,
-                                         "scores_sha256": _sha256(scores)}
+                        scores = _sweep_cell(cfg, alpha, s, seed, table)
+                        cell = {**scores, "config_sha256": digest,
+                                "scores_sha256": _sha256(scores)}
                     except Exception as exc:  # keep sweeping; record the failure
-                        failures += 1
-                        progress[key] = {"error": f"{type(exc).__name__}: {exc}"}
+                        cell = {"error": f"{type(exc).__name__}: {exc}"}
                         print(f"cell {key} failed: {exc}", file=sys.stderr)
-                    write_file(progress_path, json.dumps(progress, indent=2))
-                else:  # a later S of a mode that ignores S reuses these scores
-                    scored[_cell_model(cfg, alpha, s, seed)[1]] = _scores(cell)
-                row = progress[key]
-                if "error" not in row:
-                    rows.append(row)
-                    lines.append(f"{name},{row['S']},{row['mode']},{row['seed']},"
-                                 f"{row['train_err']!r},{row['test_err']!r},{row['gap']!r},,,\n")
+                table[key] = cell  # written after a reused cell too, so the file ends in grid order
+                write_file(progress_path, json.dumps(
+                    {**table, **{k: c for k, c in progress.items() if k not in table}}, indent=2))
+            rows = [table[key] for key in keys if "error" not in table[key]]
+            lines += [f"{name},{row['S']},{row['mode']},{row['seed']},{row['train_err']!r},"
+                      f"{row['test_err']!r},{row['gap']!r},,,\n" for row in rows]
             if rows:
                 means, ses = [], []
                 for fld in ("train_err", "test_err", "gap"):
@@ -406,8 +396,8 @@ def cmd_sweep(args) -> int:
                              + ",".join(repr(v) for v in means + ses) + "\n")
     csv_path = out_dir / "sweep.csv"
     write_file(csv_path, "".join(lines))
-    print(f"wrote {csv_path} ({len(alphas) * len(s_values) * len(seeds)} cells, "
-          f"{failures} failed)")
+    failures = sum("error" in cell for cell in table.values())
+    print(f"wrote {csv_path} ({len(table)} cells, {failures} failed)")
     return 0
 
 
@@ -508,6 +498,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None:
             check_seed("--seed", args.seed)
+        alpha = getattr(args, "alpha", 0.0)  # eval, grid and bound: the prior's alpha
+        if not (is_real(alpha) and alpha >= 0):
+            raise ConfigurationError(f"--alpha must be a finite number >= 0, got {alpha}")
         return args.func(args)
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,6 +331,21 @@ def test_negative_seed_exits_two_before_any_output(trained_run, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["eval", "--model", "{model}", "--data", "{data}"],
+    ["grid", "--model", "{model}", "--res", "4", "--out-prefix", "{dir}/out"],
+    ["bound", "--data", "{data}", "--out", "{dir}/bound.json"],
+], ids=["eval", "grid", "bound"])
+def test_bad_alpha_exits_two_in_every_mode(trained_run, tmp_path, capsys, command, value):
+    # raw eval and grid never read the prior, but eval echoes it in its JSON
+    names = {"dir": tmp_path, "model": trained_run["model"], "data": trained_run["data"]}
+    assert main([arg.format(**names) for arg in command] + [f"--alpha={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --alpha must be a finite number >= 0, got {float(value)}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 class TestEval:
     def test_dip_with_alpha_zero_equals_raw(self, trained_run, capsys):
         base = ["--model", trained_run["model"], "--data", trained_run["data"],
@@ -363,7 +378,7 @@ class TestEval:
                      "--mode", "dip", "--alpha", value,
                      "--partner-data", trained_run["data"]]) == 2
         captured = capsys.readouterr()
-        assert "finite alpha" in captured.err and captured.out == ""
+        assert "--alpha must be a finite number >= 0" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("doc,field", [
         ('{"mean": [0.0, 0.0]}', "'std'"),
@@ -560,7 +575,7 @@ class TestSweep:
         assert rows[0][4:] == rows[1][4:] == rows[2][4:]
         assert rows[3][4:] == rows[4][4:] == rows[5][4:]
 
-    @pytest.mark.parametrize("alpha", ["0", "1"], ids=["none", "label-mixing"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "0,1"], ids=["none", "label-mixing", "both"])
     def test_resumed_sweep_reuses_the_models_it_holds(self, tmp_path, monkeypatch, alpha):
         cfg_path = tiny_config(tmp_path)
         fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
@@ -571,6 +586,47 @@ class TestSweep:
         assert main(["sweep", str(cfg_path), *flags, "1,2,4", "--output-dir", str(resumed)]) == 0
         for name in ("sweep.csv", "sweep_progress.json"):
             assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_cells_outside_the_grid_follow_in_their_old_order(self, tmp_path, monkeypatch):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1",
+                     "--seeds", "0,1"]) == 0
+        progress_path = tmp_path / "sweep" / "sweep_progress.json"
+        before = json.loads(progress_path.read_text())
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a held model"))
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1,2",
+                     "--seeds", "1"]) == 0
+        after = json.loads(progress_path.read_text())
+        assert list(after) == ["alpha=1,S=1,seed=1", "alpha=1,S=2,seed=1", "alpha=0,S=1,seed=0",
+                               "alpha=0,S=1,seed=1", "alpha=1,S=1,seed=0"]
+        assert all(after[key] == cell for key, cell in before.items())
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [l.split(",")[:4] for l in lines] == [["1", "1", "label_mixing", "1"],
+                                                      ["1", "1", "label_mixing", "mean"],
+                                                      ["1", "2", "label_mixing", "1"],
+                                                      ["1", "2", "label_mixing", "mean"]]
+
+    @pytest.mark.parametrize("alpha,mode,trains", [
+        ("0", "none", [("none", 1)]),
+        ("1", "label_preserving", [("label_preserving", 1), ("label_preserving", 2)]),
+    ], ids=["none", "label-preserving"])
+    def test_each_model_trains_once(self, tmp_path, monkeypatch, alpha, mode, trains):
+        trained = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training", lambda cfg, seed: trained.append(
+            (cfg["mix"]["mode"], cfg["mix"]["s"])) or real(cfg, seed))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               mix={"mode": mode, "alpha": float(alpha), "s": 1})
+        assert main(["sweep", str(cfg_path), "--alphas", alpha, "--s-values", "0,1,2",
+                     "--seeds", "0"]) == 0
+        assert trained == trains
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        cells = [progress[f"alpha={alpha},S={s},seed=0"] for s in (0, 1, 2)]
+        assert "mix: s must" in cells[0]["error"]
+        assert [cell["S"] for cell in cells[1:]] == [1, 2]
+        scores = [{k: v for k, v in c.items() if k not in ("S", "scores_sha256")}
+                  for c in cells[1:]]
+        assert (scores[0] == scores[1]) == (mode == "none")  # S=2 reports S=1's scores
 
     def test_alphas_that_print_alike_stay_apart(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"), epochs=2)
@@ -591,6 +647,9 @@ class TestSweep:
         progress_path = tmp_path / "sweep" / "sweep_progress.json"
         before = progress_path.read_text()
         csv_path.unlink()
+        # the same cells in another order are written back in grid order
+        cells = json.loads(before)
+        progress_path.write_text(json.dumps(dict(reversed(cells.items())), indent=2))
         assert main(args) == 0
         assert csv_path.read_bytes() == first
         assert progress_path.read_text() == before

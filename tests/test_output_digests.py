@@ -30,3 +30,6 @@ def test_two_runs_digest_every_output_alike():
     expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
     assert expected <= set(first)
     assert all(len(digest) == 64 for digest in first.values())
+    # a resumed sweep writes what a fresh one writes
+    for name in ("sweep.csv", "sweep_progress.json"):
+        assert first[f"sweep_resumed/{name}"] == first[f"sweep/{name}"]

@@ -14,7 +14,9 @@ one tree print the same digests:
 - raw and dip ``eval`` (S = 7, alpha 1) of each model on the spirals;
 - a dip ``grid`` (16 x 16, S = 7) of the label-preserving model;
 - a 2 x 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seeds 0 and 1) scored by
-  dip prediction at S = 7, into ``sweep/``;
+  dip prediction at S = 7, into ``sweep/``, and the same sweep resumed into
+  ``sweep_resumed/``: first S 1 only, then S 1 and 3, so its two files must
+  equal those under ``sweep/``;
 - ``predict_batch`` of the shipped perfbench model on the spirals, raw and
   dip at S = 1, 7 and 500 (Beta(2, 1), the spirals as the pool), saved as
   ``.npy``.
@@ -79,8 +81,10 @@ def run_matrix(model_path: str) -> None:
     step("grid", ["grid", "--model", "run/label_preserving/model.json", "--stats",
                   "run/label_preserving/standardize.json", "--res", "16", "--mode", "dip",
                   *predictor, "--out-prefix", "grid"])
-    step("sweep", ["sweep", "config_none.json", "--alphas", "0,1", "--s-values", "1,3",
-                   "--seeds", "0,1", "--output-dir", "sweep"])
+    sweep = ["sweep", "config_none.json", "--alphas", "0,1", "--seeds", "0,1", "--s-values"]
+    step("sweep", [*sweep, "1,3", "--output-dir", "sweep"])
+    step("sweep_resumed_s1", [*sweep, "1", "--output-dir", "sweep_resumed"])
+    step("sweep_resumed", [*sweep, "1,3", "--output-dir", "sweep_resumed"])
     params = dipmix.load_model(model_path)
     x = dipmix.load_csv("spirals.csv").features
     np.save("predict_raw.npy", dipmix.predict_batch(params, x, dipmix.PredictorConfig("raw")))
