@@ -299,6 +299,13 @@ def _parse_num_list(flag: str, text: str, cast):
     return values
 
 
+def _check_alpha(flag: str, *alphas) -> None:
+    """The rule of every alpha a flag gives: finite and >= 0."""
+    for alpha in alphas:
+        if not (is_real(alpha) and alpha >= 0):
+            raise ConfigurationError(f"{flag} must be a finite number >= 0, got {alpha}")
+
+
 def _alpha_text(alpha: float) -> str:
     """An alpha as progress keys and sweep.csv name it: short when that reads back exactly."""
     short = f"{alpha:g}"
@@ -346,6 +353,7 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
     alphas = _parse_num_list("--alphas", args.alphas, float)
+    _check_alpha("--alphas", *alphas)
     s_values = _parse_num_list("--s-values", args.s_values, int)
     seeds = _parse_num_list("--seeds", args.seeds, int) if args.seeds else cfg["seeds"]
     if not all(is_seed(s) for s in seeds):
@@ -498,9 +506,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None:
             check_seed("--seed", args.seed)
-        alpha = getattr(args, "alpha", 0.0)  # eval, grid and bound: the prior's alpha
-        if not (is_real(alpha) and alpha >= 0):
-            raise ConfigurationError(f"--alpha must be a finite number >= 0, got {alpha}")
+        _check_alpha("--alpha", getattr(args, "alpha", 0.0))  # eval, grid and bound
         return args.func(args)
     except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

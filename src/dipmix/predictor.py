@@ -7,10 +7,21 @@ scored in blocks of consecutive rows, each drawing its ratios and partners
 from one stream derived from (seed, block position); the block length depends
 only on S, so a row's draws depend only on (seed, S, row position) and batched
 evaluation is independent of execution order.
+
+So block b of a call runs on worker b % workers, the calling thread being
+worker 0, with the same bits. workers = min(blocks, CPUs this process may
+use), which ``taskset`` restricts. Threads only pay with one BLAS thread each:
+the OpenBLAS numpy ships exports ``openblas_set_num_threads_local``, found on
+the first call of more than one block. Its pthreads build applies the count to
+the whole process, so such calls take turns and each restores the previous
+count when it ends. Without that symbol every block runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +39,7 @@ _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
 _BLOCK_ROWS = 4096
 # Entries of one block of hidden-bias rows: 16,384 float64 (128 KiB), 256 rows of a 64-wide layer
 _BIAS_BLOCK_ENTRIES = 1 << 14
+_PINNED = threading.Lock()  # held by a call whose workers hold the BLAS thread count at 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +122,85 @@ def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
                          f"{features.shape} and a partner pool of shape {pool.shape}")
     s = cfg.s_test
     block = max(1, _BLOCK_ROWS // s)
+    starts = range(0, len(features), block)
     logits = np.empty((len(features), params.n_outputs))
-    work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
     # the biases are fixed for the call, so every item adds them from the same rows
     bias_rows = [np.tile(b, (max(1, min(s, _BIAS_BLOCK_ENTRIES // b.size)), 1))
                  for b in params.biases[:-1]]
-    for start in range(0, len(features), block):
-        x = features[start:start + block]
-        rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
-        lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
-        partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
-        logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
-                                                 bias_rows=bias_rows)
+    pin = _blas_pin() if len(starts) > 1 else None
+    workers = min(len(starts), _usable_cpus()) if pin else 1
+
+    def run(part):
+        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+        for start in starts[part::workers]:
+            x = features[start:start + block]
+            rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])
+            lam = sample_lambda(cfg.prior, rng, size=len(x) * s)
+            partners = pool.take(rng.integers(0, len(pool), size=len(x) * s), axis=0)
+            logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
+                                                     bias_rows=bias_rows)
+
+    _run_parts(run, workers, pin)
     return logits
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_pin():
+    """``openblas_set_num_threads_local`` of the OpenBLAS in numpy.libs (OpenBLAS
+    >= 0.3.27), which sets a BLAS thread count and returns the one it replaced,
+    or None where numpy ships no such library."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            pin = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
+        return pin
+    return None
+
+
+def _run_parts(run, workers: int, pin) -> None:
+    """run(part) for each part < workers: part 0 on this thread, each other on a
+    thread of its own, every one with one BLAS thread. Once every worker has
+    ended, this thread restores its BLAS thread count and raises the first error
+    a worker raised. One worker is run(0) and nothing else."""
+    if workers == 1:
+        return run(0)
+    errors = []
+
+    def guarded(part):
+        pin(1)
+        try:
+            run(part)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    with _PINNED:
+        before = pin(1)
+        try:
+            for part in range(1, workers):
+                thread = threading.Thread(target=guarded, args=(part,))
+                thread.start()
+                threads.append(thread)
+            run(0)
+        finally:
+            for thread in threads:
+                thread.join()
+            pin(before)
+    if errors:
+        raise errors[0]
 
 
 def predict_batch(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:

@@ -717,8 +717,8 @@ class TestSweep:
 
     def test_failed_cell_recorded_sweep_continues(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-        # alpha=-1 cells cannot build a mix config; the alpha=1 cells still run
-        assert main(["sweep", str(cfg_path), "--alphas=-1,1", "--s-values", "1",
+        # S=0 cells cannot build a mix config; the S=1 cells still run
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "0,1",
                      "--seeds", "0,1"]) == 0
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         failed = [v for v in progress.values() if "error" in v]
@@ -726,6 +726,14 @@ class TestSweep:
         assert len(failed) == 2 and len(done) == 2
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 1  # header, two good runs, one aggregate
+
+    @pytest.mark.parametrize("alphas, bad", [("-1,1", -1.0), ("1,-0.5", -0.5)])
+    def test_negative_alpha_exits_two_before_any_work(self, tmp_path, capsys, alphas, bad):
+        # the --alpha rule; a non-finite value already fails the list's own check
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), f"--alphas={alphas}", "--s-values", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --alphas must be a finite number >= 0, got {bad}\n"
+        assert not (tmp_path / "sweep").exists()
 
     def test_no_test_split_exits_two_before_training(self, tmp_path, capsys):
         cfg_path = tiny_config(tmp_path, dataset={"test_fraction": None},

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +357,8 @@ class TestPredict:
             cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), pool, seed=4)
             predict_batch(params, default_rng(1).normal(size=(n, 2)), cfg)
             block = max(1, predictor._BLOCK_ROWS // s_test)
-            assert made == [[4, 2, b] for b in range(-(-n // block))]
+            # workers make their blocks' generators in no fixed order
+            assert sorted(made) == [[4, 2, b] for b in range(-(-n // block))]
 
     def test_model_without_hidden_layers(self):
         params = linear_net([[1.0, -2.0], [0.5, 3.0]], [0.1, -0.2])
@@ -365,6 +367,97 @@ class TestPredict:
         cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=3)
         probs = predict_batch(params, x, cfg)
         np.testing.assert_allclose(probs, hand_dip_probs(params, x, cfg), atol=1e-12)
+
+
+def threaded_model(kind):
+    """A ReLU net with 2 outputs or a tanh net with 3, random parameters."""
+    sizes, activation = ([2, 64, 64, 2], "relu") if kind == "relu" else ([2, 48, 9, 3], "tanh")
+    params = mlp_init(sizes, activation, seed=8)
+    params.flat[:] = np.random.default_rng(8).normal(size=params.flat.size)
+    return params
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    @pytest.mark.parametrize("s_test, n", [(500, 20), (33, 250), (5000, 7), (1, 4101)],
+                             ids=["s500", "s33", "s5000", "s1"])
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch, kind, s_test, n):
+        # n is no multiple of the block: 8-, 124-, 1- and 4096-row blocks
+        params = threaded_model(kind)
+        rng = np.random.default_rng(n)
+        pool, x = rng.normal(size=(40, 2)), rng.normal(size=(n, 2))
+        cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), pool, seed=3)
+        threads = set()
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return forward(*args)
+
+        monkeypatch.setattr(predictor, "forward", spy)
+        by_count, interval = {}, sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the workers switch often, so a shared write would show
+        try:
+            for cpus in (1, os.cpu_count()):  # never more workers than the host has CPUs
+                monkeypatch.setattr(predictor, "_usable_cpus", lambda: cpus)
+                threads.clear()
+                by_count[cpus] = predict_batch(params, x, cfg)
+                blocks = -(-n // max(1, predictor._BLOCK_ROWS // s_test))
+                assert len(threads) == (min(blocks, cpus) if predictor._blas_pin() else 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(by_count[1], by_count[os.cpu_count()])
+        np.testing.assert_allclose(by_count[1], hand_dip_probs(params, x, cfg), atol=1e-12)
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_an_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, where):
+        if predictor._blas_pin() is None or os.cpu_count() < 2:
+            pytest.skip("dip prediction runs on one thread here")
+        caller = threading.get_ident()
+
+        def failing(*args):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise ZeroDivisionError(f"forward failed on the {where}")
+            return forward(*args)
+
+        monkeypatch.setattr(predictor, "forward", failing)
+        monkeypatch.setattr(predictor, "_usable_cpus", lambda: 2)
+        params = threaded_model("relu")
+        pool = np.random.default_rng(0).normal(size=(30, 2))
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=0)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=where):
+            predict_batch(params, pool[:20], cfg)
+        assert threading.active_count() == before
+
+    def test_the_blas_thread_count_is_restored(self):
+        pin = predictor._blas_pin()
+        if pin is None:
+            pytest.skip("numpy ships no openblas_set_num_threads_local here")
+        params = threaded_model("relu")
+        pool = np.random.default_rng(0).normal(size=(30, 2))
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=0)
+        original = pin(1)
+        try:
+            for count in sorted({1, min(2, os.cpu_count())}):
+                pin(count)
+                predict_batch(params, pool[:20], cfg)
+                assert pin(count) == count
+        finally:
+            pin(original)
+
+    def test_without_the_pin_no_thread_starts(self, monkeypatch):
+        params = threaded_model("tanh")
+        pool = np.random.default_rng(0).normal(size=(30, 2))
+        cfg = PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=0)
+        x = np.random.default_rng(1).normal(size=(20, 2))
+        threaded = predict_batch(params, x, cfg)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(predictor, "_blas_pin", lambda: None)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert np.array_equal(predict_batch(params, x, cfg), threaded)
 
 
 class TestEvaluate:

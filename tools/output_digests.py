@@ -17,9 +17,11 @@ one tree print the same digests:
   dip prediction at S = 7, into ``sweep/``, and the same sweep resumed into
   ``sweep_resumed/``: first S 1 only, then S 1 and 3, so its two files must
   equal those under ``sweep/``;
-- ``predict_batch`` of the shipped perfbench model on the spirals, raw and
-  dip at S = 1, 7 and 500 (Beta(2, 1), the spirals as the pool), saved as
-  ``.npy``.
+- ``predict_batch`` of the shipped perfbench model on the 120 spiral rows,
+  raw and dip at S = 1, 7, 500 and 5000 (Beta(2, 1), the spirals as the pool),
+  saved as ``.npy``. Only S = 500 (15 blocks of 8 rows) and S = 5000 (120
+  one-row blocks) score more than one block, so only they spread blocks over
+  several threads.
 
 Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
 is digested too. The configs the run writes are listed as well.
@@ -42,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "perfbench" / "model" / "mixup_model.json"
 MODES = (("none", 0.0), ("label_mixing", 1.0), ("label_preserving", 1.0))
-S_VALUES = (1, 7, 500)
+S_VALUES = (1, 7, 500, 5000)
 CONFIG = {
     "dataset": {"csv": "spirals.csv", "test_fraction": 0.5, "split_seed": 0,
                 "standardize": True},
