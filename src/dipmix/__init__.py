@@ -13,8 +13,8 @@ __version__ = "0.18.0"
 
 from .bounds import BoundReport, bound_report, c_lambda_closed, rademacher_bracket
 from .data import Dataset, StandardizeStats, apply_stats, gen_spirals, load_csv, save_csv, split, standardize
-from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError)
+from .errors import (ConfigurationError, DivergenceError, DomainError, InputError, NumericError,
+                     ParseError, ShapeError)
 from .mixing import (
     BetaParams,
     MixConfig,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, is_real
+from .errors import ConfigurationError, check_real
 from .mixing import BetaParams
 
 
@@ -60,8 +60,7 @@ def rademacher_bracket(features, c_lambda: float):
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or not np.isfinite(x).all():
         raise ConfigurationError("features must be a nonempty 2-D matrix of finite numbers")
-    if not 0.0 <= c_lambda <= 1.0:
-        raise ConfigurationError(f"c_lambda must lie in [0, 1], got {c_lambda}")
+    check_real("c_lambda", c_lambda, "in [0, 1]")
     sq_norms = (x * x).sum(axis=1)
     mean_sq_norm = float(sq_norms.mean())
     mean_vec = x.mean(axis=0)
@@ -80,10 +79,8 @@ def bound_report(features, prior: BetaParams | None, rho: float = 1.0, c_h: floa
     term as comparative rather than certified.
     """
     for name, value in (("rho", rho), ("c_h", c_h), ("loss_bound", loss_bound)):
-        if not (is_real(value) and value > 0):
-            raise ConfigurationError(f"{name} must be a finite positive number, got {value}")
-    if not (is_real(delta) and 0.0 < delta < 1.0):
-        raise ConfigurationError(f"delta must lie in (0, 1), got {delta}")
+        check_real(name, value, "> 0")
+    check_real("delta", delta, "in (0, 1)")
     c_lam = c_lambda_closed(prior)
     bracket, mean_sq_norm, sq_norm_mean = rademacher_bracket(features, c_lam)
     n = int(np.asarray(features).shape[0])

@@ -6,7 +6,7 @@ training run writes a manifest echoing the fully resolved config and seed,
 so any artifact can be reproduced byte-for-byte from its manifest. Output
 files are written through ``data.write_file``, which renames a finished temp
 file into place. Exit codes: 0 success, 1 runtime failure (i/o, diverged
-training), 2 invalid config or arguments.
+training), 2 invalid input (an ``errors.InputError``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from . import __version__
 from .bounds import bound_report
 from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
                    gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
-from .errors import (ConfigurationError, DivergenceError, DomainError, NumericError, ParseError,
-                     ShapeError, check_count, check_seed, is_real, is_seed)
+from .errors import (ConfigurationError, DivergenceError, InputError, ParseError, check_count,
+                     check_real, check_seed, is_real, is_seed)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
@@ -96,6 +96,7 @@ def resolve_config(doc: dict) -> dict:
         ("", lambda: check_count("epochs", cfg["epochs"])),
         ("", lambda: check_count("batch_size", cfg["batch_size"])),
         ("predictor: ", lambda: PredictorConfig(s_test=pred["s_test"])),
+        ("predictor.", lambda: pred["alpha"] is None or check_real("alpha", pred["alpha"], ">= 0")),
         ("dataset.", lambda: check_seed("split_seed", ds["split_seed"])),
     ):
         try:
@@ -107,8 +108,6 @@ def resolve_config(doc: dict) -> dict:
         check(path is None or (isinstance(path, str) and path != ""),
               f"{name} must be null or a nonempty string")
     check(pred["mode"] in PREDICT_MODES, f"predictor.mode must be one of {PREDICT_MODES}")
-    check(pred["alpha"] is None or (is_real(pred["alpha"]) and pred["alpha"] >= 0),
-          "predictor.alpha must be a finite number >= 0 or null (inherit mix.alpha)")
     check(isinstance(seeds, list) and len(seeds) >= 1 and all(is_seed(s) for s in seeds)
           and len(set(seeds)) == len(seeds),
           "seeds must be a nonempty list of distinct nonnegative integers")
@@ -149,13 +148,6 @@ def _prior(alpha):
     """The ratio prior of prediction and of bound: Beta(alpha+1, alpha), or
     None (no mixing) when alpha is 0."""
     return lambda_prior("label_preserving", float(alpha)) if alpha else None
-
-
-def _predictor(mode: str, s_test: int, alpha, pool, seed: int) -> PredictorConfig:
-    """The PredictorConfig of eval, grid and sweep; pool is used by dip only."""
-    return PredictorConfig(mode=mode, s_test=s_test,
-                           prior=_prior(alpha) if mode == "dip" else None,
-                           partner_pool=pool if mode == "dip" else None, seed=seed)
 
 
 def run_training(cfg: dict, seed: int):
@@ -250,7 +242,7 @@ def _predictor_from_args(args):
         if stats is not None:
             pool_ds = apply_stats(pool_ds, stats)
         pool = pool_ds.features
-    return stats, _predictor(args.mode, args.s_test, args.alpha, pool, args.seed)
+    return stats, PredictorConfig(args.mode, args.s_test, _prior(args.alpha), pool, args.seed)
 
 
 def cmd_eval(args) -> int:
@@ -299,13 +291,6 @@ def _parse_num_list(flag: str, text: str, cast):
     return values
 
 
-def _check_alpha(flag: str, *alphas) -> None:
-    """The rule of every alpha a flag gives: finite and >= 0."""
-    for alpha in alphas:
-        if not (is_real(alpha) and alpha >= 0):
-            raise ConfigurationError(f"{flag} must be a finite number >= 0, got {alpha}")
-
-
 def _alpha_text(alpha: float) -> str:
     """An alpha as progress keys and sweep.csv name it: short when that reads back exactly."""
     short = f"{alpha:g}"
@@ -335,8 +320,8 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
                 return {**_scores(cell), "S": int(s)}
     params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
     pred = cell_cfg["predictor"]
-    pred_alpha = alpha if pred["alpha"] is None else pred["alpha"]
-    pred_cfg = _predictor(pred["mode"], pred["s_test"], pred_alpha, train_set.features, seed)
+    prior = _prior(alpha if pred["alpha"] is None else pred["alpha"])
+    pred_cfg = PredictorConfig(pred["mode"], pred["s_test"], prior, train_set.features, seed)
     train_eval = evaluate(params, train_set, pred_cfg)
     test_eval = evaluate(params, test_set, pred_cfg)
     return {
@@ -353,7 +338,8 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
     alphas = _parse_num_list("--alphas", args.alphas, float)
-    _check_alpha("--alphas", *alphas)
+    for alpha in alphas:
+        check_real("--alphas", alpha, ">= 0")
     s_values = _parse_num_list("--s-values", args.s_values, int)
     seeds = _parse_num_list("--seeds", args.seeds, int) if args.seeds else cfg["seeds"]
     if not all(is_seed(s) for s in seeds):
@@ -506,9 +492,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None:
             check_seed("--seed", args.seed)
-        _check_alpha("--alpha", getattr(args, "alpha", 0.0))  # eval, grid and bound
+        check_real("--alpha", getattr(args, "alpha", 0.0), ">= 0")  # eval, grid and bound
         return args.func(args)
-    except (ConfigurationError, ParseError, DomainError, ShapeError, NumericError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

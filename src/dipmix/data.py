@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, check_count, check_seed, is_real
+from .errors import ConfigurationError, ParseError, ShapeError, check_count, check_real, check_seed
 
 STD_FLOOR = 1e-8
 # a label sizes an n x (id + 1) one-hot matrix before any model is known
@@ -83,10 +83,8 @@ class StandardizeStats:
 
 def _check_spirals(n_per_class, noise_std, turns, seed):
     check_count("n_per_class", n_per_class)
-    if not (is_real(noise_std) and noise_std >= 0):
-        raise ConfigurationError(f"noise_std must be a finite number >= 0, got {noise_std!r}")
-    if not (is_real(turns) and turns > 0):
-        raise ConfigurationError(f"turns must be a finite number > 0, got {turns!r}")
+    check_real("noise_std", noise_std, ">= 0")
+    check_real("turns", turns, "> 0")
     check_seed("seed", seed)
 
 
@@ -209,8 +207,7 @@ def apply_stats(dataset: Dataset, stats: StandardizeStats) -> Dataset:
 
 
 def _check_fraction(test_fraction):
-    if not (is_real(test_fraction) and 0.0 < test_fraction < 1.0):
-        raise ConfigurationError(f"test_fraction must lie in (0, 1), got {test_fraction!r}")
+    check_real("test_fraction", test_fraction, "in (0, 1)")
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):

@@ -1,5 +1,6 @@
 """Exception types, and the one integer, count, seed and real-number rules,
-shared across the package."""
+shared across the package. Every bad-input class derives from InputError, so
+the CLI maps one class to exit status 2."""
 
 import math
 import numbers
@@ -42,19 +43,38 @@ def is_real(value) -> bool:
         return False
 
 
-class ConfigurationError(ValueError):
+_INTERVALS = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """A finite real, not a bool, inside interval, one of the _INTERVALS keys."""
+    if not (is_real(value) and _INTERVALS[interval](value)):
+        raise ConfigurationError(f"{name} must be a finite number {interval}, got {value!r}")
+
+
+class InputError(ValueError):
+    """Input the caller can correct: a bad value, shape, file or combination."""
+
+
+class ConfigurationError(InputError):
     """Invalid configuration value or combination of values."""
 
 
-class ShapeError(ValueError):
+class ShapeError(InputError):
     """Array arguments with incompatible dimensions."""
 
 
-class DomainError(ValueError):
+class DomainError(InputError):
     """Scalar argument outside its mathematical domain."""
 
 
-class NumericError(ValueError):
+class NumericError(InputError):
     """Non-finite values where finite arithmetic is required."""
 
 
@@ -62,7 +82,7 @@ class DivergenceError(RuntimeError):
     """Training whose loss became non-finite or grew past its divergence bound."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed input file; carries the offending line number when known."""
 
     def __init__(self, message, line=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check_count, is_real
+from .errors import ConfigurationError, DomainError, ShapeError, check_count, check_real, is_real
 
 MODES = ("none", "label_mixing", "label_preserving")
 
@@ -46,8 +46,7 @@ class MixConfig:
     s: int = 1
 
     def __post_init__(self):
-        if not (is_real(self.alpha) and self.alpha >= 0):
-            raise ConfigurationError(f"alpha must be a finite number >= 0, got {self.alpha!r}")
+        check_real("alpha", self.alpha, ">= 0")
         check_count("s", self.s)
         lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
 

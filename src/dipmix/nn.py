@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_json, write_file
-from .errors import ConfigurationError, NumericError, ShapeError, check_seed, is_count, is_real
+from .errors import ConfigurationError, NumericError, ShapeError, check_real, check_seed, is_count, is_real
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -144,11 +144,8 @@ class OptimState:
     scaled: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not (is_real(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(f"learning_rate must be a finite positive number, "
-                                     f"got {self.learning_rate!r}")
-        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ConfigurationError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
+        check_real("learning_rate", self.learning_rate, "> 0")
+        check_real("momentum", self.momentum, "in [0, 1)")
         if not (isinstance(self.schedule, (list, tuple)) and all(
                 isinstance(e, (list, tuple)) and len(e) == 2 and all(is_real(v) for v in e)
                 for e in self.schedule)):

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dipmix import (ConfigurationError, MixConfig, OptimState, cli, gen_spirals, load_csv,
+from dipmix import (ConfigurationError, DivergenceError, DomainError, InputError, MixConfig,
+                    NumericError, OptimState, ParseError, ShapeError, cli, gen_spirals, load_csv,
                     mlp_init, split, train)
 from dipmix.cli import main
 from dipmix.nn import ModelParams, forward, load_model, save_model
@@ -294,6 +295,25 @@ class TestTrain:
         assert main(["train", str(cfg_path)]) == 0
         assert (tmp_path / "from_env" / "model.json").exists()
 
+    def test_no_output_dir_exits_two_naming_every_source(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tiny_config(tmp_path, output_dir=None)
+        monkeypatch.delenv("DIPMIX_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no output directory: set output_dir, --output-dir, "
+                                "or $DIPMIX_OUTPUT_DIR\n")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("[1]")
+        assert main(["train", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config must be a JSON object\n" and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
@@ -344,6 +364,36 @@ def test_bad_alpha_exits_two_in_every_mode(trained_run, tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert captured.err == f"error: --alpha must be a finite number >= 0, got {float(value)}\n"
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc,code,err", [
+    (InputError("bad"), 2, "error: bad"),
+    (ConfigurationError("bad"), 2, "error: bad"),
+    (ShapeError("bad"), 2, "error: bad"),
+    (DomainError("bad"), 2, "error: bad"),
+    (NumericError("bad"), 2, "error: bad"),
+    (ParseError("bad", line=3), 2, "error: line 3: bad"),
+    (DivergenceError("bad"), 1, "error: bad"),
+    (OSError("bad"), 1, "i/o error: bad"),
+], ids=["input", "configuration", "shape", "domain", "numeric", "parse", "divergence", "os"])
+def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, exc, code, err):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_gen_data", fail)
+    assert main(["gen-data", "--out", str(tmp_path / "out.csv")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n" and captured.out == ""
+
+
+def test_other_value_errors_propagate(tmp_path, monkeypatch):
+    # a ValueError that is no InputError is a fault in the program or in numpy, not bad input
+    def fail(args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "cmd_gen_data", fail)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        main(["gen-data", "--out", str(tmp_path / "out.csv")])
 
 
 class TestEval:
@@ -505,6 +555,14 @@ class TestBound:
     def test_alpha_zero_means_no_mixing(self, trained_run, capsys):
         assert main(["bound", "--data", trained_run["data"], "--alpha", "0"]) == 0
         assert '"c_lambda": 1.0' in capsys.readouterr().out
+
+    def test_out_file_holds_what_it_prints(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert main(["bound", "--data", trained_run["data"], "--alpha", "2", "--standardize",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed)["c_lambda"] == pytest.approx(0.6)
+        assert out.read_bytes() == printed.encode()
 
 
 class TestSweep:
@@ -733,6 +791,13 @@ class TestSweep:
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         assert main(["sweep", str(cfg_path), f"--alphas={alphas}", "--s-values", "1"]) == 2
         assert capsys.readouterr().err == f"error: --alphas must be a finite number >= 0, got {bad}\n"
+        assert not (tmp_path / "sweep").exists()
+
+    def test_non_numeric_alpha_exits_two_before_any_work(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "a,1", "--s-values", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --alphas must be") and captured.out == ""
         assert not (tmp_path / "sweep").exists()
 
     def test_no_test_split_exits_two_before_training(self, tmp_path, capsys):

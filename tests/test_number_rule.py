@@ -4,9 +4,14 @@ tests ``isinstance(value, (int, float))`` or compares with an infinity writes
 a rule of its own, one that may let JSON true, NaN or Infinity through, and
 fails here. So does one that calls ``is_int``: a count or a seed goes through
 ``errors.check_count`` or ``errors.check_seed`` (or ``is_count``/``is_seed``),
-so that each rule has one message. The last two tests call every function
-that takes a count or a seed with values the rule rejects, and expect that
-message, naming the argument."""
+so that each rule has one message. A single real value goes through
+``errors.check_real(name, value, interval)``: finite, not a bool, and inside one
+of a few named intervals, with the one message "name must be a finite number
+<interval>, got <value>". Only a rule about more than one value may call
+``is_real`` itself: the Beta shape pair, a mode's alpha > 0, the schedule's
+pairs, the grid's box and a CLI number list. The last three tests call every
+function that takes a count, a seed or a single real with values the rule
+rejects, and expect that message, naming the argument."""
 
 import ast
 import re
@@ -16,8 +21,8 @@ import numpy as np
 import pytest
 
 from dipmix import (BetaParams, ConfigurationError, MixConfig, OptimState, PredictorConfig,
-                    beta_rule, decision_grid, gen_spirals, mlp_init, sample_lambda,
-                    sample_partners, split, train)
+                    beta_rule, bound_report, decision_grid, gen_spirals, mlp_init,
+                    rademacher_bracket, sample_lambda, sample_partners, split, train)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dipmix"
 
@@ -61,6 +66,33 @@ def test_number_rule_only_in_errors():
     assert offenders == []
 
 
+def _is_real_callers(tree) -> set:
+    """The qualified names of the functions that call is_real."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Call) and "is_real" in (
+                        getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    found.add(".".join(scope))
+                visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_is_real_only_in_compound_rules():
+    callers = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "errors.py"
+               for name in _is_real_callers(ast.parse(path.read_text()))}
+    assert callers == {"mixing.BetaParams.__post_init__", "mixing.lambda_prior",
+                       "nn.OptimState.__post_init__", "predictor.decision_grid",
+                       "cli._parse_num_list"}
+
+
 def test_the_check_sees_each_form():
     src = ("import numbers\n"
            "a = isinstance(v, (int, float))\n"
@@ -93,6 +125,21 @@ SEEDS = {  # function: a call that passes it the seed v
 }
 
 
+REALS = {  # argument name: (a call that passes it the value v, a finite value out of range)
+    "noise_std": (lambda v: gen_spirals(4, noise_std=v), -0.1),
+    "turns": (lambda v: gen_spirals(4, turns=v), 0),
+    "test_fraction": (lambda v: split(DS, v), 1),
+    "alpha": (lambda v: MixConfig("none", v), -1),
+    "learning_rate": (lambda v: OptimState(v), 0),
+    "momentum": (lambda v: OptimState(0.1, v), 1),
+    "rho": (lambda v: bound_report(DS.features, None, rho=v), 0),
+    "c_h": (lambda v: bound_report(DS.features, None, c_h=v), -1),
+    "loss_bound": (lambda v: bound_report(DS.features, None, loss_bound=v), 0),
+    "delta": (lambda v: bound_report(DS.features, None, delta=v), 1),
+    "c_lambda": (lambda v: rademacher_bracket(DS.features, v), 1.5),
+}
+
+
 @pytest.mark.parametrize("value", [0, True, 1.5])
 @pytest.mark.parametrize("name", list(COUNTS))
 def test_every_count_is_checked(name, value):
@@ -105,3 +152,12 @@ def test_every_count_is_checked(name, value):
 def test_every_seed_is_checked(function, value):
     with pytest.raises(ConfigurationError, match="^seed must be a nonnegative integer, got"):
         SEEDS[function](value)
+
+
+@pytest.mark.parametrize("value", ["nan", "true", "out of range"])
+@pytest.mark.parametrize("name", list(REALS))
+def test_every_real_is_checked(name, value):
+    call, out_of_range = REALS[name]
+    v = {"nan": float("nan"), "true": True, "out of range": out_of_range}[value]
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(name)} must be a finite number"):
+        call(v)

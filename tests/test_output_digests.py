@@ -21,7 +21,7 @@ def test_two_runs_digest_every_output_alike():
     tool = load_tool()
     first, second = tool.digests(SRC), tool.digests(SRC)
     assert first == second
-    expected = {"spirals.csv", "grid.csv", "grid.pgm", "predict_raw.npy",
+    expected = {"spirals.csv", "grid.csv", "grid.pgm", "bound.json", "bound.out", "predict_raw.npy",
                 "sweep/sweep.csv", "sweep/sweep_progress.json"}
     for mode, _ in tool.MODES:
         expected |= {f"run/{mode}/{name}" for name in

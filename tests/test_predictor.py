@@ -276,6 +276,10 @@ class TestPredict:
                 PredictorConfig("dip", 4, BetaParams(2, 1), partner_pool=pool, seed=bad)
         assert PredictorConfig("raw", seed=np.int64(3)).seed == 3
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown predictor mode 'blend'"):
+            PredictorConfig(mode="blend")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         params = mlp_init([2, 4, 2], seed=0)

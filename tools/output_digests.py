@@ -13,6 +13,7 @@ one tree print the same digests:
   label_mixing and label_preserving at S = 3, into ``run/<mode>/``;
 - raw and dip ``eval`` (S = 7, alpha 1) of each model on the spirals;
 - a dip ``grid`` (16 x 16, S = 7) of the label-preserving model;
+- a ``bound`` report of the standardized spirals at alpha 2, ``bound.json``;
 - a 2 x 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seeds 0 and 1) scored by
   dip prediction at S = 7, into ``sweep/``, and the same sweep resumed into
   ``sweep_resumed/``: first S 1 only, then S 1 and 3, so its two files must
@@ -83,6 +84,8 @@ def run_matrix(model_path: str) -> None:
     step("grid", ["grid", "--model", "run/label_preserving/model.json", "--stats",
                   "run/label_preserving/standardize.json", "--res", "16", "--mode", "dip",
                   *predictor, "--out-prefix", "grid"])
+    step("bound", ["bound", "--data", "spirals.csv", "--alpha", "2", "--standardize",
+                   "--out", "bound.json"])
     sweep = ["sweep", "config_none.json", "--alphas", "0,1", "--seeds", "0,1", "--s-values"]
     step("sweep", [*sweep, "1,3", "--output-dir", "sweep"])
     step("sweep_resumed_s1", [*sweep, "1", "--output-dir", "sweep_resumed"])
