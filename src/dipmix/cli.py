@@ -413,6 +413,50 @@ def cmd_grid(args) -> int:
     return 0
 
 
+# The prediction flags eval and grid share; _predictor_from_args reads them.
+PREDICTOR_FLAGS = (
+    ("--mode", dict(choices=PREDICT_MODES, default="raw")),
+    ("--s-test", dict(type=int, default=500)),
+    ("--alpha", dict(type=float, default=1.0,
+                     help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")),
+    ("--partner-data", dict(help="CSV whose features form the mix pool; required by --mode dip")),
+    ("--stats", dict(help="standardize.json from training")),
+    ("--seed", dict(type=int, default=0)),
+)
+BOX_FLAGS = tuple((f"--{name}", dict(type=float, default=value))
+                  for name, value in (("xmin", -1.5), ("xmax", 1.5), ("ymin", -1.5), ("ymax", 1.5)))
+
+# Each subcommand as (name, help, flags), handled by cmd_<name> as build_parser
+# finds it; each flag is an add_argument (name, keywords) pair, in --help order.
+SUBCOMMANDS = (
+    ("gen-data", "generate a two-spirals CSV", (
+        ("--n", dict(type=int, default=500, help="points per class")),
+        ("--noise", dict(type=float, default=0.05)), ("--turns", dict(type=float, default=1.25)),
+        ("--seed", dict(type=int, default=0)), ("--out", dict(required=True)))),
+    ("train", "train a model from a JSON config (or a manifest)", (
+        ("config", {}),
+        ("--seed", dict(type=int, help="override the config seed")), ("--output-dir", {}))),
+    ("eval", "evaluate a model on a CSV dataset", (
+        ("--model", dict(required=True)), ("--data", dict(required=True)), *PREDICTOR_FLAGS)),
+    ("bound", "complexity bound report for a dataset", (
+        ("--data", dict(required=True)),
+        ("--alpha", dict(type=float, default=1.0, help="ratio prior is Beta(alpha+1, alpha); "
+                                                        "0 disables mixing (C = 1)")),
+        ("--rho", dict(type=float, default=1.0)), ("--c-h", dict(type=float, default=1.0)),
+        ("--loss-bound", dict(type=float, default=10.0)),
+        ("--delta", dict(type=float, default=0.05)),
+        ("--standardize", dict(action="store_true")), ("--out", {}))),
+    ("sweep", "train/eval over an alpha x S x seed grid", (
+        ("config", {}),
+        ("--alphas", dict(required=True, help="comma list; 0 means no mixing")),
+        ("--s-values", dict(required=True, help="comma list of draw counts")),
+        ("--seeds", dict(help="comma list (default: config seeds)")), ("--output-dir", {}))),
+    ("grid", "export a decision grid as CSV and PGM", (
+        ("--model", dict(required=True)), *BOX_FLAGS, ("--res", dict(type=int, default=128)),
+        *PREDICTOR_FLAGS, ("--out-prefix", dict(required=True)))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dipmix",
@@ -421,68 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"dipmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a two-spirals CSV")
-    p.add_argument("--n", type=int, default=500, help="points per class")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--turns", type=float, default=1.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train a model from a JSON config (or a manifest)")
-    p.add_argument("config")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(func=cmd_train)
-
-    def add_predictor_flags(p):
-        """The prediction flags eval and grid share; _predictor_from_args reads them."""
-        p.add_argument("--mode", choices=PREDICT_MODES, default="raw")
-        p.add_argument("--s-test", type=int, default=500)
-        p.add_argument("--alpha", type=float, default=1.0,
-                       help="prediction prior is Beta(alpha+1, alpha); 0 disables mixing")
-        p.add_argument("--partner-data", default=None,
-                       help="CSV whose features form the mix pool; required by --mode dip")
-        p.add_argument("--stats", default=None, help="standardize.json from training")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("eval", help="evaluate a model on a CSV dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    add_predictor_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bound", help="complexity bound report for a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="ratio prior is Beta(alpha+1, alpha); 0 disables mixing (C = 1)")
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--c-h", type=float, default=1.0)
-    p.add_argument("--loss-bound", type=float, default=10.0)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--standardize", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("sweep", help="train/eval over an alpha x S x seed grid")
-    p.add_argument("config")
-    p.add_argument("--alphas", required=True, help="comma list; 0 means no mixing")
-    p.add_argument("--s-values", required=True, help="comma list of draw counts")
-    p.add_argument("--seeds", default=None, help="comma list (default: config seeds)")
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("grid", help="export a decision grid as CSV and PGM")
-    p.add_argument("--model", required=True)
-    p.add_argument("--xmin", type=float, default=-1.5)
-    p.add_argument("--xmax", type=float, default=1.5)
-    p.add_argument("--ymin", type=float, default=-1.5)
-    p.add_argument("--ymax", type=float, default=1.5)
-    p.add_argument("--res", type=int, default=128)
-    add_predictor_flags(p)
-    p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_grid)
+    for name, help_text, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -3,8 +3,13 @@ comparing two trees' outputs is two runs and a diff. A run that leaves a file
 out, or writes one whose bytes depend on the run rather than the code, would
 make that comparison say nothing, and fails here."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from dipmix.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,3 +38,18 @@ def test_two_runs_digest_every_output_alike():
     # a resumed sweep writes what a fresh one writes
     for name in ("sweep.csv", "sweep_progress.json"):
         assert first[f"sweep_resumed/{name}"] == first[f"sweep/{name}"]
+
+
+def test_help_of_every_command_is_digested(monkeypatch, capsys):
+    """The CLI surface, every flag, default and help string, is part of the
+    same-bytes check: each help file holds what ``dipmix <cmd> --help`` prints
+    at 80 columns."""
+    digests = load_tool().digests(SRC)
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in ("dipmix", "gen-data", "train", "eval", "bound", "sweep", "grid"):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"] if command == "dipmix" else [command, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: dipmix")
+        assert digests[f"help/{command}.out"] == hashlib.sha256(text.encode()).hexdigest()

@@ -22,7 +22,10 @@ one tree print the same digests:
   raw and dip at S = 1, 7, 500 and 5000 (Beta(2, 1), the spirals as the pool),
   saved as ``.npy``. Only S = 500 (15 blocks of 8 rows) and S = 5000 (120
   one-row blocks) score more than one block, so only they spread blocks over
-  several threads.
+  several threads;
+- ``dipmix --help`` and each ``dipmix <cmd> --help``, 80 columns wide, as
+  ``help/dipmix.out`` and ``help/<cmd>.out``, so the CLI's flags, defaults and
+  help text are digested too.
 
 Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
 is digested too. The configs the run writes are listed as well.
@@ -46,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "perfbench" / "model" / "mixup_model.json"
 MODES = (("none", 0.0), ("label_mixing", 1.0), ("label_preserving", 1.0))
 S_VALUES = (1, 7, 500, 5000)
+COMMANDS = ("gen-data", "train", "eval", "bound", "sweep", "grid")
 CONFIG = {
     "dataset": {"csv": "spirals.csv", "test_fraction": 0.5, "split_seed": 0,
                 "standardize": True},
@@ -66,7 +70,10 @@ def run_matrix(model_path: str) -> None:
 
     def step(name, argv):
         with open(f"{name}.out", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help prints, then exits
+                code = exc.code
         if code != 0:
             sys.exit(f"dipmix {' '.join(argv)} exited {code}")
 
@@ -90,6 +97,10 @@ def run_matrix(model_path: str) -> None:
     step("sweep", [*sweep, "1,3", "--output-dir", "sweep"])
     step("sweep_resumed_s1", [*sweep, "1", "--output-dir", "sweep_resumed"])
     step("sweep_resumed", [*sweep, "1,3", "--output-dir", "sweep_resumed"])
+    Path("help").mkdir()
+    step("help/dipmix", ["--help"])
+    for command in COMMANDS:
+        step(f"help/{command}", [command, "--help"])
     params = dipmix.load_model(model_path)
     x = dipmix.load_csv("spirals.csv").features
     np.save("predict_raw.npy", dipmix.predict_batch(params, x, dipmix.PredictorConfig("raw")))
@@ -101,7 +112,8 @@ def run_matrix(model_path: str) -> None:
 def digests(src) -> dict:
     """{relative path: SHA-256} of every file the matrix writes, running the
     package under ``src`` in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONDONTWRITEBYTECODE": "1",
+           "COLUMNS": "80"}
     with tempfile.TemporaryDirectory(prefix="dipmix-digests-") as tmp:
         subprocess.run([sys.executable, str(Path(__file__).resolve()), "--matrix", str(MODEL)],
                        cwd=tmp, env=env, check=True)
