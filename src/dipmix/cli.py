@@ -25,12 +25,12 @@ from . import __version__
 from .bounds import bound_report
 from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
                    gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
-from .errors import (ConfigurationError, DivergenceError, InputError, ParseError, check_count,
-                     check_real, check_seed, is_real, is_seed)
+from .errors import (ConfigurationError, DivergenceError, InputError, ParseError, check_int,
+                     check_real)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
-from .predictor import PREDICT_MODES, PredictorConfig, decision_grid, evaluate
+from .predictor import PREDICT_MODES, PredictorConfig, _blas_pin, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
 
@@ -70,6 +70,18 @@ def _merge(base: dict, override: dict, errors: list, path: str = "") -> dict:
     return out
 
 
+def _check_list(name: str, values, check, interval: str) -> list:
+    """A nonempty list whose values each pass check(name, value, interval) and
+    do not repeat, since a repeat would count one model as two."""
+    if not (isinstance(values, list) and values):
+        raise ConfigurationError(f"{name} must be a nonempty list, got {values!r}")
+    for value in values:
+        check(name, value, interval)
+    if len(set(values)) != len(values):
+        raise ConfigurationError(f"{name} must not repeat a value, got {values!r}")
+    return values
+
+
 def resolve_config(doc: dict) -> dict:
     """Fill defaults and validate, reporting every problem at once.
 
@@ -85,7 +97,7 @@ def resolve_config(doc: dict) -> dict:
         if not cond:
             errors.append(msg)
 
-    ds, pred, seeds = cfg["dataset"], cfg["predictor"], cfg["seeds"]
+    ds, pred = cfg["dataset"], cfg["predictor"]
     for prefix, owner in (
         # the generator is not used with a csv, nor the split with a null fraction
         ("dataset.generator.", lambda: ds["csv"] or _check_spirals(**ds["generator"])),
@@ -93,11 +105,12 @@ def resolve_config(doc: dict) -> dict:
         ("model: ", lambda: _check_architecture(**cfg["model"])),
         ("mix: ", lambda: MixConfig(**cfg["mix"])),
         ("optim: ", lambda: OptimState(**cfg["optim"])),
-        ("", lambda: check_count("epochs", cfg["epochs"])),
-        ("", lambda: check_count("batch_size", cfg["batch_size"])),
+        ("", lambda: check_int("epochs", cfg["epochs"], "> 0")),
+        ("", lambda: check_int("batch_size", cfg["batch_size"], "> 0")),
         ("predictor: ", lambda: PredictorConfig(s_test=pred["s_test"])),
         ("predictor.", lambda: pred["alpha"] is None or check_real("alpha", pred["alpha"], ">= 0")),
-        ("dataset.", lambda: check_seed("split_seed", ds["split_seed"])),
+        ("dataset.", lambda: check_int("split_seed", ds["split_seed"], ">= 0")),
+        ("", lambda: _check_list("seeds", cfg["seeds"], check_int, ">= 0")),
     ):
         try:
             owner()
@@ -108,9 +121,6 @@ def resolve_config(doc: dict) -> dict:
         check(path is None or (isinstance(path, str) and path != ""),
               f"{name} must be null or a nonempty string")
     check(pred["mode"] in PREDICT_MODES, f"predictor.mode must be one of {PREDICT_MODES}")
-    check(isinstance(seeds, list) and len(seeds) >= 1 and all(is_seed(s) for s in seeds)
-          and len(set(seeds)) == len(seeds),
-          "seeds must be a nonempty list of distinct nonnegative integers")
     if errors:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(errors))
     return cfg
@@ -161,7 +171,9 @@ def run_training(cfg: dict, seed: int):
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
-    out = flag_value or cfg.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV)
+    if flag_value == "":
+        raise ConfigurationError("--output-dir must be a nonempty string")
+    out = flag_value or cfg["output_dir"] or os.environ.get(OUTPUT_DIR_ENV)
     if not out:
         raise ConfigurationError(
             f"no output directory: set output_dir, --output-dir, or ${OUTPUT_DIR_ENV}"
@@ -278,17 +290,16 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _parse_num_list(flag: str, text: str, cast):
-    """The values of a comma list; a repeat would count one cell twice."""
-    try:
-        values = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
-        ok = all(is_real(v) for v in values) and 0 < len(set(values)) == len(values)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ConfigurationError(f"{flag} must be a nonempty comma-separated list of distinct "
-                                 f"finite numbers, got {text!r}")
-    return values
+def _parse_num_list(flag: str, text: str, cast, check, interval: str) -> list:
+    """The values of a comma list, under the list rule; a token that cast
+    cannot read stays text, which check names."""
+    values = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            values.append(cast(token))
+        except ValueError:
+            values.append(token)
+    return _check_list(flag, values, check, interval)
 
 
 def _alpha_text(alpha: float) -> str:
@@ -337,13 +348,10 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
-    alphas = _parse_num_list("--alphas", args.alphas, float)
-    for alpha in alphas:
-        check_real("--alphas", alpha, ">= 0")
-    s_values = _parse_num_list("--s-values", args.s_values, int)
-    seeds = _parse_num_list("--seeds", args.seeds, int) if args.seeds else cfg["seeds"]
-    if not all(is_seed(s) for s in seeds):
-        raise ConfigurationError(f"--seeds must list nonnegative integers, got {args.seeds!r}")
+    alphas = _parse_num_list("--alphas", args.alphas, float, check_real, ">= 0")
+    s_values = _parse_num_list("--s-values", args.s_values, int, check_int, "> 0")
+    seeds = (cfg["seeds"] if args.seeds is None
+             else _parse_num_list("--seeds", args.seeds, int, check_int, ">= 0"))
     if cfg["dataset"]["test_fraction"] is None:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
@@ -476,9 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one BLAS thread unless the user chose a count: this program's matrices gain
+    # little from a second, whose idle spin takes a core; the count is restored
+    pin = None if "OPENBLAS_NUM_THREADS" in os.environ else _blas_pin()
+    before = pin(1) if pin else None
     try:
         if getattr(args, "seed", None) is not None:
-            check_seed("--seed", args.seed)
+            check_int("--seed", args.seed, ">= 0")
         check_real("--alpha", getattr(args, "alpha", 0.0), ">= 0")  # eval, grid and bound
         return args.func(args)
     except InputError as exc:
@@ -493,6 +505,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. numpy refusing a grid --res too large to hold
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if pin:
+            pin(before)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, check_count, check_real, check_seed
+from .errors import ConfigurationError, ParseError, ShapeError, check_int, check_real
 
 STD_FLOOR = 1e-8
 # a label sizes an n x (id + 1) one-hot matrix before any model is known
@@ -82,10 +82,10 @@ class StandardizeStats:
 
 
 def _check_spirals(n_per_class, noise_std, turns, seed):
-    check_count("n_per_class", n_per_class)
+    check_int("n_per_class", n_per_class, "> 0")
     check_real("noise_std", noise_std, ">= 0")
     check_real("turns", turns, "> 0")
-    check_seed("seed", seed)
+    check_int("seed", seed, ">= 0")
 
 
 def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 1.25,
@@ -213,7 +213,7 @@ def _check_fraction(test_fraction):
 def split(dataset: Dataset, test_fraction: float, seed: int = 0):
     """Split each class that some row holds between train and test, deterministic per seed."""
     _check_fraction(test_fraction)
-    check_seed("seed", seed)
+    check_int("seed", seed, ">= 0")
     rng = np.random.default_rng(seed)
     ids = dataset.class_ids()
     test_idx = []

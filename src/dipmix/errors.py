@@ -1,4 +1,4 @@
-"""Exception types, and the one integer, count, seed and real-number rules,
+"""Exception types, and the one integer rule and the one real-number rule,
 shared across the package. Every bad-input class derives from InputError, so
 the CLI maps one class to exit status 2."""
 
@@ -10,26 +10,6 @@ def is_int(value) -> bool:
     """An integer that is not a bool, so that JSON true is not taken for 1."""
     # exact type first: every training step checks counts, and the ABC test costs ~4x as much
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_count(value) -> bool:
-    """An integer of at least 1: a size, or a number of draws or repetitions."""
-    return is_int(value) and value >= 1
-
-
-def is_seed(value) -> bool:
-    """A nonnegative integer, the seeds numpy's generators accept."""
-    return is_int(value) and value >= 0
-
-
-def check_count(name: str, value) -> None:
-    if not is_count(value):
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_seed(name: str, value) -> None:
-    if not is_seed(value):
-        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def is_real(value) -> bool:
@@ -50,6 +30,12 @@ _INTERVALS = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
 }
+
+
+def check_int(name: str, value, interval: str) -> None:
+    """An integer, not a bool, inside interval: "> 0" for a count, ">= 0" for a seed."""
+    if not (is_int(value) and _INTERVALS[interval](value)):
+        raise ConfigurationError(f"{name} must be an integer {interval}, got {value!r}")
 
 
 def check_real(name: str, value, interval: str) -> None:

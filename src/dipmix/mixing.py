@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError, check_count, check_real, is_real
+from .errors import ConfigurationError, DomainError, ShapeError, check_int, check_real, is_real
 
 MODES = ("none", "label_mixing", "label_preserving")
 
@@ -47,7 +47,7 @@ class MixConfig:
 
     def __post_init__(self):
         check_real("alpha", self.alpha, ">= 0")
-        check_count("s", self.s)
+        check_int("s", self.s, "> 0")
         lambda_prior(self.mode, self.alpha)  # owns the mode and its alpha > 0 rule
 
 
@@ -94,13 +94,13 @@ def sample_lambda(prior: BetaParams | None, rng: np.random.Generator, size: int)
 
     The degenerate prior (None) yields exactly 1 and consumes no randomness.
     """
-    check_count("size", size)
+    check_int("size", size, "> 0")
     return np.ones(size) if prior is None else rng.beta(prior.a, prior.b, size=size)
 
 
 def sample_partners(m: int, rng: np.random.Generator) -> np.ndarray:
     """Mix partners for a batch of m rows: a uniform random permutation of 0..m-1."""
-    check_count("m", m)
+    check_int("m", m, "> 0")
     return rng.permutation(m)
 
 
@@ -115,7 +115,7 @@ def beta_rule(prior: BetaParams | None, q: int) -> tuple[np.ndarray, np.ndarray]
     component of its unit eigenvector. The degenerate prior (None) gives the
     node 1 with weight 1, whatever q.
     """
-    check_count("q", q)
+    check_int("q", q, "> 0")
     if prior is None:
         return np.ones(1), np.ones(1)
     al, be = prior.b - 1.0, prior.a - 1.0

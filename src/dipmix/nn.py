@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import read_json, write_file
-from .errors import ConfigurationError, NumericError, ShapeError, check_real, check_seed, is_count, is_real
+from .errors import ConfigurationError, NumericError, ShapeError, check_int, check_real, is_int, is_real
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -165,7 +165,7 @@ class OptimState:
 
 def _check_architecture(layer_sizes, activation):
     if not (isinstance(layer_sizes, (list, tuple)) and len(layer_sizes) >= 2
-            and all(is_count(s) for s in layer_sizes)):
+            and all(is_int(s) and s > 0 for s in layer_sizes)):
         raise ConfigurationError(f"layer_sizes must be a list of >= 2 positive integers, "
                                  f"got {layer_sizes!r}")
     if activation not in ACTIVATIONS:
@@ -178,7 +178,7 @@ def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> ModelParam
     Deterministic per seed.
     """
     _check_architecture(layer_sizes, activation)  # before the draws, which fail less clearly
-    check_seed("seed", seed)
+    check_int("seed", seed, ">= 0")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, check_count
+from .errors import ConfigurationError, DivergenceError, NumericError, ShapeError, check_int
 from .mixing import MixConfig, lambda_prior, mix, sample_lambda, sample_partners
 from .nn import (
     ModelParams,
@@ -118,8 +118,8 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     gives every row the same logits or its last epoch's loss is above
     2 * log(k).
     """
-    check_count("epochs", epochs)
-    check_count("batch_size", batch_size)
+    check_int("epochs", epochs, "> 0")
+    check_int("batch_size", batch_size, "> 0")
     if batch_size > train_set.n:
         raise ConfigurationError(f"batch_size must lie in [1, {train_set.n}], got {batch_size}")
     if train_set.d != params.n_inputs or train_set.k != params.n_outputs:

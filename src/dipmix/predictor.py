@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError, NumericError, ShapeError, check_count, check_seed, is_real
+from .errors import ConfigurationError, NumericError, ShapeError, check_int, is_real
 from .mixing import BetaParams, mix, sample_lambda
 from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_softmax
 
@@ -60,8 +60,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.mode not in PREDICT_MODES:
             raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
-        check_count("s_test", self.s_test)
-        check_seed("seed", self.seed)
+        check_int("s_test", self.s_test, "> 0")
+        check_int("seed", self.seed, ">= 0")
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
             raise ConfigurationError("dip prediction requires a nonempty partner_pool")
 
@@ -236,7 +236,7 @@ def decision_grid(params: ModelParams, cfg: PredictorConfig, x_range, y_range,
             and x_range[0] < x_range[1] and y_range[0] < y_range[1]):
         raise ConfigurationError(f"grid bounds must be finite numbers with min < max, got "
                                  f"x {tuple(x_range)} and y {tuple(y_range)}")
-    check_count("resolution", resolution)
+    check_int("resolution", resolution, "> 0")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[1], y_range[0], resolution)
     gx, gy = np.meshgrid(xs, ys)

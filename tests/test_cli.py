@@ -10,6 +10,7 @@ from dipmix import (ConfigurationError, DivergenceError, DomainError, InputError
                     mlp_init, split, train)
 from dipmix.cli import main
 from dipmix.nn import ModelParams, forward, load_model, save_model
+from dipmix.predictor import _blas_pin
 
 
 def generator(**fields):
@@ -315,6 +316,12 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+def diverge_at_s3(cfg):
+    """Fails a sweep cell of S = 3 as diverged training does."""
+    if cfg["mix"]["s"] == 3:
+        raise DivergenceError("diverged at S=3")
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """One small trained model plus datasets, shared by eval/grid tests."""
@@ -384,6 +391,56 @@ def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, exc, c
     assert main(["gen-data", "--out", str(tmp_path / "out.csv")]) == code
     captured = capsys.readouterr()
     assert captured.err == err + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [[], ["--alphas", "1", "--s-values", "1"]],
+                         ids=["train", "sweep"])
+def test_empty_output_dir_flag_exits_two_before_training(tmp_path, monkeypatch, capsys, command):
+    # the flag is taken whenever it is given, so an empty one is not passed over for the variable
+    monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a model"))
+    monkeypatch.setenv("DIPMIX_OUTPUT_DIR", str(tmp_path / "from_env"))
+    cfg_path = tiny_config(tmp_path, output_dir=None)
+    name = "sweep" if command else "train"
+    assert main([name, str(cfg_path), *command, "--output-dir", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --output-dir must be a nonempty string\n" and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def _blas_threads(pin) -> int:
+    count = pin(1)
+    pin(count)
+    return count
+
+
+@pytest.mark.skipif(_blas_pin() is None, reason="numpy's BLAS has no per-call thread count")
+@pytest.mark.parametrize("user", [None, "2"], ids=["default", "user-set"])
+def test_commands_run_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
+                                                                      user):
+    pin = _blas_pin()
+    if user is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+    seen = []
+
+    def command(args):
+        seen.append(_blas_threads(pin))
+        return 0
+
+    def failing(args):
+        seen.append(_blas_threads(pin))
+        raise ConfigurationError("bad")
+
+    before = pin(2)  # the count OpenBLAS took from the variable, or its default
+    try:
+        for fake, code in ((command, 0), (failing, 2)):
+            monkeypatch.setattr(cli, "cmd_gen_data", fake)
+            assert main(["gen-data", "--out", str(tmp_path / "out.csv")]) == code
+            assert _blas_threads(pin) == 2  # restored for the in-process caller
+    finally:
+        pin(before)
+    assert seen == ([1, 1] if user is None else [2, 2])
 
 
 def test_other_value_errors_propagate(tmp_path, monkeypatch):
@@ -582,7 +639,7 @@ class TestSweep:
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
                                predictor={"mode": "dip", "s_test": True})
         assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1"]) == 2
-        assert "predictor: s_test must be a positive integer, got True" in capsys.readouterr().err
+        assert "predictor: s_test must be an integer > 0, got True" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("overrides,flags,flag", [
@@ -671,16 +728,16 @@ class TestSweep:
     def test_each_model_trains_once(self, tmp_path, monkeypatch, alpha, mode, trains):
         trained = []
         real = cli.run_training
-        monkeypatch.setattr(cli, "run_training", lambda cfg, seed: trained.append(
-            (cfg["mix"]["mode"], cfg["mix"]["s"])) or real(cfg, seed))
+        monkeypatch.setattr(cli, "run_training", lambda cfg, seed: diverge_at_s3(cfg) or (
+            trained.append((cfg["mix"]["mode"], cfg["mix"]["s"])) or real(cfg, seed)))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
                                mix={"mode": mode, "alpha": float(alpha), "s": 1})
-        assert main(["sweep", str(cfg_path), "--alphas", alpha, "--s-values", "0,1,2",
+        assert main(["sweep", str(cfg_path), "--alphas", alpha, "--s-values", "3,1,2",
                      "--seeds", "0"]) == 0
         assert trained == trains
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
-        cells = [progress[f"alpha={alpha},S={s},seed=0"] for s in (0, 1, 2)]
-        assert "mix: s must" in cells[0]["error"]
+        cells = [progress[f"alpha={alpha},S={s},seed=0"] for s in (3, 1, 2)]
+        assert cells[0]["error"] == "DivergenceError: diverged at S=3"
         assert [cell["S"] for cell in cells[1:]] == [1, 2]
         scores = [{k: v for k, v in c.items() if k not in ("S", "scores_sha256")}
                   for c in cells[1:]]
@@ -773,10 +830,13 @@ class TestSweep:
         assert csv_path.read_bytes() == first
         assert progress_path.read_bytes() == first_progress
 
-    def test_failed_cell_recorded_sweep_continues(self, tmp_path, capsys):
+    def test_failed_cell_recorded_sweep_continues(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: diverge_at_s3(cfg) or real(cfg, seed))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-        # S=0 cells cannot build a mix config; the S=1 cells still run
-        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "0,1",
+        # the S=3 cells diverge; the S=1 cells still run
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "3,1",
                      "--seeds", "0,1"]) == 0
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         failed = [v for v in progress.values() if "error" in v]
@@ -807,15 +867,31 @@ class TestSweep:
         assert "test_fraction" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_s_zero_cell_fails(self, tmp_path):
+    @pytest.mark.parametrize("s_values, bad", [(["--s-values", "0,1"], 0),
+                                               (["--s-values=-2,1"], -2)], ids=["zero", "negative"])
+    def test_non_positive_s_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                      s_values, bad):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a cell"))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-        assert main(["sweep", str(cfg_path), "--alphas", "0", "--s-values", "0",
-                     "--seeds", "0"]) == 0
-        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
-        (cell,) = progress.values()
-        assert "mix: s must" in cell["error"]
-        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-        assert not any(line.startswith("0,0,") for line in lines)
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", *s_values, "--seeds", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --s-values must be an integer > 0, got {bad}\n"
+        assert captured.out == "" and not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("flag, text, err", [
+        ("--alphas", "a,1", "--alphas must be a finite number >= 0, got 'a'"),
+        ("--s-values", "1,2.0", "--s-values must be an integer > 0, got '2.0'"),
+        ("--seeds", "0,true", "--seeds must be an integer >= 0, got 'true'"),
+        ("--seeds", ",", "--seeds must be a nonempty list, got []"),
+        ("--seeds", "", "--seeds must be a nonempty list, got []"),
+        ("--alphas", "1,1.0", "--alphas must not repeat a value, got [1.0, 1.0]"),
+    ], ids=["alpha-text", "s-float", "seed-text", "empty", "empty-text", "repeat"])
+    def test_each_list_message_names_its_flag(self, tmp_path, capsys, flag, text, err):
+        flags = {"--alphas": "1", "--s-values": "1", "--seeds": "0", flag: text}
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), *(f"{k}={v}" for k, v in flags.items())]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("doc", ['{"a', "[]", '{"alpha=1,S=1,seed=0": []}'],
                              ids=["not-json", "not-object", "cell-not-object"])

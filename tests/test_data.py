@@ -62,9 +62,9 @@ class TestGenSpirals:
     def test_split_and_init_check_their_seed(self):
         ds = gen_spirals(10)
         for seed in (-1, True, 2.5):
-            with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
                 split(ds, 0.5, seed=seed)
-            with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
                 mlp_init([2, 3, 2], seed=seed)
 
 

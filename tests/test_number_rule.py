@@ -2,16 +2,18 @@
 real-number rule. A module other than errors.py that reaches for ``numbers``,
 tests ``isinstance(value, (int, float))`` or compares with an infinity writes
 a rule of its own, one that may let JSON true, NaN or Infinity through, and
-fails here. So does one that calls ``is_int``: a count or a seed goes through
-``errors.check_count`` or ``errors.check_seed`` (or ``is_count``/``is_seed``),
-so that each rule has one message. A single real value goes through
-``errors.check_real(name, value, interval)``: finite, not a bool, and inside one
-of a few named intervals, with the one message "name must be a finite number
-<interval>, got <value>". Only a rule about more than one value may call
-``is_real`` itself: the Beta shape pair, a mode's alpha > 0, the schedule's
-pairs, the grid's box and a CLI number list. The last three tests call every
-function that takes a count, a seed or a single real with values the rule
-rejects, and expect that message, naming the argument."""
+fails here. A single integer goes through ``errors.check_int(name, value,
+interval)``, a count with interval "> 0" and a seed with ">= 0": an integer,
+not a bool, with the one message "name must be an integer <interval>, got
+<value>". A single real value goes through ``errors.check_real(name, value,
+interval)``: finite, not a bool, and inside one of a few named intervals, with
+the one message "name must be a finite number <interval>, got <value>". Only a
+rule about more than one value may call ``is_int`` or ``is_real`` itself: the
+architecture's list of layer sizes calls ``is_int``; the Beta shape pair, a
+mode's alpha > 0, the schedule's pairs and the grid's box call ``is_real``. The
+CLI's number lists pass each value through its scalar rule. The last three
+tests call every function that takes a count, a seed or a single real with
+values the rule rejects, and expect that message, naming the argument."""
 
 import ast
 import re
@@ -49,10 +51,6 @@ def _offences(tree) -> list:
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             if any(isinstance(k, ast.Name) and k.id == "float" for k in kinds):
                 found.append((node.lineno, "isinstance(..., float)"))
-        elif isinstance(node, ast.Call) and (
-                getattr(node.func, "id", None) == "is_int"
-                or getattr(node.func, "attr", None) == "is_int"):
-            found.append((node.lineno, "is_int call"))
         elif isinstance(node, ast.Compare) and any(
                 _is_infinity(operand) for operand in [node.left, *node.comparators]):
             found.append((node.lineno, "comparison with infinity"))
@@ -66,8 +64,8 @@ def test_number_rule_only_in_errors():
     assert offenders == []
 
 
-def _is_real_callers(tree) -> set:
-    """The qualified names of the functions that call is_real."""
+def _callers(tree, function: str) -> set:
+    """The qualified names of the functions that call function."""
     found = set()
 
     def visit(node, scope):
@@ -75,7 +73,7 @@ def _is_real_callers(tree) -> set:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Call) and "is_real" in (
+                if isinstance(child, ast.Call) and function in (
                         getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                     found.add(".".join(scope))
                 visit(child, scope)
@@ -84,24 +82,30 @@ def _is_real_callers(tree) -> set:
     return found
 
 
+def _callers_outside_errors(function: str) -> set:
+    return {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "errors.py"
+            for name in _callers(ast.parse(path.read_text()), function)}
+
+
+def test_is_int_only_in_compound_rules():
+    assert _callers_outside_errors("is_int") == {"nn._check_architecture"}
+
+
 def test_is_real_only_in_compound_rules():
-    callers = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
-               if path.name != "errors.py"
-               for name in _is_real_callers(ast.parse(path.read_text()))}
-    assert callers == {"mixing.BetaParams.__post_init__", "mixing.lambda_prior",
-                       "nn.OptimState.__post_init__", "predictor.decision_grid",
-                       "cli._parse_num_list"}
+    assert _callers_outside_errors("is_real") == {
+        "mixing.BetaParams.__post_init__", "mixing.lambda_prior", "nn.OptimState.__post_init__",
+        "predictor.decision_grid"}
 
 
 def test_the_check_sees_each_form():
     src = ("import numbers\n"
            "a = isinstance(v, (int, float))\n"
            "b = 0 < v < np.inf\n"
-           "c = v == float('-inf')\n"
-           "d = is_int(v) and v >= 1\n")
+           "c = v == float('-inf')\n")
     assert [what for _, what in _offences(ast.parse(src))] == [
         "import numbers", "isinstance(..., float)", "comparison with infinity",
-        "comparison with infinity", "is_int call"]
+        "comparison with infinity"]
 
 
 DS, NET = gen_spirals(4), mlp_init([2, 3, 2])
@@ -143,14 +147,14 @@ REALS = {  # argument name: (a call that passes it the value v, a finite value o
 @pytest.mark.parametrize("value", [0, True, 1.5])
 @pytest.mark.parametrize("name", list(COUNTS))
 def test_every_count_is_checked(name, value):
-    with pytest.raises(ConfigurationError, match=rf"^{re.escape(name)} must be a positive integer"):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(name)} must be an integer > 0"):
         COUNTS[name](value)
 
 
 @pytest.mark.parametrize("value", [-1, True, 2.5])
 @pytest.mark.parametrize("function", list(SEEDS))
 def test_every_seed_is_checked(function, value):
-    with pytest.raises(ConfigurationError, match="^seed must be a nonnegative integer, got"):
+    with pytest.raises(ConfigurationError, match="^seed must be an integer >= 0, got"):
         SEEDS[function](value)
 
 

@@ -33,11 +33,27 @@ def test_two_runs_digest_every_output_alike():
                      ("model.json", "metrics.csv", "standardize.json", "manifest.json")}
         expected |= {f"eval_{mode}_raw.out", f"eval_{mode}_dip.out"}
     expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
+    expected |= {f"errors/{name}.err" for name, *_ in tool.BAD}
     assert expected <= set(first)
     assert all(len(digest) == 64 for digest in first.values())
     # a resumed sweep writes what a fresh one writes
     for name in ("sweep.csv", "sweep_progress.json"):
         assert first[f"sweep_resumed/{name}"] == first[f"sweep/{name}"]
+
+
+def test_each_bad_invocation_keeps_its_message_and_exit_code():
+    """No bad invocation prints to standard output or writes a file beside the
+    config it is given, and a .err file holds standard error, then the exit code."""
+    tool = load_tool()
+    digests = tool.digests(SRC)
+    names = {name for name, *_ in tool.BAD}
+    assert len(names) == len(tool.BAD) == 5
+    written = [path for path in digests if path.startswith("errors/") and path.count("/") > 1]
+    assert sorted(written) == sorted(f"errors/{name}/config.json" for name in names)
+    for name in names:
+        assert digests[f"errors/{name}.out"] == hashlib.sha256(b"").hexdigest()
+    text = "error: --s-values must be an integer > 0, got 0\nexit 2\n"
+    assert digests["errors/sweep_s_values0.err"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_help_of_every_command_is_digested(monkeypatch, capsys):

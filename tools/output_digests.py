@@ -25,7 +25,11 @@ one tree print the same digests:
   several threads;
 - ``dipmix --help`` and each ``dipmix <cmd> --help``, 80 columns wide, as
   ``help/dipmix.out`` and ``help/<cmd>.out``, so the CLI's flags, defaults and
-  help text are digested too.
+  help text are digested too;
+- the bad invocations of ``BAD``, each in its own directory ``errors/<name>/``
+  with a ``config.json`` of the none-mode config: its standard error and exit
+  code as ``errors/<name>.err``, so every reworded message and every input
+  that stops exiting 2 shows in a diff, as do the files such a run writes.
 
 Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
 is digested too. The configs the run writes are listed as well.
@@ -38,12 +42,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "perfbench" / "model" / "mixup_model.json"
@@ -59,6 +65,16 @@ CONFIG = {
     "batch_size": 16,
     "predictor": {"mode": "dip", "s_test": 7, "alpha": None},
 }
+BAD = (  # (name, config overrides, environment, argv), run in errors/<name>/
+    ("gen-data_n0", {}, {}, ["gen-data", "--n", "0", "--out", "spirals.csv"]),
+    ("train_negative_seed", {"seeds": [-1]}, {}, ["train", "config.json", "--output-dir", "out"]),
+    ("eval_s_test0", {}, {}, ["eval", "--model", "../../run/none/model.json", "--data",
+                              "../../spirals.csv", "--s-test", "0"]),
+    ("sweep_s_values0", {}, {}, ["sweep", "config.json", "--alphas", "0,1", "--s-values", "0,1",
+                                 "--seeds", "0", "--output-dir", "out"]),
+    ("train_empty_output_dir", {}, {"DIPMIX_OUTPUT_DIR": "out"},
+     ["train", "config.json", "--output-dir", ""]),
+)
 
 
 def run_matrix(model_path: str) -> None:
@@ -68,12 +84,16 @@ def run_matrix(model_path: str) -> None:
     import dipmix
     from dipmix.cli import main
 
-    def step(name, argv):
+    def run(name, argv):
+        """main(argv)'s exit code, its standard output kept as <name>.out."""
         with open(f"{name}.out", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
             try:
-                code = main(argv)
+                return main(argv)
             except SystemExit as exc:  # --help prints, then exits
-                code = exc.code
+                return exc.code
+
+    def step(name, argv):
+        code = run(name, argv)
         if code != 0:
             sys.exit(f"dipmix {' '.join(argv)} exited {code}")
 
@@ -101,6 +121,17 @@ def run_matrix(model_path: str) -> None:
     step("help/dipmix", ["--help"])
     for command in COMMANDS:
         step(f"help/{command}", [command, "--help"])
+    bad_config = {**CONFIG, "dataset": {**CONFIG["dataset"], "csv": "../../spirals.csv"},
+                  "mix": {"mode": "none", "alpha": 0.0, "s": 1}}
+    for name, overrides, env, argv in BAD:
+        Path("errors", name).mkdir(parents=True)
+        os.chdir(Path("errors", name))
+        Path("config.json").write_text(json.dumps({**bad_config, **overrides}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, env):
+            code = run(f"../{name}", argv)
+        Path(f"../{name}.err").write_text(f"{err.getvalue()}exit {code}\n", encoding="utf-8")
+        os.chdir("../..")
     params = dipmix.load_model(model_path)
     x = dipmix.load_csv("spirals.csv").features
     np.save("predict_raw.npy", dipmix.predict_batch(params, x, dipmix.PredictorConfig("raw")))
