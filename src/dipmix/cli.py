@@ -290,9 +290,10 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _parse_num_list(flag: str, text: str, cast, check, interval: str) -> list:
-    """The values of a comma list, under the list rule; a token that cast
-    cannot read stays text, which check names."""
+def _parse_num_list(flag: str, text: str, check, interval: str) -> list:
+    """The values of a comma list, under the list rule: integers for check_int,
+    else reals; a token that does not read as one stays text, which check names."""
+    cast = int if check is check_int else float
     values = []
     for token in filter(str.strip, text.split(",")):
         try:
@@ -348,10 +349,10 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(load_config(args.config))
-    alphas = _parse_num_list("--alphas", args.alphas, float, check_real, ">= 0")
-    s_values = _parse_num_list("--s-values", args.s_values, int, check_int, "> 0")
+    alphas = _parse_num_list("--alphas", args.alphas, check_real, ">= 0")
+    s_values = _parse_num_list("--s-values", args.s_values, check_int, "> 0")
     seeds = (cfg["seeds"] if args.seeds is None
-             else _parse_num_list("--seeds", args.seeds, int, check_int, ">= 0"))
+             else _parse_num_list("--seeds", args.seeds, check_int, ">= 0"))
     if cfg["dataset"]["test_fraction"] is None:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
@@ -484,9 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # one BLAS thread unless the user chose a count: this program's matrices gain
-    # little from a second, whose idle spin takes a core; the count is restored
-    pin = None if "OPENBLAS_NUM_THREADS" in os.environ else _blas_pin()
+    # training on one BLAS thread unless the user chose a count: its small matrices
+    # gain little from a second, whose idle spin takes a core; the count is restored
+    pin = (_blas_pin() if args.command in ("train", "sweep")
+           and "OPENBLAS_NUM_THREADS" not in os.environ else None)
     before = pin(1) if pin else None
     try:
         if getattr(args, "seed", None) is not None:

@@ -415,8 +415,10 @@ def _blas_threads(pin) -> int:
 
 @pytest.mark.skipif(_blas_pin() is None, reason="numpy's BLAS has no per-call thread count")
 @pytest.mark.parametrize("user", [None, "2"], ids=["default", "user-set"])
-def test_commands_run_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
+def test_training_runs_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
                                                                       user):
+    """train and sweep run on one BLAS thread; the other commands, and any
+    command under a user's OPENBLAS_NUM_THREADS, keep the count they find."""
     pin = _blas_pin()
     if user is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -432,15 +434,19 @@ def test_commands_run_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, m
         seen.append(_blas_threads(pin))
         raise ConfigurationError("bad")
 
+    commands = (("train", ["cfg.json"]), ("sweep", ["cfg.json", "--alphas", "1", "--s-values", "1"]),
+                ("grid", ["--model", "m.json", "--out-prefix", str(tmp_path / "g")]),
+                ("eval", ["--model", "m.json", "--data", "d.csv"]))
     before = pin(2)  # the count OpenBLAS took from the variable, or its default
     try:
-        for fake, code in ((command, 0), (failing, 2)):
-            monkeypatch.setattr(cli, "cmd_gen_data", fake)
-            assert main(["gen-data", "--out", str(tmp_path / "out.csv")]) == code
-            assert _blas_threads(pin) == 2  # restored for the in-process caller
+        for name, argv in commands:
+            for fake, code in ((command, 0), (failing, 2)):
+                monkeypatch.setattr(cli, "cmd_" + name, fake)
+                assert main([name, *argv]) == code
+                assert _blas_threads(pin) == 2  # restored for the in-process caller
     finally:
         pin(before)
-    assert seen == ([1, 1] if user is None else [2, 2])
+    assert seen == ([1, 1, 1, 1, 2, 2, 2, 2] if user is None else [2] * 8)
 
 
 def test_other_value_errors_propagate(tmp_path, monkeypatch):
