@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -325,13 +326,13 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
     of the earliest cell of its alpha and seed that table holds without an error."""
     base = cfg["mix"]["mode"]
     mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
-    cell_cfg = resolve_config({**cfg, "mix": {**cfg["mix"], "mode": mode, "alpha": alpha, "s": s}})
     if mode != "label_preserving":
         for cell in table.values():
             if "error" not in cell and (cell["alpha"], cell["seed"]) == (alpha, seed):
                 return {**_scores(cell), "S": int(s)}
-    params, _, train_set, test_set, _ = run_training(cell_cfg, seed)
-    pred = cell_cfg["predictor"]
+    params, _, train_set, test_set, _ = run_training(
+        {**cfg, "mix": {"mode": mode, "alpha": alpha, "s": s}}, seed)
+    pred = cfg["predictor"]
     prior = _prior(alpha if pred["alpha"] is None else pred["alpha"])
     pred_cfg = PredictorConfig(pred["mode"], pred["s_test"], prior, train_set.features, seed)
     train_eval = evaluate(params, train_set, pred_cfg)
@@ -366,37 +367,33 @@ def cmd_sweep(args) -> int:
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
     table = {}  # this grid's cells in (alpha, S, seed) order; the file's others follow
+    for alpha, s, seed in itertools.product(alphas, s_values, seeds):
+        key = f"alpha={_alpha_text(alpha)},S={s},seed={seed}"
+        cell = progress.get(key, {})
+        if (cell.get("config_sha256") != digest
+                or cell.get("scores_sha256") != _sha256(_scores(cell))):
+            try:
+                scores = _sweep_cell(cfg, alpha, s, seed, table)
+                cell = {**scores, "config_sha256": digest, "scores_sha256": _sha256(scores)}
+            except Exception as exc:  # keep sweeping; record the failure
+                cell = {"error": f"{type(exc).__name__}: {exc}"}
+                print(f"cell {key} failed: {exc}", file=sys.stderr)
+        table[key] = cell  # written after a reused cell too, so the file ends in grid order
+        write_file(progress_path, json.dumps(
+            {**table, **{k: c for k, c in progress.items() if k not in table}}, indent=2))
     lines = ["alpha,S,mode,seed,train_err,test_err,gap,train_err_se,test_err_se,gap_se\n"]
-    for alpha in alphas:
-        name = _alpha_text(alpha)
-        for s in s_values:
-            keys = [f"alpha={name},S={s},seed={seed}" for seed in seeds]
-            for key, seed in zip(keys, seeds):
-                cell = progress.get(key, {})
-                if (cell.get("config_sha256") != digest
-                        or cell.get("scores_sha256") != _sha256(_scores(cell))):
-                    try:
-                        scores = _sweep_cell(cfg, alpha, s, seed, table)
-                        cell = {**scores, "config_sha256": digest,
-                                "scores_sha256": _sha256(scores)}
-                    except Exception as exc:  # keep sweeping; record the failure
-                        cell = {"error": f"{type(exc).__name__}: {exc}"}
-                        print(f"cell {key} failed: {exc}", file=sys.stderr)
-                table[key] = cell  # written after a reused cell too, so the file ends in grid order
-                write_file(progress_path, json.dumps(
-                    {**table, **{k: c for k, c in progress.items() if k not in table}}, indent=2))
-            rows = [table[key] for key in keys if "error" not in table[key]]
-            lines += [f"{name},{row['S']},{row['mode']},{row['seed']},{row['train_err']!r},"
-                      f"{row['test_err']!r},{row['gap']!r},,,\n" for row in rows]
-            if rows:
-                means, ses = [], []
-                for fld in ("train_err", "test_err", "gap"):
-                    vals = np.array([r[fld] for r in rows])
-                    means.append(float(vals.mean()))
-                    ses.append(float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1
-                               else 0.0)
-                lines.append(f"{name},{s},{rows[0]['mode']},mean,"
-                             + ",".join(repr(v) for v in means + ses) + "\n")
+    done = (cell for cell in table.values() if "error" not in cell)
+    for (alpha, s), group in itertools.groupby(done, lambda cell: (cell["alpha"], cell["S"])):
+        rows, name = list(group), _alpha_text(alpha)
+        lines += [f"{name},{s},{row['mode']},{row['seed']},{row['train_err']!r},"
+                  f"{row['test_err']!r},{row['gap']!r},,,\n" for row in rows]
+        means, ses = [], []
+        for fld in ("train_err", "test_err", "gap"):
+            vals = np.array([r[fld] for r in rows])
+            means.append(float(vals.mean()))
+            ses.append(float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0)
+        lines.append(f"{name},{s},{rows[0]['mode']},mean,"
+                     + ",".join(repr(v) for v in means + ses) + "\n")
     csv_path = out_dir / "sweep.csv"
     write_file(csv_path, "".join(lines))
     failures = sum("error" in cell for cell in table.values())
@@ -444,7 +441,8 @@ SUBCOMMANDS = (
         ("--seed", dict(type=int, default=0)), ("--out", dict(required=True)))),
     ("train", "train a model from a JSON config (or a manifest)", (
         ("config", {}),
-        ("--seed", dict(type=int, help="override the config seed")), ("--output-dir", {}))),
+        ("--seed", dict(type=int, help="default: the first of the config's seeds")),
+        ("--output-dir", {}))),
     ("eval", "evaluate a model on a CSV dataset", (
         ("--model", dict(required=True)), ("--data", dict(required=True)), *PREDICTOR_FLAGS)),
     ("bound", "complexity bound report for a dataset", (

@@ -851,6 +851,30 @@ class TestSweep:
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 1  # header, two good runs, one aggregate
 
+    def test_one_seed_group_has_zero_ses(self, tmp_path):
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1",
+                     "--seeds", "0"]) == 0
+        _, row, agg = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert row.startswith("1,1,label_mixing,0,") and row.endswith(",,,")
+        assert agg.startswith("1,1,label_mixing,mean,") and agg.endswith(",0.0,0.0,0.0")
+        assert agg.split(",")[4:7] == row.split(",")[4:7]
+
+    def test_wholly_failed_group_writes_no_rows(self, tmp_path, monkeypatch):
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: diverge_at_s3(cfg) or real(cfg, seed))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               mix={"mode": "label_preserving", "alpha": 1.0, "s": 1})
+        # the S=3 group between two others fails in both seeds
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1,3,2",
+                     "--seeds", "0,1"]) == 0
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [l.split(",")[1:4] for l in lines] == [
+            [s, "label_preserving", seed] for s in ("1", "2") for seed in ("0", "1", "mean")]
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        assert all("error" in progress[f"alpha=1,S=3,seed={seed}"] for seed in (0, 1))
+
     @pytest.mark.parametrize("alphas, bad", [("-1,1", -1.0), ("1,-0.5", -0.5)])
     def test_negative_alpha_exits_two_before_any_work(self, tmp_path, capsys, alphas, bad):
         # the --alpha rule; a non-finite value already fails the list's own check

@@ -27,7 +27,8 @@ def test_two_runs_digest_every_output_alike():
     first, second = tool.digests(SRC), tool.digests(SRC)
     assert first == second
     expected = {"spirals.csv", "grid.csv", "grid.pgm", "bound.json", "bound.out", "predict_raw.npy",
-                "sweep/sweep.csv", "sweep/sweep_progress.json"}
+                "sweep/sweep.csv", "sweep/sweep_progress.json", "sweep_diverged/sweep.csv",
+                "sweep_diverged/sweep_progress.json"}
     for mode, _ in tool.MODES:
         expected |= {f"run/{mode}/{name}" for name in
                      ("model.json", "metrics.csv", "standardize.json", "manifest.json")}

@@ -18,6 +18,10 @@ one tree print the same digests:
   dip prediction at S = 7, into ``sweep/``, and the same sweep resumed into
   ``sweep_resumed/``: first S 1 only, then S 1 and 3, so its two files must
   equal those under ``sweep/``;
+- the failure path: a 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seed 0) of
+  the none-mode config at learning rate 1000, ``config_diverged.json``, into
+  ``sweep_diverged/``: every cell diverges, so its progress file records four
+  ``DivergenceError`` cells and its ``sweep.csv`` holds the header alone;
 - ``predict_batch`` of the shipped perfbench model on the 120 spiral rows,
   raw and dip at S = 1, 7, 500 and 5000 (Beta(2, 1), the spirals as the pool),
   saved as ``.npy``. Only S = 500 (15 blocks of 8 rows) and S = 5000 (120
@@ -117,6 +121,11 @@ def run_matrix(model_path: str) -> None:
     step("sweep", [*sweep, "1,3", "--output-dir", "sweep"])
     step("sweep_resumed_s1", [*sweep, "1", "--output-dir", "sweep_resumed"])
     step("sweep_resumed", [*sweep, "1,3", "--output-dir", "sweep_resumed"])
+    Path("config_diverged.json").write_text(json.dumps({
+        **CONFIG, "mix": {"mode": "none", "alpha": 0.0, "s": 3},
+        "optim": {**CONFIG["optim"], "learning_rate": 1000}}))
+    step("sweep_diverged", ["sweep", "config_diverged.json", "--alphas", "0,1", "--s-values",
+                            "1,3", "--seeds", "0", "--output-dir", "sweep_diverged"])
     Path("help").mkdir()
     step("help/dipmix", ["--help"])
     for command in COMMANDS:
