@@ -104,27 +104,19 @@ class Workspace:
     For hidden layer l, of width layer_sizes[l+1], ``hidden[l]`` takes its
     forward output, which backprop then overwrites with its activation
     derivative, and ``deltas[l]`` backprop's gradient in that output, each
-    (rows, width) float64. ``dlogits`` (rows, k) takes softmax_xent's gradient
-    in the logits when the loss has one row per forward row (plain and
-    label-mixing steps), and ``grads`` the parameter gradients. A step of
-    fewer rows uses ``head(rows)``, whose row buffers are leading-row views.
+    (rows, width) float64; a step of at most ``rows`` rows uses their leading
+    rows. ``grads`` takes the parameter gradients.
     """
 
     hidden: list
     deltas: list
-    dlogits: np.ndarray
     grads: ParamGrads
 
     @classmethod
     def for_model(cls, params: ModelParams, rows: int) -> Workspace:
         return cls(_hidden_buffers(params, rows), _hidden_buffers(params, rows),
-                   np.empty((rows, params.n_outputs)),
                    ParamGrads([np.empty_like(w) for w in params.weights],
                               [np.empty_like(b) for b in params.biases]))
-
-    def head(self, rows: int) -> Workspace:
-        return Workspace([buf[:rows] for buf in self.hidden], [buf[:rows] for buf in self.deltas],
-                         self.dlogits[:rows], self.grads)
 
 
 @dataclass(eq=False)
@@ -133,15 +125,14 @@ class OptimState:
 
     ``schedule`` holds (epoch, multiplier) pairs with strictly increasing
     epochs; from each listed epoch onward the base rate is multiplied by
-    that factor. ``velocity`` and ``scaled``, sgd_step's lr * grad, both laid
-    out like ModelParams.flat, are allocated on the first step.
+    that factor. ``velocity``, laid out like ModelParams.flat, is allocated on
+    the first step.
     """
 
     learning_rate: float
     momentum: float = 0.0
     schedule: list = field(default_factory=list)
     velocity: np.ndarray = field(default=None, init=False)
-    scaled: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         check_real("learning_rate", self.learning_rate, "> 0")
@@ -197,25 +188,19 @@ def forward(params: ModelParams, features, work=None, bias_rows=None) -> np.ndar
 def _forward_cached(params: ModelParams, features, work=None, bias_rows=None):
     """Logits and the cache _backprop needs: each layer's input, that is the
     features followed by every hidden layer's activation output. Hidden layer l
-    is computed into work[l], an (m, layer_sizes[l+1]) float64 array, when
-    ``work`` is given; the cache then aliases it, the logits never do. Hidden
-    bias l is broadcast, or with ``bias_rows`` added block by block from
-    bias_rows[l], rows that each hold that bias: numpy adds same-shape operands
-    faster, with the same result bits. _backprop overwrites every hidden entry
-    of the cache."""
+    of the m rows is computed into work[l][:m], the leading rows of a float64
+    array of layer_sizes[l+1] columns, when ``work`` is given; the cache then
+    aliases them, the logits never do. Hidden bias l is broadcast, or with
+    ``bias_rows`` added from bias_rows[l][:m], leading rows of an array whose
+    rows each hold that bias: numpy adds same-shape operands faster, with the
+    same result bits. _backprop overwrites every hidden entry of the cache."""
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.n_inputs:
         raise ShapeError(f"features must be (m, {params.n_inputs}), got {x.shape}")
     outputs = [x]
     for l, w in enumerate(params.weights[:-1]):
-        z = np.matmul(outputs[-1], w, out=None if work is None else work[l])
-        bias = None if bias_rows is None else bias_rows[l]
-        if bias is None:
-            np.add(z, params.biases[l], out=z)
-        else:
-            for start in range(0, len(z), len(bias)):
-                rows = z[start:start + len(bias)]
-                np.add(rows, bias[:len(rows)], out=rows)
+        z = np.matmul(outputs[-1], w, out=None if work is None else work[l][:len(x)])
+        np.add(z, params.biases[l] if bias_rows is None else bias_rows[l][:len(z)], out=z)
         outputs.append(np.maximum(z, 0.0, out=z) if params.activation == "relu"
                        else np.tanh(z, out=z))
     return outputs[-1] @ params.weights[-1] + params.biases[-1], outputs
@@ -227,9 +212,9 @@ def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> P
     Each hidden activation's derivative overwrites its cached output a once
     the weight gradient has read a: relu'(z) is a > 0 and tanh'(z) is 1 - a^2,
     the values the pre-activation z gives. The first cache entry, the
-    caller's rows, is never written. Every other array goes into the
-    Workspace ``work``, a fresh one when None; the gradients returned are
-    ``work.grads``.
+    caller's rows, is never written. Every other array goes into the leading
+    rows of the Workspace ``work``, a fresh one when None; the gradients
+    returned are ``work.grads``.
     """
     if work is None:
         work = Workspace.for_model(params, len(dlogits))
@@ -243,8 +228,8 @@ def _backprop(params: ModelParams, outputs, dlogits: np.ndarray, work=None) -> P
                 np.greater(a, 0.0, out=a)  # the mask as 1.0/0.0, as d * (a > 0) casts it
             else:
                 np.subtract(1.0, np.multiply(a, a, out=a), out=a)
-            dz = np.multiply(np.matmul(dz, params.weights[l].T, out=work.deltas[l - 1]), a,
-                             out=work.deltas[l - 1])
+            delta = work.deltas[l - 1][:len(dz)]
+            dz = np.multiply(np.matmul(dz, params.weights[l].T, out=delta), a, out=delta)
     return work.grads
 
 
@@ -256,12 +241,12 @@ def log_softmax(logits) -> np.ndarray:
     return shifted
 
 
-def softmax_xent(logits, soft_labels, out=None):
+def softmax_xent(logits, soft_labels):
     """Mean softmax cross-entropy and its gradient in the logits.
 
     loss = mean over rows of -sum_k y_k * log softmax(z)_k, computed with
-    max-shift stabilization; dlogits = (softmax(z) - y) / m, written into
-    ``out`` when given. The loss is exactly linear in the soft-label argument.
+    max-shift stabilization; dlogits = (softmax(z) - y) / m. The loss is
+    exactly linear in the soft-label argument.
     This is where every loss checks its labels: at least one row, each
     nonnegative and summing to 1 within 1e-9.
     """
@@ -279,7 +264,7 @@ def softmax_xent(logits, soft_labels, out=None):
     if not abs(y.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigurationError("each soft-label row must sum to 1 within 1e-9")
     log_probs = log_softmax(z)
-    dlogits = np.exp(log_probs, out=out)
+    dlogits = np.exp(log_probs)
     dlogits -= y
     dlogits /= m
     loss = -np.multiply(y, log_probs, out=log_probs).sum() / m
@@ -290,11 +275,11 @@ def backward(params: ModelParams, x, y, *, work=None):
     """Loss and exact analytic parameter gradients of softmax_xent(forward(.))
     on features ``x`` with soft labels ``y``.
 
-    With a Workspace ``work`` of len(x) rows, the forward and backward
-    passes write into it and the gradients returned are ``work.grads``.
+    With a Workspace ``work`` of at least len(x) rows, the forward and
+    backward passes write into it and the gradients returned are ``work.grads``.
     """
     logits, cache = _forward_cached(params, x, None if work is None else work.hidden)
-    loss, dlogits = softmax_xent(logits, y, None if work is None else work.dlogits)
+    loss, dlogits = softmax_xent(logits, y)
     return loss, _backprop(params, cache, dlogits, work)
 
 
@@ -302,17 +287,16 @@ def sgd_step(params: ModelParams, grads: ParamGrads, state: OptimState, epoch: i
     """One momentum-SGD update, in place, on the flat vectors.
 
     velocity <- momentum * velocity - lr(epoch) * grad; params <- params + velocity.
-    lr * grad is computed into ``state.scaled``. Returns the mutated
-    (params, state) pair.
+    Returns the mutated (params, state) pair.
     """
     p, g = params.flat, grads.flat
     if g.shape != p.shape:
         raise ShapeError(f"gradient has {g.size} entries, the model {p.size}")
     if state.velocity is None:
-        state.velocity, state.scaled = np.zeros_like(p), np.empty_like(p)
+        state.velocity = np.zeros_like(p)
     v = state.velocity
     v *= state.momentum
-    v -= np.multiply(state.lr_at(epoch), g, out=state.scaled)
+    v -= state.lr_at(epoch) * g
     p += v
     return params, state
 

@@ -46,7 +46,7 @@ def mixup_loss_grad(params: ModelParams, x, y, alpha: float, rng, *,
     One Beta(alpha, alpha) ratio per example, partner by in-batch
     permutation, loss on mixed features with mixed soft labels. ``lam`` and
     ``partners`` override the random draws when given. A Workspace ``work``
-    of len(x) rows takes the forward and backward arrays, as in backward.
+    takes the forward and backward arrays, as in backward.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     m = x.shape[0]
@@ -63,8 +63,7 @@ def mixup_loss_grad(params: ModelParams, x, y, alpha: float, rng, *,
     # one draw per example: the mixed classifier at S = 1
     logits, cache = dip_logits(params, x, x[partners], lam, with_cache=True,
                                work=None if work is None else work.hidden)
-    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]),
-                                 None if work is None else work.dlogits)
+    loss, dlogits = softmax_xent(logits, mix(y, y[partners], lam[:, None]))
     return loss, _backprop(params, cache, dlogits, work)
 
 
@@ -80,7 +79,8 @@ def dip_loss_preserving_grad(params: ModelParams, x, y, cfg: MixConfig, rng, *,
     logit space before the cross-entropy. With cfg.mode "none" the ratios are
     pinned at 1 and the loss equals that of ``backward``. ``lam`` (m * s
     ratios) and ``partners`` (m rows of s indices) override the draws together.
-    A Workspace ``work`` of m * s rows takes the forward and backward arrays.
+    A Workspace ``work`` of at least m * s rows takes the forward and backward
+    arrays.
     """
     if cfg.mode == "label_mixing":
         raise ConfigurationError(
@@ -133,7 +133,6 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     loss_cap = DIVERGENCE_FACTOR * math.log(train_set.k)
     branches = cfg.s if cfg.mode == "label_preserving" else 1  # forward rows per example
     work = Workspace.for_model(params, batch_size * branches)
-    tail = work.head(n % batch_size * branches)  # the short last batch, if any
     eval_hidden = _hidden_buffers(params, n)
     metrics = []
     for epoch in range(epochs):
@@ -143,15 +142,14 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 xb, yb = x[idx], y[idx]
-                step = work if len(idx) == batch_size else tail
                 # x stays positional and cfg goes by keyword: the benchmark's tracer reads them so
                 if cfg.mode == "label_mixing":
-                    loss, grads = mixup_loss_grad(params, xb, yb, cfg.alpha, rng, work=step)
+                    loss, grads = mixup_loss_grad(params, xb, yb, cfg.alpha, rng, work=work)
                 elif cfg.mode == "label_preserving":
                     loss, grads = dip_loss_preserving_grad(params, xb, yb, cfg=cfg, rng=rng,
-                                                           work=step)
+                                                           work=work)
                 else:
-                    loss, grads = backward(params, xb, yb, work=step)
+                    loss, grads = backward(params, xb, yb, work=work)
                 sgd_step(params, grads, optim, epoch)
                 total += loss * len(idx)
         except NumericError as exc:

@@ -34,11 +34,10 @@ from .nn import ModelParams, _forward_cached, _hidden_buffers, forward, log_soft
 
 PREDICT_MODES = ("raw", "dip")
 _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
-# Mixed rows drawn per stream. A block's arrays (4096 x 2 float64 = 64 KiB) stay below
-# glibc's 128 KiB mmap threshold, so they reuse heap pages rather than being mapped afresh.
+# Mixed rows drawn per stream, and the most one forward takes. A block's arrays (4096 x 2
+# float64 = 64 KiB) stay below glibc's 128 KiB mmap threshold, so they reuse heap pages
+# rather than being mapped afresh.
 _BLOCK_ROWS = 4096
-# Entries of one block of hidden-bias rows: 16,384 float64 (128 KiB), 256 rows of a 64-wide layer
-_BIAS_BLOCK_ENTRIES = 1 << 14
 _PINNED = threading.Lock()  # held by a call whose workers hold the BLAS thread count at 1
 
 
@@ -84,10 +83,9 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     inputs, the mixed rows first) is returned too, as (logits, cache), for
     backpropagation through every branch. ``work`` is passed to the forward
     pass as its hidden-layer buffers, so the cache's hidden entries are those
-    buffers; the logits never alias them. ``bias_rows`` is passed on too.
-    Without the cache, each row's s mixed rows go forward as one piece through
-    ``work``, whose buffers then hold s rows each, or all rows at once if work
-    is empty.
+    buffers' leading rows; the logits never alias them. ``bias_rows`` is
+    passed on too. Without the cache, the mixed rows go forward through
+    ``work`` in pieces of len(work[0]) rows, or all at once if work is empty.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float).reshape(-1, 1)
@@ -96,7 +94,7 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     if with_cache:
         out, cache = _forward_cached(params, mixed, work, bias_rows)
     else:
-        piece = s if work else len(mixed)
+        piece = len(work[0]) if work else len(mixed)
         out = np.empty((len(mixed), params.n_outputs))
         for start in range(0, len(mixed), piece):
             out[start:start + piece] = forward(params, mixed[start:start + piece], work,
@@ -122,16 +120,16 @@ def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
                          f"{features.shape} and a partner pool of shape {pool.shape}")
     s = cfg.s_test
     block = max(1, _BLOCK_ROWS // s)
+    rows = min(s, _BLOCK_ROWS)  # the most one forward takes: one item, or a piece of one
     starts = range(0, len(features), block)
     logits = np.empty((len(features), params.n_outputs))
-    # the biases are fixed for the call, so every item adds them from the same rows
-    bias_rows = [np.tile(b, (max(1, min(s, _BIAS_BLOCK_ENTRIES // b.size)), 1))
-                 for b in params.biases[:-1]]
+    # the biases are fixed for the call, so every forward adds them from the same rows
+    bias_rows = [np.tile(b, (rows, 1)) for b in params.biases[:-1]]
     pin = _blas_pin() if len(starts) > 1 else None
     workers = min(len(starts), _usable_cpus()) if pin else 1
 
     def run(part):
-        work = _hidden_buffers(params, s)  # one S-row forward per item, all through these
+        work = _hidden_buffers(params, rows)  # every forward of this worker goes through these
         for start in starts[part::workers]:
             x = features[start:start + block]
             rng = np.random.default_rng([cfg.seed, _STREAM_TAG, start // block])

@@ -32,7 +32,7 @@ def nan_workspace(params, rows):
 
 
 def all_buffers(work):
-    return [*work.hidden, *work.deltas, work.dlogits, *work.grads.weights, *work.grads.biases]
+    return [*work.hidden, *work.deltas, *work.grads.weights, *work.grads.biases]
 
 
 def broadcast_logits(params, x):
@@ -152,9 +152,9 @@ class TestForward:
         p = mlp_init([3, 7, 5, 4], activation, seed=2)
 
         def check(x):
-            # blocks of 2 and 4 rows, shorter than a 9-row forward: added block by block,
-            # the last block in part, and never written
-            bias_rows = [np.tile(b, (n, 1)) for b, n in zip(p.biases[:-1], (2, 4))]
+            # tiles of 9 and 12 rows, at least a forward's: their leading rows are added,
+            # and never written
+            bias_rows = [np.tile(b, (n, 1)) for b, n in zip(p.biases[:-1], (9, 12))]
             for rows in bias_rows:
                 rows.flags.writeable = False
             logits, cache = _forward_cached(p, x, bias_rows=bias_rows)
@@ -255,8 +255,15 @@ class TestBackward:
         assert work_loss == loss and work_grads is work.grads
         assert np.array_equal(flatten_grads(work_grads), flatten_grads(grads))
         # every stage wrote into its own buffers, and into every one of them
+        assert [f.name for f in dataclasses.fields(work)] == ["hidden", "deltas", "grads"]
         assert all(a is b for a, b in zip(all_buffers(work), buffers))
         assert not any(np.isnan(buf).any() for buf in buffers)
+        # a workspace of more rows: the batch's rows are its leading rows, the rest unread
+        wide = nan_workspace(p, 9)
+        assert backward(p, *batch, work=wide)[0] == loss
+        assert np.array_equal(flatten_grads(wide.grads), flatten_grads(grads))
+        for buf in (*wide.hidden, *wide.deltas):
+            assert not np.isnan(buf[:6]).any() and np.isnan(buf[6:]).all()
 
     def test_zero_gradient_at_saturated_minimum(self):
         # linear model, massively separated logits on correctly labeled points
@@ -288,15 +295,17 @@ class TestSgdStep:
             np.testing.assert_allclose(w1 - w0, -0.1 * g, atol=1e-15)
 
     def test_work_buffers_change_nothing(self):
-        # OptimState's lr * grad scratch is written before it is read: stale content is inert
+        # steps on gradients in one reused, stale workspace equal steps on fresh ones, and
+        # both states keep their first velocity array
         p = mlp_init([2, 6, 3], "tanh", seed=4)
         batch = ([[0.5, -1.0], [2.0, 0.1]], [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]])
-        _, grads = backward(p, *batch)
         q, states = copy.deepcopy(p), [OptimState(0.2, 0.9), OptimState(0.2, 0.9)]
-        for epoch in range(2):
-            sgd_step(p, grads, states[0], epoch)
-            sgd_step(q, grads, states[1], epoch)
-            states[1].scaled.fill(np.nan)
+        work, velocities = nan_workspace(q, 2), []
+        for epoch in range(3):
+            sgd_step(p, backward(p, *batch)[1], states[0], epoch)
+            sgd_step(q, backward(q, *batch, work=work)[1], states[1], epoch)
+            velocities.append([state.velocity for state in states])
+        assert all(all(a is b for a, b in zip(v, velocities[0])) for v in velocities)
         assert all(np.array_equal(a, b) for a, b in zip(p.weights + p.biases, q.weights + q.biases))
         assert np.array_equal(states[0].velocity, states[1].velocity)
 
@@ -304,15 +313,17 @@ class TestSgdStep:
         p = mlp_init([2, 6, 3], "relu", seed=4)
         _, grads = backward(p, [[0.5, -1.0]], [[0.0, 1.0, 0.0]])
         state = OptimState(0.1, 0.9)
-        assert state.velocity is None and state.scaled is None
+        assert [f.name for f in dataclasses.fields(state)] == [
+            "learning_rate", "momentum", "schedule", "velocity"]
+        assert state.velocity is None
         sgd_step(p, grads, state, 0)
-        velocity, scaled = state.velocity, state.scaled
-        assert velocity.shape == scaled.shape == p.flat.shape
-        assert not np.shares_memory(velocity, scaled)
+        velocity = state.velocity
+        assert velocity.shape == p.flat.shape
+        assert not np.shares_memory(velocity, p.flat) and not np.shares_memory(velocity, grads.flat)
+        np.testing.assert_array_equal(velocity, -0.1 * grads.flat)
         for epoch in range(1, 4):
             sgd_step(p, grads, state, epoch)
-            assert state.velocity is velocity and state.scaled is scaled
-        np.testing.assert_array_equal(scaled, 0.1 * grads.flat)
+            assert state.velocity is velocity
 
     def test_schedule_semantics(self):
         state = OptimState(1.0, schedule=[(2, 0.1)])
@@ -406,7 +417,6 @@ class TestFlatVector:
         work = Workspace.for_model(p, 4)
         assert self.views_of(work.grads)
         assert isinstance(work.grads.weights, tuple) and isinstance(work.grads.biases, tuple)
-        assert self.views_of(work.head(2).grads)
         ds = gen_spirals(10, 0.05, 1.25, seed=0)
         q, _ = train(mlp_init([2, 6, 2], "relu", seed=0), ds, MixConfig("label_mixing", 1.0),
                      OptimState(0.1, 0.9), 2, 8, np.random.default_rng(0))

@@ -30,7 +30,7 @@ from dipmix import (
     standardize,
     train,
 )
-from dipmix import objective
+from dipmix import nn, objective
 from dipmix.nn import ModelParams, Workspace
 
 from oracles import QUAD_NODES, _xent_rows, jensen_check, prop1_check
@@ -353,38 +353,45 @@ class TestTrain:
                                                 ("label_mixing", "mixup_loss_grad"),
                                                 ("label_preserving", "dip_loss_preserving_grad")])
     def test_every_step_reuses_the_same_buffers(self, monkeypatch, mode, step_name):
-        steps, updates, evals = [], [], []
+        steps, updates, evals, caches = [], [], [], []
 
-        def spy(name, log, record):
-            original = getattr(objective, name)
+        def spy(module, name, log, record):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 log.append(record(*args, **kwargs))
                 return original(*args, **kwargs)
-            monkeypatch.setattr(objective, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        spy(step_name, steps, lambda *a, work=None, **k: (len(a[1]), work))
-        spy("sgd_step", updates, lambda p, grads, state, epoch: (grads, state))
-        spy("forward", evals, lambda p, x, work=None: work)
+        def stale(*a, work=None, **k):  # delta rows a step must neither read nor leave unwritten
+            for buf in work.deltas:
+                buf.fill(np.nan)
+            return len(a[1]), work
+
+        spy(objective, step_name, steps, stale)
+        spy(objective, "sgd_step", updates, lambda p, grads, state, epoch: (
+            grads, state, [np.isnan(buf).all(axis=1) for buf in steps[-1][1].deltas]))
+        spy(objective, "forward", evals, lambda p, x, work=None: work)
+        for module in (nn, objective):  # backward calls nn's, the mixed steps objective's
+            spy(module, "_backprop", caches, lambda p, outputs, dlogits, work: outputs[1:])
         ds = gen_spirals(25, 0.1, 1.25, seed=2)  # 50 rows: batches 16, 16, 16, 2
         branches = 3 if mode == "label_preserving" else 1
         train(mlp_init([2, 12, 8, 2], "relu", seed=2), ds,
               MixConfig(mode, 0.0 if mode == "none" else 1.0, 3), OptimState(0.1, 0.9), 3, 16,
               np.random.default_rng(0))
-        assert [m for m, _ in steps] == [16, 16, 16, 2] * 3
-        full = steps[0][1]
-        assert [buf.shape for buf in full.hidden] == [(16 * branches, 12), (16 * branches, 8)]
-        assert full.dlogits.shape == (16 * branches, 2)
-        for (m, work), (grads, state) in zip(steps, updates):
-            assert grads is work.grads and state is updates[0][1]  # one OptimState, one scratch
-            if m == 16:
-                assert work is full
-                continue
-            assert work.grads is full.grads
-            for name in ("hidden", "deltas"):
-                for view, buf in zip(getattr(work, name), getattr(full, name)):
-                    assert view.base is buf and view.shape == (2 * branches, buf.shape[1])
-            assert work.dlogits.base is full.dlogits and work.dlogits.shape == (2 * branches, 2)
+        assert [m for m, _ in steps] == [16, 16, 16, 2] * 3 and len(caches) == len(steps)
+        work = steps[0][1]
+        for name in ("hidden", "deltas"):
+            assert [buf.shape for buf in getattr(work, name)] == [(16 * branches, 12),
+                                                                  (16 * branches, 8)]
+        for (m, step_work), (grads, state, unwritten), hidden in zip(steps, updates, caches):
+            assert step_work is work and grads is work.grads and state is updates[0][1]
+            rows = m * branches  # the short last batch takes the leading rows
+            for a, buf in zip(hidden, work.hidden):
+                assert a.shape == (rows, buf.shape[1])
+                assert np.shares_memory(a, buf[:rows]) and not np.shares_memory(a, buf[rows:])
+            for mask in unwritten:
+                assert np.array_equal(mask, np.arange(16 * branches) >= rows)
         assert len(evals) == 3 and [buf.shape for buf in evals[0]] == [(50, 12), (50, 8)]
         assert all(all(a is b for a, b in zip(work, evals[0])) for work in evals)
 

@@ -33,6 +33,8 @@ def test_two_runs_digest_every_output_alike():
         expected |= {f"run/{mode}/{name}" for name in
                      ("model.json", "metrics.csv", "standardize.json", "manifest.json")}
         expected |= {f"eval_{mode}_raw.out", f"eval_{mode}_dip.out"}
+    # S = 5000 and 10000 forward each row in two and three pieces of at most 4096 rows
+    assert tool.S_VALUES == (1, 7, 500, 5000, 10000)
     expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
     expected |= {f"errors/{name}.err" for name, *_ in tool.BAD}
     assert expected <= set(first)

@@ -1,3 +1,5 @@
+import _ctypes
+import glob
 import math
 import os
 import pickle
@@ -119,12 +121,16 @@ class TestDipLogits:
         params = mlp_init([2, 6, 4, 3], "tanh", seed=1)
         x, partners = rng.normal(size=(m, 2)), rng.normal(size=(m * s, 2))
         lam = rng.uniform(size=m * s)
-        work = [np.full((m * s, 6), np.nan), np.full((m * s, 4), np.nan)]
+        work = [np.full((m * s + 3, 6), np.nan), np.full((m * s + 3, 4), np.nan)]
         logits, cache = dip_logits(params, x, partners, lam, with_cache=True, work=work)
         assert np.array_equal(logits, dip_logits(params, x, partners, lam))
         assert not any(np.shares_memory(logits, buf) for buf in work)
-        # the mixed rows come first; every hidden layer is computed into its buffer
-        assert len(cache) == 3 and all(a is buf for a, buf in zip(cache[1:], work))
+        # the mixed rows come first; every hidden layer is computed into its buffer's
+        # leading rows, and the rest stay as they were
+        assert len(cache) == 3
+        for a, buf in zip(cache[1:], work):
+            assert a.shape == (m * s, buf.shape[1]) and np.shares_memory(a, buf[:m * s])
+            assert np.isnan(buf[m * s:]).all()
         assert not any(np.shares_memory(cache[0], buf) for buf in work)
         # without the cache, each row's s = 5 mixed rows go forward as one piece
         pieces = []
@@ -216,7 +222,7 @@ class TestPredict:
         assert not any(a is b for a, b in zip(calls[-1][1], bias_rows))
 
     def test_prediction_leaves_the_model_as_it_found_it(self):
-        params = mlp_init([2, 64, 64, 2], "relu", seed=3)  # tiles of 256 rows at S = 500
+        params = mlp_init([2, 64, 64, 2], "relu", seed=3)  # tiles of 500 rows at S = 500
         rng = np.random.default_rng(3)
         params.flat[:] = rng.normal(size=params.flat.size)
         pool, x = rng.normal(size=(50, 2)), rng.normal(size=(3, 2))
@@ -233,7 +239,7 @@ class TestPredict:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_probabilities_equal_a_broadcast_forward_bit_for_bit(self, mixup_spirals_model,
                                                                  activation, s_test):
-        params, train_set, test_set = mixup_spirals_model  # 64-wide: two bias blocks at S = 500
+        params, train_set, test_set = mixup_spirals_model  # 64-wide bias tiles
         if activation == "tanh":
             params = mlp_init([2, 48, 9, 3], "tanh", seed=4)
             params.flat[:] = np.random.default_rng(4).normal(size=params.flat.size)
@@ -411,6 +417,45 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert np.array_equal(by_count[1], by_count[os.cpu_count()])
         np.testing.assert_allclose(by_count[1], hand_dip_probs(params, x, cfg), atol=1e-12)
+
+    @pytest.mark.parametrize("s_test, n", [(1, 130), (64, 5), (150, 5)])
+    def test_no_forward_takes_more_than_a_block_of_rows(self, monkeypatch, s_test, n):
+        # work buffers and bias tiles of min(S, _BLOCK_ROWS) rows, so memory is bounded in S
+        monkeypatch.setattr(predictor, "_BLOCK_ROWS", 64)
+        pieces = []
+
+        def spy(params, rows, work, bias_rows):
+            pieces.append((len(rows), [len(buf) for buf in (*work, *bias_rows)]))
+            return forward(params, rows, work, bias_rows)
+
+        monkeypatch.setattr(predictor, "forward", spy)
+        rng = np.random.default_rng(s_test)
+        pool, x = rng.normal(size=(40, 2)), rng.normal(size=(n, 2))
+        cfg = PredictorConfig("dip", s_test, BetaParams(2, 1), pool, seed=3)
+        per_item = [min(64, s_test - start) for start in range(0, s_test, 64)]
+        for kind in ("relu", "tanh"):
+            params, by_count = threaded_model(kind), {}
+            for cpus in (1, 2):
+                monkeypatch.setattr(predictor, "_usable_cpus", lambda: cpus)
+                pieces.clear()
+                by_count[cpus] = predict_batch(params, x, cfg)
+                assert sorted(rows for rows, _ in pieces) == sorted(per_item * n)
+                assert all(bufs == [min(s_test, 64)] * 4 for _, bufs in pieces)
+            assert np.array_equal(by_count[1], by_count[2])
+            np.testing.assert_allclose(by_count[1], hand_dip_probs(params, x, cfg), atol=1e-12)
+
+    def test_without_an_affinity_mask_every_cpu_is_usable(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert predictor._usable_cpus() == usable
+
+    def test_a_library_without_the_pin_is_skipped(self, monkeypatch, tmp_path):
+        # a file no loader takes (OSError), then a library without the symbol (AttributeError)
+        (tmp_path / "libopenblas_not_a_library.so").write_text("not a shared object\n")
+        paths = [str(tmp_path / "libopenblas_not_a_library.so"), _ctypes.__file__]
+        monkeypatch.setattr(glob, "glob", lambda pattern: paths)
+        assert predictor._blas_pin.__wrapped__() is None
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_an_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, where):

@@ -23,10 +23,12 @@ one tree print the same digests:
   ``sweep_diverged/``: every cell diverges, so its progress file records four
   ``DivergenceError`` cells and its ``sweep.csv`` holds the header alone;
 - ``predict_batch`` of the shipped perfbench model on the 120 spiral rows,
-  raw and dip at S = 1, 7, 500 and 5000 (Beta(2, 1), the spirals as the pool),
-  saved as ``.npy``. Only S = 500 (15 blocks of 8 rows) and S = 5000 (120
-  one-row blocks) score more than one block, so only they spread blocks over
-  several threads;
+  raw and dip at S = 1, 7, 500, 5000 and 10000 (Beta(2, 1), the spirals as
+  the pool), saved as ``.npy``. Only S = 500 (15 blocks of 8 rows), S = 5000
+  and S = 10000 (120 one-row blocks each) score more than one block, so only
+  they spread blocks over several threads. A forward takes at most 4096 rows,
+  so S = 5000 forwards each row in two pieces (4096 + 904 rows) and S = 10000
+  in three (4096 + 4096 + 1808);
 - ``dipmix --help`` and each ``dipmix <cmd> --help``, 80 columns wide, as
   ``help/dipmix.out`` and ``help/<cmd>.out``, so the CLI's flags, defaults and
   help text are digested too;
@@ -58,7 +60,7 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "perfbench" / "model" / "mixup_model.json"
 MODES = (("none", 0.0), ("label_mixing", 1.0), ("label_preserving", 1.0))
-S_VALUES = (1, 7, 500, 5000)
+S_VALUES = (1, 7, 500, 5000, 10000)
 COMMANDS = ("gen-data", "train", "eval", "bound", "sweep", "grid")
 CONFIG = {
     "dataset": {"csv": "spirals.csv", "test_fraction": 0.5, "split_seed": 0,
