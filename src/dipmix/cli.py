@@ -5,8 +5,11 @@ described by a single JSON config; flags override file values, and every
 training run writes a manifest echoing the fully resolved config and seed,
 so any artifact can be reproduced byte-for-byte from its manifest. Output
 files are written through ``data.write_file``, which renames a finished temp
-file into place. Exit codes: 0 success, 1 runtime failure (i/o, diverged
-training), 2 invalid input (an ``errors.InputError``).
+file into place. A command that writes several files removes the previous
+run's copies just before its first write and writes last the file that
+completes the set: train's manifest, grid's PGM, sweep's ``sweep.csv``. Exit
+codes: 0 success, 1 runtime failure (i/o, diverged training), 2 invalid input
+(an ``errors.InputError``).
 """
 
 from __future__ import annotations
@@ -199,17 +202,18 @@ def cmd_train(args) -> int:
     cfg["seeds"] = [seed]
     params, metrics, train_set, test_set, stats = run_training(cfg, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "model.json"
-    metrics_path = out_dir / "metrics.csv"
-    save_model(params, model_path)
-    write_file(metrics_path, "epoch,train_loss,train_acc,lr\n" + "".join(
+    paths = {"model": out_dir / "model.json", "metrics": out_dir / "metrics.csv",
+             "standardize": out_dir / "standardize.json", "manifest": out_dir / "manifest.json"}
+    for path in paths.values():  # an earlier run's files, standardized or not
+        path.unlink(missing_ok=True)
+    if stats is None:
+        del paths["standardize"]
+    save_model(params, paths["model"])
+    write_file(paths["metrics"], "epoch,train_loss,train_acc,lr\n" + "".join(
         f"{row.epoch},{row.train_loss!r},{row.train_acc!r},{row.lr!r}\n" for row in metrics))
-    outputs = {"model": str(model_path), "metrics": str(metrics_path)}
-    if stats is not None:
-        stats_path = out_dir / "standardize.json"
-        write_file(stats_path, json.dumps({"mean": stats.mean.tolist(),
-                                           "std": stats.std.tolist()}) + "\n")
-        outputs["standardize"] = str(stats_path)
+    if "standardize" in paths:
+        write_file(paths["standardize"], json.dumps({"mean": stats.mean.tolist(),
+                                                     "std": stats.std.tolist()}) + "\n")
     train_prior = lambda_prior(cfg["mix"]["mode"], cfg["mix"]["alpha"])
     manifest = {
         "command": "train",
@@ -217,14 +221,13 @@ def cmd_train(args) -> int:
         "seed": seed,
         "config": cfg,
         "training_prior": None if train_prior is None else {"a": train_prior.a, "b": train_prior.b},
-        "outputs": outputs,
+        "outputs": {name: str(path) for name, path in paths.items() if name != "manifest"},
     }
-    manifest_path = out_dir / "manifest.json"
-    write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    write_file(paths["manifest"], json.dumps(manifest, indent=2) + "\n")
     last = metrics[-1]
     print(f"trained {cfg['epochs']} epochs (mode={cfg['mix']['mode']}); "
           f"final train_loss={last.train_loss:.6f} train_acc={last.train_acc:.4f}")
-    print(f"wrote {model_path}, {metrics_path}, {manifest_path}")
+    print("wrote " + ", ".join(str(path) for path in paths.values()))
     return 0
 
 
@@ -358,7 +361,7 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    progress_path = out_dir / "sweep_progress.json"
+    progress_path, csv_path = out_dir / "sweep_progress.json", out_dir / "sweep.csv"
     # a cell is reused only if this version computed it under this config and
     # its scores still match their digest
     digest = _sha256({"package": __version__, "config": {
@@ -366,6 +369,7 @@ def cmd_sweep(args) -> int:
     progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
+    csv_path.unlink(missing_ok=True)  # an earlier sweep's; written last, it completes this one
     table = {}  # this grid's cells in (alpha, S, seed) order; the file's others follow
     for alpha, s, seed in itertools.product(alphas, s_values, seeds):
         key = f"alpha={_alpha_text(alpha)},S={s},seed={seed}"
@@ -394,7 +398,6 @@ def cmd_sweep(args) -> int:
             ses.append(float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0)
         lines.append(f"{name},{s},{rows[0]['mode']},mean,"
                      + ",".join(repr(v) for v in means + ses) + "\n")
-    csv_path = out_dir / "sweep.csv"
     write_file(csv_path, "".join(lines))
     failures = sum("error" in cell for cell in table.values())
     print(f"wrote {csv_path} ({len(table)} cells, {failures} failed)")
@@ -407,8 +410,9 @@ def cmd_grid(args) -> int:
     xs, ys, classes, max_probs = decision_grid(
         params, cfg, (args.xmin, args.xmax), (args.ymin, args.ymax), args.res
     )
-    csv_path = Path(f"{args.out_prefix}.csv")
-    pgm_path = Path(f"{args.out_prefix}.pgm")
+    csv_path, pgm_path = Path(f"{args.out_prefix}.csv"), Path(f"{args.out_prefix}.pgm")
+    for path in (csv_path, pgm_path):  # an earlier grid's pair; the PGM, last, completes this one
+        path.unlink(missing_ok=True)
     write_file(csv_path, "x,y,class,prob\n" + "".join(
         f"{float(xs[c])!r},{float(ys[r])!r},{int(classes[r, c])},{float(max_probs[r, c])!r}\n"
         for r in range(args.res) for c in range(args.res)))

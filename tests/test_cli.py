@@ -8,6 +8,7 @@ import pytest
 from dipmix import (ConfigurationError, DivergenceError, DomainError, InputError, MixConfig,
                     NumericError, OptimState, ParseError, ShapeError, cli, gen_spirals, load_csv,
                     mlp_init, split, train)
+from dipmix import BetaParams, PredictorConfig, evaluate
 from dipmix.cli import main
 from dipmix.nn import ModelParams, forward, load_model, save_model
 from dipmix.predictor import _blas_pin
@@ -695,6 +696,28 @@ class TestSweep:
         # every S of one (alpha, seed) reports the scores of its one model
         assert rows[0][4:] == rows[1][4:] == rows[2][4:]
         assert rows[3][4:] == rows[4][4:] == rows[5][4:]
+
+    def test_predictor_alpha_scores_every_cell(self, tmp_path, monkeypatch):
+        # a non-null predictor.alpha sets the scoring prior of every cell, alpha 0's too
+        models = {}
+        real = cli.run_training
+
+        def record(cfg, seed):
+            models[cfg["mix"]["alpha"], seed] = real(cfg, seed)
+            return models[cfg["mix"]["alpha"], seed]
+
+        monkeypatch.setattr(cli, "run_training", record)
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               predictor={"mode": "dip", "s_test": 20, "alpha": 2.0})
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1",
+                     "--seeds", "0"]) == 0
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        assert sorted(models) == [(0.0, 0), (1.0, 0)]
+        for (alpha, seed), (params, _, train_set, test_set, _) in models.items():
+            pred = PredictorConfig("dip", 20, BetaParams(3.0, 2.0), train_set.features, seed)
+            cell = progress[f"alpha={alpha:g},S=1,seed={seed}"]
+            assert cell["train_err"] == evaluate(params, train_set, pred).misclassification_rate
+            assert cell["test_err"] == evaluate(params, test_set, pred).misclassification_rate
 
     @pytest.mark.parametrize("alpha", ["0", "1", "0,1"], ids=["none", "label-mixing", "both"])
     def test_resumed_sweep_reuses_the_models_it_holds(self, tmp_path, monkeypatch, alpha):

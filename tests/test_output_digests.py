@@ -37,7 +37,10 @@ def test_two_runs_digest_every_output_alike():
     assert tool.S_VALUES == (1, 7, 500, 5000, 10000)
     expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
     expected |= {f"errors/{name}.err" for name, *_ in tool.BAD}
+    # a rerun without standardization removes the earlier run's standardize.json
+    expected |= {f"rerun/{name}" for name in ("model.json", "metrics.csv", "manifest.json")}
     assert expected <= set(first)
+    assert "rerun/standardize.json" not in first
     assert all(len(digest) == 64 for digest in first.values())
     # a resumed sweep writes what a fresh one writes
     for name in ("sweep.csv", "sweep_progress.json"):

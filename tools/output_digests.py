@@ -12,6 +12,11 @@ one tree print the same digests:
 - ``train`` of a [2, 16, 2] ReLU net for 8 epochs in each mixing mode, none,
   label_mixing and label_preserving at S = 3, into ``run/<mode>/``;
 - raw and dip ``eval`` (S = 7, alpha 1) of each model on the spirals;
+- an in-place rerun: ``config_none.json`` trained into ``rerun/``, then a copy
+  with ``"standardize": false``, ``config_unstandardized.json``, trained into
+  the same directory with ``--seed 1``. The second run rewrites the manifest's
+  ``seeds`` and leaves no ``standardize.json``, so ``rerun/`` holds exactly
+  what a run without standardization writes;
 - a dip ``grid`` (16 x 16, S = 7) of the label-preserving model;
 - a ``bound`` report of the standardized spirals at alpha 2, ``bound.json``;
 - a 2 x 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seeds 0 and 1) scored by
@@ -114,6 +119,12 @@ def run_matrix(model_path: str) -> None:
         step(f"eval_{mode}_raw", ["eval", *model, "--data", "spirals.csv"])
         step(f"eval_{mode}_dip", ["eval", *model, "--data", "spirals.csv", "--mode", "dip",
                                   *predictor])
+    unstandardized = json.loads(Path("config_none.json").read_text())
+    unstandardized["dataset"]["standardize"] = False
+    Path("config_unstandardized.json").write_text(json.dumps(unstandardized))
+    step("rerun", ["train", "config_none.json", "--output-dir", "rerun"])
+    step("rerun_unstandardized", ["train", "config_unstandardized.json", "--output-dir", "rerun",
+                                  "--seed", "1"])
     step("grid", ["grid", "--model", "run/label_preserving/model.json", "--stats",
                   "run/label_preserving/standardize.json", "--res", "16", "--mode", "dip",
                   *predictor, "--out-prefix", "grid"])
