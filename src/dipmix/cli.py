@@ -7,9 +7,11 @@ so any artifact can be reproduced byte-for-byte from its manifest. Output
 files are written through ``data.write_file``, which renames a finished temp
 file into place. A command that writes several files removes the previous
 run's copies just before its first write and writes last the file that
-completes the set: train's manifest, grid's PGM, sweep's ``sweep.csv``. Exit
-codes: 0 success, 1 runtime failure (i/o, diverged training), 2 invalid input
-(an ``errors.InputError``).
+completes the set: train's manifest, grid's PGM, sweep's ``sweep.csv``. Every
+command computes on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set:
+``main`` sets numpy's OpenBLAS to one thread and restores the caller's count
+when it returns or raises. Exit codes: 0 success, 1 runtime failure (i/o,
+diverged training), 2 invalid input (an ``errors.InputError``).
 """
 
 from __future__ import annotations
@@ -296,12 +298,13 @@ def cmd_bound(args) -> int:
 
 def _parse_num_list(flag: str, text: str, check, interval: str) -> list:
     """The values of a comma list, under the list rule: integers for check_int,
-    else reals; a token that does not read as one stays text, which check names."""
+    else reals, -0 read as 0; a token that does not read as one stays text,
+    which check names."""
     cast = int if check is check_int else float
     values = []
     for token in filter(str.strip, text.split(",")):
         try:
-            values.append(cast(token))
+            values.append(cast(token) + 0)  # -0.0 + 0 is 0.0
         except ValueError:
             values.append(token)
     return _check_list(flag, values, check, interval)
@@ -360,12 +363,15 @@ def cmd_sweep(args) -> int:
     if cfg["dataset"]["test_fraction"] is None:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
+    # a cell is reused only if this version computed it under this config, on
+    # the same CSV bytes, and its scores still match their digest
+    record = {"package": __version__, "config": {
+        k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}}
+    if cfg["dataset"]["csv"]:
+        record["csv_sha256"] = hashlib.sha256(Path(cfg["dataset"]["csv"]).read_bytes()).hexdigest()
+    digest = _sha256(record)
     out_dir.mkdir(parents=True, exist_ok=True)
     progress_path, csv_path = out_dir / "sweep_progress.json", out_dir / "sweep.csv"
-    # a cell is reused only if this version computed it under this config and
-    # its scores still match their digest
-    digest = _sha256({"package": __version__, "config": {
-        k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}})
     progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
     if not (isinstance(progress, dict) and all(isinstance(c, dict) for c in progress.values())):
         raise ParseError(f"progress file {progress_path} must be a JSON object of cell objects")
@@ -487,10 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # training on one BLAS thread unless the user chose a count: its small matrices
-    # gain little from a second, whose idle spin takes a core; the count is restored
-    pin = (_blas_pin() if args.command in ("train", "sweep")
-           and "OPENBLAS_NUM_THREADS" not in os.environ else None)
+    pin = None if "OPENBLAS_NUM_THREADS" in os.environ else _blas_pin()
     before = pin(1) if pin else None
     try:
         if getattr(args, "seed", None) is not None:

@@ -416,10 +416,11 @@ def _blas_threads(pin) -> int:
 
 @pytest.mark.skipif(_blas_pin() is None, reason="numpy's BLAS has no per-call thread count")
 @pytest.mark.parametrize("user", [None, "2"], ids=["default", "user-set"])
-def test_training_runs_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
-                                                                      user):
-    """train and sweep run on one BLAS thread; the other commands, and any
-    command under a user's OPENBLAS_NUM_THREADS, keep the count they find."""
+def test_every_command_runs_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
+                                                                          user):
+    """Every command runs on one BLAS thread, or on the count the caller had
+    when OPENBLAS_NUM_THREADS is set; main restores the caller's count after a
+    command succeeds and after it raises an InputError."""
     pin = _blas_pin()
     if user is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -435,19 +436,20 @@ def test_training_runs_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, 
         seen.append(_blas_threads(pin))
         raise ConfigurationError("bad")
 
-    commands = (("train", ["cfg.json"]), ("sweep", ["cfg.json", "--alphas", "1", "--s-values", "1"]),
-                ("grid", ["--model", "m.json", "--out-prefix", str(tmp_path / "g")]),
-                ("eval", ["--model", "m.json", "--data", "d.csv"]))
+    commands = (("gen-data", ["--out", "d.csv"]), ("train", ["cfg.json"]),
+                ("eval", ["--model", "m.json", "--data", "d.csv"]), ("bound", ["--data", "d.csv"]),
+                ("sweep", ["cfg.json", "--alphas", "1", "--s-values", "1"]),
+                ("grid", ["--model", "m.json", "--out-prefix", str(tmp_path / "g")]))
     before = pin(2)  # the count OpenBLAS took from the variable, or its default
     try:
         for name, argv in commands:
             for fake, code in ((command, 0), (failing, 2)):
-                monkeypatch.setattr(cli, "cmd_" + name, fake)
+                monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), fake)
                 assert main([name, *argv]) == code
                 assert _blas_threads(pin) == 2  # restored for the in-process caller
     finally:
         pin(before)
-    assert seen == ([1, 1, 1, 1, 2, 2, 2, 2] if user is None else [2] * 8)
+    assert seen == [1 if user is None else 2] * 2 * len(commands)
 
 
 def test_other_value_errors_propagate(tmp_path, monkeypatch):
@@ -808,6 +810,50 @@ class TestSweep:
         assert csv_path.read_bytes() != first
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         assert len({cell["config_sha256"] for cell in progress.values()}) == 1
+
+    @pytest.mark.parametrize("changed", [False, True], ids=["same-csv", "changed-csv"])
+    def test_resume_reruns_cells_only_when_the_csv_changed(self, tmp_path, monkeypatch, changed):
+        data, resumed, fresh = tmp_path / "data.csv", tmp_path / "resumed", tmp_path / "fresh"
+        assert main(["gen-data", "--n", "30", "--out", str(data)]) == 0
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)})
+        args = ["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1", "--seeds", "0",
+                "--output-dir"]
+        assert main([*args, str(resumed)]) == 0
+        first = (resumed / "sweep.csv").read_bytes()
+        if changed:
+            assert main(["gen-data", "--n", "30", "--seed", "1", "--out", str(data)]) == 0
+        assert main([*args, str(fresh)]) == 0
+        assert (first != (fresh / "sweep.csv").read_bytes()) == changed
+        trained = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+        assert main([*args, str(resumed)]) == 0
+        assert len(trained) == (2 if changed else 0)
+        for name in ("sweep.csv", "sweep_progress.json"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_unreadable_csv_exits_one_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a model"))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               dataset={"csv": str(tmp_path / "missing.csv")})
+        assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "1"]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_minus_zero_alpha_is_alpha_zero(self, tmp_path, monkeypatch):
+        trained = []
+        real = cli.run_training
+        monkeypatch.setattr(cli, "run_training",
+                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
+        for alphas in ("--alphas=-0", "--alphas=0"):
+            assert main(["sweep", str(cfg_path), alphas, "--s-values", "1", "--seeds", "0"]) == 0
+        assert len(trained) == 1
+        progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+        assert list(progress) == ["alpha=0,S=1,seed=0"]
+        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        assert [l.split(",")[0] for l in lines] == ["0", "0"]
 
     def test_resume_reruns_cells_of_another_version(self, tmp_path, monkeypatch):
         args = ["sweep", str(tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))),

@@ -32,6 +32,7 @@ from dipmix import (
 )
 from dipmix import nn, objective
 from dipmix.nn import ModelParams, Workspace
+from dipmix.predictor import _blas_pin
 
 from oracles import QUAD_NODES, _xent_rows, jensen_check, prop1_check
 from test_nn import fd_param_grads, flatten_grads, max_rel_err
@@ -423,6 +424,24 @@ class TestTrain:
         out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                              check=True, capture_output=True, text=True).stdout
         assert int(out) < 1000
+
+    @pytest.mark.skipif(_blas_pin() is None, reason="numpy's BLAS has no per-call thread count")
+    def test_the_blas_thread_count_changes_no_bit(self):
+        # the CLI trains on one BLAS thread, a library caller on the count it has
+        ds, _ = standardize(gen_spirals(250, 0.05, 1.25, seed=0))
+        pin = _blas_pin()
+        runs = []
+        original = pin(1)
+        try:
+            for count in (1, 2):
+                pin(count)
+                runs.append(train(mlp_init([2, 64, 64, 2], "relu", seed=0), ds,
+                                  MixConfig("label_preserving", 1.0, 4), OptimState(0.1, 0.9),
+                                  2, 64, np.random.default_rng(0)))
+        finally:
+            pin(original)
+        (p, metrics), (q, expected) = runs
+        assert p.flat.tobytes() == q.flat.tobytes() and metrics == expected
 
     def test_separable_sanity(self):
         full = gen_spirals(100, 0.0, 1.25, seed=1)

@@ -494,6 +494,25 @@ class TestWorkers:
         finally:
             pin(original)
 
+    @pytest.mark.parametrize("n", [5000, 50000])
+    def test_the_blas_thread_count_changes_no_raw_bit(self, n):
+        # the CLI predicts on one BLAS thread, a library caller on the count it has
+        pin = predictor._blas_pin()
+        if pin is None:
+            pytest.skip("numpy ships no openblas_set_num_threads_local here")
+        params = threaded_model("relu")
+        x = np.random.default_rng(2).normal(size=(n, 2))
+        cfg = PredictorConfig("raw")
+        probs = []
+        original = pin(1)
+        try:
+            for count in (1, 2):
+                pin(count)
+                probs.append(predict_batch(params, x, cfg).tobytes())
+        finally:
+            pin(original)
+        assert probs[0] == probs[1]
+
     def test_without_the_pin_no_thread_starts(self, monkeypatch):
         params = threaded_model("tanh")
         pool = np.random.default_rng(0).normal(size=(30, 2))
