@@ -29,14 +29,15 @@ import numpy as np
 
 from . import __version__
 from .bounds import bound_report
-from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats,
-                   gen_spirals, load_csv, read_json, save_csv, split, standardize, write_file)
+from .data import (StandardizeStats, _check_fraction, _check_spirals, apply_stats, gen_spirals,
+                   load_csv, parse_csv, read_json, save_csv, split, standardize, write_file)
 from .errors import (ConfigurationError, DivergenceError, InputError, ParseError, check_int,
                      check_real)
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
-from .predictor import PREDICT_MODES, PredictorConfig, _blas_pin, decision_grid, evaluate
+from .predictor import (PREDICT_MODES, PredictorConfig, _blas_pin, _check_settings,
+                        decision_grid, evaluate)
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
 
@@ -98,11 +99,6 @@ def resolve_config(doc: dict) -> dict:
         raise ConfigurationError("config must be a JSON object")
     errors = []
     cfg = _merge(DEFAULT_CONFIG, doc, errors)
-
-    def check(cond, msg):
-        if not cond:
-            errors.append(msg)
-
     ds, pred = cfg["dataset"], cfg["predictor"]
     for prefix, owner in (
         # the generator is not used with a csv, nor the split with a null fraction
@@ -113,7 +109,7 @@ def resolve_config(doc: dict) -> dict:
         ("optim: ", lambda: OptimState(**cfg["optim"])),
         ("", lambda: check_int("epochs", cfg["epochs"], "> 0")),
         ("", lambda: check_int("batch_size", cfg["batch_size"], "> 0")),
-        ("predictor: ", lambda: PredictorConfig(s_test=pred["s_test"])),
+        ("predictor: ", lambda: _check_settings(pred["mode"], pred["s_test"])),
         ("predictor.", lambda: pred["alpha"] is None or check_real("alpha", pred["alpha"], ">= 0")),
         ("dataset.", lambda: check_int("split_seed", ds["split_seed"], ">= 0")),
         ("", lambda: _check_list("seeds", cfg["seeds"], check_int, ">= 0")),
@@ -122,11 +118,11 @@ def resolve_config(doc: dict) -> dict:
             owner()
         except ConfigurationError as exc:
             errors.append(prefix + str(exc))
-    check(isinstance(ds["standardize"], bool), "dataset.standardize must be true or false")
+    if not isinstance(ds["standardize"], bool):
+        errors.append("dataset.standardize must be true or false")
     for name, path in (("dataset.csv", ds["csv"]), ("output_dir", cfg["output_dir"])):
-        check(path is None or (isinstance(path, str) and path != ""),
-              f"{name} must be null or a nonempty string")
-    check(pred["mode"] in PREDICT_MODES, f"predictor.mode must be one of {PREDICT_MODES}")
+        if not (path is None or (isinstance(path, str) and path != "")):
+            errors.append(f"{name} must be null or a nonempty string")
     if errors:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(errors))
     return cfg
@@ -141,23 +137,22 @@ def load_config(path) -> dict:
 
 
 def build_datasets(cfg: dict):
-    """Materialize (train, test, stats) from the dataset section of a resolved config."""
-    ds_cfg = cfg["dataset"]
+    """Materialize (train, test, stats, csv_sha256) from the dataset section of a resolved
+    config; csv_sha256 is the SHA-256 of the CSV bytes parsed, None for the generator."""
+    ds_cfg, csv_sha256 = cfg["dataset"], None
     if ds_cfg["csv"]:
-        full = load_csv(ds_cfg["csv"])
+        raw = Path(ds_cfg["csv"]).read_bytes()
+        full, csv_sha256 = parse_csv(raw, ds_cfg["csv"]), hashlib.sha256(raw).hexdigest()
     else:
-        gen = ds_cfg["generator"]
-        full = gen_spirals(gen["n_per_class"], gen["noise_std"], gen["turns"], gen["seed"])
+        full = gen_spirals(**ds_cfg["generator"])
+    train_set, test_set, stats = full, None, None
     if ds_cfg["test_fraction"] is not None:
         train_set, test_set = split(full, ds_cfg["test_fraction"], ds_cfg["split_seed"])
-    else:
-        train_set, test_set = full, None
-    stats = None
     if ds_cfg["standardize"]:
         train_set, stats = standardize(train_set)
         if test_set is not None:
             test_set = apply_stats(test_set, stats)
-    return train_set, test_set, stats
+    return train_set, test_set, stats, csv_sha256
 
 
 def _prior(alpha):
@@ -166,14 +161,12 @@ def _prior(alpha):
     return lambda_prior("label_preserving", float(alpha)) if alpha else None
 
 
-def run_training(cfg: dict, seed: int):
-    """Train one model under a resolved config; returns params and metrics."""
-    train_set, test_set, stats = build_datasets(cfg)
+def run_training(cfg: dict, seed: int, train_set):
+    """Train one model on train_set under a resolved config; returns params and metrics."""
     params = mlp_init(cfg["model"]["layer_sizes"], cfg["model"]["activation"], seed=seed)
     rng = np.random.default_rng([seed, 1])
-    params, metrics = train_loop(params, train_set, MixConfig(**cfg["mix"]),
-                                 OptimState(**cfg["optim"]), cfg["epochs"], cfg["batch_size"], rng)
-    return params, metrics, train_set, test_set, stats
+    return train_loop(params, train_set, MixConfig(**cfg["mix"]), OptimState(**cfg["optim"]),
+                      cfg["epochs"], cfg["batch_size"], rng)
 
 
 def _output_dir(cfg: dict, flag_value) -> Path:
@@ -202,7 +195,8 @@ def cmd_train(args) -> int:
     out_dir = _output_dir(cfg, args.output_dir)
     cfg["output_dir"] = str(out_dir)
     cfg["seeds"] = [seed]
-    params, metrics, train_set, test_set, stats = run_training(cfg, seed)
+    train_set, _, stats, _ = build_datasets(cfg)
+    params, metrics = run_training(cfg, seed, train_set)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"model": out_dir / "model.json", "metrics": out_dir / "metrics.csv",
              "standardize": out_dir / "standardize.json", "manifest": out_dir / "manifest.json"}
@@ -325,7 +319,7 @@ def _scores(cell: dict) -> dict:
     return {k: v for k, v in cell.items() if not k.endswith("_sha256")}
 
 
-def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
+def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict, train_set, test_set):
     """Train and score one cell: alpha 0 trains without mixing, any other alpha
     in the config's mixing mode (label_mixing if that is none). Modes none and
     label_mixing ignore S, so such a cell reports, under its own S, the scores
@@ -336,8 +330,7 @@ def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict):
         for cell in table.values():
             if "error" not in cell and (cell["alpha"], cell["seed"]) == (alpha, seed):
                 return {**_scores(cell), "S": int(s)}
-    params, _, train_set, test_set, _ = run_training(
-        {**cfg, "mix": {"mode": mode, "alpha": alpha, "s": s}}, seed)
+    params, _ = run_training({**cfg, "mix": dict(mode=mode, alpha=alpha, s=s)}, seed, train_set)
     pred = cfg["predictor"]
     prior = _prior(alpha if pred["alpha"] is None else pred["alpha"])
     pred_cfg = PredictorConfig(pred["mode"], pred["s_test"], prior, train_set.features, seed)
@@ -363,13 +356,12 @@ def cmd_sweep(args) -> int:
     if cfg["dataset"]["test_fraction"] is None:
         raise ConfigurationError("sweep requires dataset.test_fraction to measure a gap")
     out_dir = _output_dir(cfg, args.output_dir)
+    train_set, test_set, _, csv_sha256 = build_datasets(cfg)  # every cell trains on these
     # a cell is reused only if this version computed it under this config, on
     # the same CSV bytes, and its scores still match their digest
     record = {"package": __version__, "config": {
         k: v for k, v in cfg.items() if k not in ("output_dir", "seeds")}}
-    if cfg["dataset"]["csv"]:
-        record["csv_sha256"] = hashlib.sha256(Path(cfg["dataset"]["csv"]).read_bytes()).hexdigest()
-    digest = _sha256(record)
+    digest = _sha256({**record, "csv_sha256": csv_sha256} if csv_sha256 else record)
     out_dir.mkdir(parents=True, exist_ok=True)
     progress_path, csv_path = out_dir / "sweep_progress.json", out_dir / "sweep.csv"
     progress = read_json(progress_path, "progress file") if progress_path.exists() else {}
@@ -383,7 +375,7 @@ def cmd_sweep(args) -> int:
         if (cell.get("config_sha256") != digest
                 or cell.get("scores_sha256") != _sha256(_scores(cell))):
             try:
-                scores = _sweep_cell(cfg, alpha, s, seed, table)
+                scores = _sweep_cell(cfg, alpha, s, seed, table, train_set, test_set)
                 cell = {**scores, "config_sha256": digest, "scores_sha256": _sha256(scores)}
             except Exception as exc:  # keep sweeping; record the failure
                 cell = {"error": f"{type(exc).__name__}: {exc}"}

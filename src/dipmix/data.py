@@ -4,7 +4,9 @@ CSV label c, one-hot label column c and model output c."""
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,10 +114,10 @@ def gen_spirals(n_per_class: int = 500, noise_std: float = 0.05, turns: float = 
     return Dataset(feats, labels)
 
 
-def _read_text(path, what: str) -> str:
+def _decode(raw: bytes, path, what: str) -> str:
+    """raw as a file opened in text mode reads: UTF-8 with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
@@ -123,7 +125,7 @@ def _read_text(path, what: str) -> str:
 def read_json(path, what: str):
     """Parse a JSON file; content that is not UTF-8 JSON raises ParseError naming ``what``."""
     try:
-        return json.loads(_read_text(path, what))
+        return json.loads(_decode(Path(path).read_bytes(), path, what))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path} is not valid JSON: {exc.msg}", line=exc.lineno) from exc
 
@@ -148,18 +150,22 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a `x1,...,xd,label` file; a row labelled c, a class id in
-    [0, MAX_CLASSES), is one-hot in column c, so the label width is the largest
-    id plus one. Malformed content raises ParseError naming its line or file."""
-    lines = _read_text(path, "CSV file").splitlines()
+    """Read a `x1,...,xd,label` file and parse it with parse_csv."""
+    return parse_csv(Path(path).read_bytes(), path)
+
+
+def parse_csv(raw: bytes, path) -> Dataset:
+    """Parse the bytes of the `x1,...,xd,label` file path: a row labelled c, a class id in
+    [0, MAX_CLASSES), is one-hot in column c, so the label width is the largest id plus
+    one. Malformed content raises ParseError naming its line or file."""
+    lines = _decode(raw, path, "CSV file").splitlines()
     if not lines:
         raise ParseError("file is empty", line=1)
     header = [h.strip() for h in lines[0].split(",")]
     d = len(header) - 1
     if d < 1 or header != [f"x{j + 1}" for j in range(d)] + ["label"]:
         raise ParseError(f"expected header x1,...,xd,label, got {lines[0]!r}", line=1)
-    feats = []
-    raw_labels = []
+    feats, ids = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -170,7 +176,7 @@ def load_csv(path) -> Dataset:
             row = [float(c) for c in cells[:d]]
         except ValueError:
             raise ParseError(f"non-numeric feature in {line!r}", line=lineno) from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise ParseError("non-finite feature value", line=lineno)
         try:
             label = int(cells[d])
@@ -180,11 +186,11 @@ def load_csv(path) -> Dataset:
             raise ParseError(f"label must be an integer class id in [0, {MAX_CLASSES}), "
                              f"got {cells[d]!r}", line=lineno)
         feats.append(row)
-        raw_labels.append(label)
+        ids.append(label)
     if not feats:
         raise ParseError("no data rows", line=len(lines))
-    labels = np.zeros((len(feats), max(raw_labels) + 1))
-    labels[np.arange(len(feats)), raw_labels] = 1.0
+    labels = np.zeros((len(feats), max(ids) + 1))
+    labels[np.arange(len(feats)), ids] = 1.0
     return Dataset(np.asarray(feats), labels)
 
 

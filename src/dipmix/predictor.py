@@ -41,6 +41,13 @@ _BLOCK_ROWS = 4096
 _PINNED = threading.Lock()  # held by a call whose workers hold the BLAS thread count at 1
 
 
+def _check_settings(mode, s_test) -> None:
+    """The mode and draw-count rule; resolve_config applies it to a section without a pool."""
+    if mode not in PREDICT_MODES:
+        raise ConfigurationError(f"unknown predictor mode {mode!r}")
+    check_int("s_test", s_test, "> 0")
+
+
 @dataclass(frozen=True, eq=False)
 class PredictorConfig:
     """Test-stage settings.
@@ -57,9 +64,7 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in PREDICT_MODES:
-            raise ConfigurationError(f"unknown predictor mode {self.mode!r}")
-        check_int("s_test", self.s_test, "> 0")
+        _check_settings(self.mode, self.s_test)
         check_int("seed", self.seed, ">= 0")
         if self.mode == "dip" and (self.partner_pool is None or len(self.partner_pool) == 0):
             raise ConfigurationError("dip prediction requires a nonempty partner_pool")

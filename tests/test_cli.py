@@ -165,8 +165,9 @@ class TestTrain:
          lambda: split(gen_spirals(30), 1.5, 0)),
         ({"epochs": 0}, "", lambda: train_with(epochs=0, batch_size=16)),
         ({"batch_size": 0}, "", lambda: train_with(epochs=8, batch_size=0)),
+        ({"predictor": {"mode": "x"}}, "predictor: ", lambda: PredictorConfig("x")),
     ], ids=["turns", "n-per-class", "noise-std", "generator-seed", "test-fraction", "epochs",
-            "batch-size"])
+            "batch-size", "predictor-mode"])
     def test_config_reports_the_owners_rule(self, tmp_path, overrides, prefix, owner):
         # the config's line is the owner's message under the key's prefix: one rule, one text
         with pytest.raises(ConfigurationError) as owned:
@@ -684,8 +685,8 @@ class TestSweep:
     def test_s_ignoring_modes_train_once_per_alpha_and_seed(self, tmp_path, monkeypatch):
         modes = []
         real = cli.run_training
-        monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: modes.append(cfg["mix"]["mode"]) or real(cfg, seed))
+        monkeypatch.setattr(cli, "run_training", lambda cfg, seed, train_set: (
+            modes.append(cfg["mix"]["mode"]) or real(cfg, seed, train_set)))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1,2,4",
                      "--seeds", "0"]) == 0
@@ -704,8 +705,8 @@ class TestSweep:
         models = {}
         real = cli.run_training
 
-        def record(cfg, seed):
-            models[cfg["mix"]["alpha"], seed] = real(cfg, seed)
+        def record(cfg, seed, train_set):
+            models[cfg["mix"]["alpha"], seed] = real(cfg, seed, train_set)
             return models[cfg["mix"]["alpha"], seed]
 
         monkeypatch.setattr(cli, "run_training", record)
@@ -715,7 +716,9 @@ class TestSweep:
                      "--seeds", "0"]) == 0
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         assert sorted(models) == [(0.0, 0), (1.0, 0)]
-        for (alpha, seed), (params, _, train_set, test_set, _) in models.items():
+        train_set, test_set, _, _ = cli.build_datasets(
+            cli.resolve_config(json.loads(cfg_path.read_text())))
+        for (alpha, seed), (params, _) in models.items():
             pred = PredictorConfig("dip", 20, BetaParams(3.0, 2.0), train_set.features, seed)
             cell = progress[f"alpha={alpha:g},S=1,seed={seed}"]
             assert cell["train_err"] == evaluate(params, train_set, pred).misclassification_rate
@@ -759,8 +762,9 @@ class TestSweep:
     def test_each_model_trains_once(self, tmp_path, monkeypatch, alpha, mode, trains):
         trained = []
         real = cli.run_training
-        monkeypatch.setattr(cli, "run_training", lambda cfg, seed: diverge_at_s3(cfg) or (
-            trained.append((cfg["mix"]["mode"], cfg["mix"]["s"])) or real(cfg, seed)))
+        monkeypatch.setattr(cli, "run_training", lambda cfg, seed, train_set: (
+            diverge_at_s3(cfg) or trained.append((cfg["mix"]["mode"], cfg["mix"]["s"]))
+            or real(cfg, seed, train_set)))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
                                mix={"mode": mode, "alpha": float(alpha), "s": 1})
         assert main(["sweep", str(cfg_path), "--alphas", alpha, "--s-values", "3,1,2",
@@ -827,11 +831,65 @@ class TestSweep:
         trained = []
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+                            lambda cfg, seed, train_set: trained.append(seed)
+                            or real(cfg, seed, train_set))
         assert main([*args, str(resumed)]) == 0
         assert len(trained) == (2 if changed else 0)
         for name in ("sweep.csv", "sweep_progress.json"):
             assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("content", [b"a,b\n1,0\n", b"x1,x2,label\n\xff,0,1\n"],
+                             ids=["header", "not-utf8"])
+    def test_malformed_csv_exits_two_as_train_does(self, tmp_path, monkeypatch, capsys, content):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a model"))
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)})
+        assert main(["train", str(cfg_path)]) == 2
+        train_err = capsys.readouterr().err
+        assert train_err.startswith("error: ") and train_err.count("\n") == 1
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1",
+                     "--output-dir", str(tmp_path / "sweep")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == train_err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.csv"]
+
+    def test_csv_is_read_and_parsed_once(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--n", "30", "--out", str(data)]) == 0
+        reads, parses = [], []
+        read_bytes, parse_csv = Path.read_bytes, cli.parse_csv
+        monkeypatch.setattr(Path, "read_bytes", lambda path: (
+            path == data and reads.append(path)) or read_bytes(path))
+        monkeypatch.setattr(cli, "parse_csv", lambda raw, path: (
+            parses.append(path) or parse_csv(raw, path)))
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)},
+                               mix={"mode": "label_preserving", "alpha": 1.0, "s": 1})
+        assert main(["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1,3",
+                     "--seeds", "0,1", "--output-dir", str(tmp_path / "sweep")]) == 0
+        assert "(8 cells, 0 failed)" in capsys.readouterr().out
+        assert reads == [data] and parses == [str(data)]
+
+    def test_csv_overwritten_mid_sweep_is_not_read_again(self, tmp_path, monkeypatch):
+        data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+        assert main(["gen-data", "--n", "30", "--out", str(data)]) == 0
+        assert main(["gen-data", "--n", "30", "--seed", "1", "--out", str(other)]) == 0
+        cfg_path = tiny_config(tmp_path, dataset={"csv": str(data)})
+        args = ["sweep", str(cfg_path), "--alphas", "0,1", "--s-values", "1", "--seeds", "0,1",
+                "--output-dir"]
+        assert main([*args, str(tmp_path / "fresh")]) == 0
+        real = cli.run_training
+
+        def overwrite_then_train(cfg, seed, train_set):
+            data.write_bytes(other.read_bytes())  # during the first cell and every later one
+            return real(cfg, seed, train_set)
+
+        monkeypatch.setattr(cli, "run_training", overwrite_then_train)
+        assert main([*args, str(tmp_path / "overwritten")]) == 0
+        assert data.read_bytes() == other.read_bytes()
+        for name in ("sweep.csv", "sweep_progress.json"):
+            assert ((tmp_path / "overwritten" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
 
     def test_unreadable_csv_exits_one_before_any_cell(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("trained a model"))
@@ -845,7 +903,8 @@ class TestSweep:
         trained = []
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+                            lambda cfg, seed, train_set: trained.append(seed)
+                            or real(cfg, seed, train_set))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         for alphas in ("--alphas=-0", "--alphas=0"):
             assert main(["sweep", str(cfg_path), alphas, "--s-values", "1", "--seeds", "0"]) == 0
@@ -875,7 +934,8 @@ class TestSweep:
         trained = []
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+                            lambda cfg, seed, train_set: trained.append(seed)
+                            or real(cfg, seed, train_set))
         assert main(args) == 0
         assert trained == [0, 1]
         assert csv_path.read_bytes() == first
@@ -899,7 +959,8 @@ class TestSweep:
         trained = []
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: trained.append(seed) or real(cfg, seed))
+                            lambda cfg, seed, train_set: trained.append(seed)
+                            or real(cfg, seed, train_set))
         assert main(args) == 0
         assert trained == [1]
         assert csv_path.read_bytes() == first
@@ -908,7 +969,8 @@ class TestSweep:
     def test_failed_cell_recorded_sweep_continues(self, tmp_path, monkeypatch, capsys):
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: diverge_at_s3(cfg) or real(cfg, seed))
+                            lambda cfg, seed, train_set: diverge_at_s3(cfg)
+                            or real(cfg, seed, train_set))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
         # the S=3 cells diverge; the S=1 cells still run
         assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "3,1",
@@ -932,7 +994,8 @@ class TestSweep:
     def test_wholly_failed_group_writes_no_rows(self, tmp_path, monkeypatch):
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training",
-                            lambda cfg, seed: diverge_at_s3(cfg) or real(cfg, seed))
+                            lambda cfg, seed, train_set: diverge_at_s3(cfg)
+                            or real(cfg, seed, train_set))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
                                mix={"mode": "label_preserving", "alpha": 1.0, "s": 1})
         # the S=3 group between two others fails in both seeds
@@ -1018,8 +1081,8 @@ class TestSweep:
         assert not list(progress_path.parent.glob("*.tmp"))
         trained = []
         sweep_cell = cli._sweep_cell
-        monkeypatch.setattr(cli, "_sweep_cell", lambda cfg, alpha, s, seed, scored: (
-            trained.append(seed) or sweep_cell(cfg, alpha, s, seed, scored)))
+        monkeypatch.setattr(cli, "_sweep_cell", lambda cfg, alpha, s, seed, *rest: (
+            trained.append(seed) or sweep_cell(cfg, alpha, s, seed, *rest)))
         assert main(args + ["0,1"]) == 0
         assert trained == [1]  # the seed-0 cell is reused from the surviving file
 

@@ -18,7 +18,7 @@ from dipmix import (
     split,
     standardize,
 )
-from dipmix.data import MAX_CLASSES
+from dipmix.data import MAX_CLASSES, read_json
 
 
 class TestGenSpirals:
@@ -93,6 +93,14 @@ class TestCsv:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    def test_first_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,label\n1.0,2.0,0\n1.0,inf,1\n1.0,1.0,x\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: non-finite feature value"
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,label\n1.0,2.0,0\n1.0,1\n")
@@ -136,6 +144,17 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text(f"x1,label\n1.0,{MAX_CLASSES - 1}\n")
         assert load_csv(path).k == MAX_CLASSES
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_breaks_read_as_in_text_mode(self, tmp_path, newline):
+        # bytes decode with universal newlines, as a file opened in text mode reads
+        path = tmp_path / "d.csv"
+        path.write_bytes(newline.join([b"x1,label", b"1.0,0", b"2.0,1", b""]))
+        np.testing.assert_array_equal(load_csv(path).features, [[1.0], [2.0]])
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(newline.join([b"{", b'"a": 1,', b"}"]))
+        with pytest.raises(ParseError, match="^line 3: "):
+            read_json(bad, "config")
 
     def test_non_utf8_file_names_it(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -47,7 +47,7 @@ def test_two_runs_digest_every_output_alike():
         assert first[f"sweep_resumed/{name}"] == first[f"sweep/{name}"]
     # no bad invocation prints to standard output or writes a file beside its config
     names = {name for name, *_ in tool.BAD}
-    assert len(names) == len(tool.BAD) == 5
+    assert len(names) == len(tool.BAD) == 6
     written = [path for path in first if path.startswith("errors/") and path.count("/") > 1]
     assert sorted(written) == sorted(f"errors/{name}/config.json" for name in names)
     for name in names:

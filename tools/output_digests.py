@@ -41,6 +41,9 @@ one tree print the same digests:
   with a ``config.json`` of the none-mode config: its standard error and exit
   code as ``errors/<name>.err``, so every reworded message and every input
   that stops exiting 2 shows in a diff, as do the files such a run writes.
+  ``sweep_malformed_csv`` names that ``config.json`` as its ``dataset.csv``,
+  whose first line is then no CSV header: the sweep exits 2 with the message
+  ``train`` gives, once, and writes no ``out/``.
 
 Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
 is digested too. The configs the run writes are listed as well.
@@ -85,6 +88,9 @@ BAD = (  # (name, config overrides, environment, argv), run in errors/<name>/
                                  "--seeds", "0", "--output-dir", "out"]),
     ("train_empty_output_dir", {}, {"DIPMIX_OUTPUT_DIR": "out"},
      ["train", "config.json", "--output-dir", ""]),
+    ("sweep_malformed_csv", {"dataset": {**CONFIG["dataset"], "csv": "config.json"}}, {},
+     ["sweep", "config.json", "--alphas", "0,1", "--s-values", "1", "--seeds", "0",
+      "--output-dir", "out"]),
 )
 
 
