@@ -8,10 +8,9 @@ files are written through ``data.write_file``, which renames a finished temp
 file into place. A command that writes several files removes the previous
 run's copies just before its first write and writes last the file that
 completes the set: train's manifest, grid's PGM, sweep's ``sweep.csv``. Every
-command computes on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set:
-``main`` sets numpy's OpenBLAS to one thread and restores the caller's count
-when it returns or raises. Exit codes: 0 success, 1 runtime failure (i/o,
-diverged training), 2 invalid input (an ``errors.InputError``).
+command that computes does so through ``objective.train`` or prediction, which
+hold one BLAS thread. Exit codes: 0 success, 1 runtime failure (i/o, diverged
+training), 2 invalid input (an ``errors.InputError``).
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .errors import (ConfigurationError, DivergenceError, InputError, ParseError
 from .mixing import MixConfig, lambda_prior
 from .nn import OptimState, _check_architecture, load_model, mlp_init, save_model
 from .objective import train as train_loop
-from .predictor import (PREDICT_MODES, PredictorConfig, _blas_pin, _check_settings,
-                        decision_grid, evaluate)
+from .predictor import PREDICT_MODES, PredictorConfig, _check_settings, decision_grid, evaluate
 
 OUTPUT_DIR_ENV = "DIPMIX_OUTPUT_DIR"
 
@@ -319,17 +317,15 @@ def _scores(cell: dict) -> dict:
     return {k: v for k, v in cell.items() if not k.endswith("_sha256")}
 
 
-def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, table: dict, train_set, test_set):
+def _sweep_cell(cfg: dict, alpha: float, s: int, seed: int, first, train_set, test_set):
     """Train and score one cell: alpha 0 trains without mixing, any other alpha
     in the config's mixing mode (label_mixing if that is none). Modes none and
-    label_mixing ignore S, so such a cell reports, under its own S, the scores
-    of the earliest cell of its alpha and seed that table holds without an error."""
+    label_mixing ignore S, so such a cell returns ``first``, the sweep's earliest
+    cell of its alpha and seed, failed or not, where there is one."""
     base = cfg["mix"]["mode"]
     mode = "none" if alpha == 0 else ("label_mixing" if base == "none" else base)
-    if mode != "label_preserving":
-        for cell in table.values():
-            if "error" not in cell and (cell["alpha"], cell["seed"]) == (alpha, seed):
-                return {**_scores(cell), "S": int(s)}
+    if mode != "label_preserving" and first is not None:
+        return first
     params, _ = run_training({**cfg, "mix": dict(mode=mode, alpha=alpha, s=s)}, seed, train_set)
     pred = cfg["predictor"]
     prior = _prior(alpha if pred["alpha"] is None else pred["alpha"])
@@ -370,16 +366,19 @@ def cmd_sweep(args) -> int:
     csv_path.unlink(missing_ok=True)  # an earlier sweep's; written last, it completes this one
     table = {}  # this grid's cells in (alpha, S, seed) order; the file's others follow
     for alpha, s, seed in itertools.product(alphas, s_values, seeds):
-        key = f"alpha={_alpha_text(alpha)},S={s},seed={seed}"
+        key, first = (f"alpha={_alpha_text(alpha)},S={t},seed={seed}" for t in (s, s_values[0]))
         cell = progress.get(key, {})
         if (cell.get("config_sha256") != digest
                 or cell.get("scores_sha256") != _sha256(_scores(cell))):
             try:
-                scores = _sweep_cell(cfg, alpha, s, seed, table, train_set, test_set)
-                cell = {**scores, "config_sha256": digest, "scores_sha256": _sha256(scores)}
+                cell = _sweep_cell(cfg, alpha, s, seed, table.get(first), train_set, test_set)
+                if "error" not in cell:
+                    scores = {**_scores(cell), "S": int(s)}
+                    cell = {**scores, "config_sha256": digest, "scores_sha256": _sha256(scores)}
             except Exception as exc:  # keep sweeping; record the failure
                 cell = {"error": f"{type(exc).__name__}: {exc}"}
-                print(f"cell {key} failed: {exc}", file=sys.stderr)
+            if "error" in cell:
+                print(f"cell {key} failed: {cell['error']}", file=sys.stderr)
         table[key] = cell  # written after a reused cell too, so the file ends in grid order
         write_file(progress_path, json.dumps(
             {**table, **{k: c for k, c in progress.items() if k not in table}}, indent=2))
@@ -485,28 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    pin = None if "OPENBLAS_NUM_THREADS" in os.environ else _blas_pin()
-    before = pin(1) if pin else None
     try:
         if getattr(args, "seed", None) is not None:
             check_int("--seed", args.seed, ">= 0")
         check_real("--alpha", getattr(args, "alpha", 0.0), ">= 0")  # eval, grid and bound
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. numpy refusing a grid --res too large to hold
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if pin:
-            pin(before)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .nn import (
     sgd_step,
     softmax_xent,
 )
-from .predictor import dip_logits
+from .predictor import _one_blas_thread, dip_logits
 
 DIVERGENCE_FACTOR = 10.0  # healthy default-config runs peak near 1.1 x log(2), the uniform loss
 
@@ -101,6 +101,7 @@ def dip_loss_preserving_grad(params: ModelParams, x, y, cfg: MixConfig, rng, *,
     return loss, _backprop(params, cache, dlogits, work)
 
 
+@_one_blas_thread()
 def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimState,
           epochs: int, batch_size: int, rng):
     """Minibatch training loop dispatching on the mix mode.
@@ -116,7 +117,7 @@ def train(params: ModelParams, train_set: Dataset, cfg: MixConfig, optim: OptimS
     raises DivergenceError naming it. So does a final model that predicts one
     class for every training row, when the rows hold at least two, if it
     gives every row the same logits or its last epoch's loss is above
-    2 * log(k).
+    2 * log(k). It computes on one BLAS thread, as prediction does.
     """
     check_int("epochs", epochs, "> 0")
     check_int("batch_size", batch_size, "> 0")

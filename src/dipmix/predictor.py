@@ -10,15 +10,15 @@ evaluation is independent of execution order.
 
 So block b of a call runs on worker b % workers, the calling thread being
 worker 0, with the same bits. workers = min(blocks, CPUs this process may
-use), which ``taskset`` restricts. Threads only pay with one BLAS thread each:
-the OpenBLAS numpy ships exports ``openblas_set_num_threads_local``, found on
-the first call of more than one block. Its pthreads build applies the count to
-the whole process, so such calls take turns and each restores the previous
-count when it ends. Without that symbol every block runs on the calling thread.
+use), which ``taskset`` restricts. ``objective.train`` and ``_logits`` hold one
+BLAS thread through ``_one_blas_thread``; numpy's pthreads OpenBLAS applies that
+count to the whole process, so workers inherit it. Without its
+``openblas_set_num_threads_local`` nothing is pinned and every block runs here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -38,7 +38,8 @@ _STREAM_TAG = 2  # keeps prediction streams disjoint from training streams
 # float64 = 64 KiB) stay below glibc's 128 KiB mmap threshold, so they reuse heap pages
 # rather than being mapped afresh.
 _BLOCK_ROWS = 4096
-_PINNED = threading.Lock()  # held by a call whose workers hold the BLAS thread count at 1
+_HOLDERS_LOCK = threading.Lock()  # guards _holders; OpenBLAS has one thread count per process
+_holders = []  # per call now holding one BLAS thread, the count the first of them replaced
 
 
 def _check_settings(mode, s_test) -> None:
@@ -109,6 +110,23 @@ def dip_logits(params: ModelParams, x, partners, lam, *, with_cache: bool = Fals
     return (avg, cache) if with_cache else avg
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread while the block runs: the first of concurrent
+    holders sets it, the last one out restores the caller's count; none waits for another."""
+    pin = _blas_pin() or (lambda count: count)  # where _blas_pin() is None, pin nothing
+    with _HOLDERS_LOCK:
+        _holders.append(_holders[0] if _holders else pin(1))
+    try:
+        yield
+    finally:
+        with _HOLDERS_LOCK:
+            before = _holders.pop()
+            if not _holders:
+                pin(before)
+
+
+@_one_blas_thread()
 def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
     """Logits for each row of finite features, one derived stream per block of rows."""
     features = np.asarray(features, dtype=float)
@@ -130,8 +148,7 @@ def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
     logits = np.empty((len(features), params.n_outputs))
     # the biases are fixed for the call, so every forward adds them from the same rows
     bias_rows = [np.tile(b, (rows, 1)) for b in params.biases[:-1]]
-    pin = _blas_pin() if len(starts) > 1 else None
-    workers = min(len(starts), _usable_cpus()) if pin else 1
+    workers = min(len(starts), _usable_cpus()) if _blas_pin() else 1
 
     def run(part):
         work = _hidden_buffers(params, rows)  # every forward of this worker goes through these
@@ -143,7 +160,7 @@ def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
             logits[start:start + block] = dip_logits(params, x, partners, lam, work=work,
                                                      bias_rows=bias_rows)
 
-    _run_parts(run, workers, pin)
+    _run_parts(run, workers)
     return logits
 
 
@@ -173,35 +190,25 @@ def _blas_pin():
     return None
 
 
-def _run_parts(run, workers: int, pin) -> None:
-    """run(part) for each part < workers: part 0 on this thread, each other on a
-    thread of its own, every one with one BLAS thread. Once every worker has
-    ended, this thread restores its BLAS thread count and raises the first error
-    a worker raised. One worker is run(0) and nothing else."""
-    if workers == 1:
-        return run(0)
+def _run_parts(run, workers: int) -> None:
+    """run(part) for each part < workers, part 0 on this thread and each other on
+    its own; once every part has ended, raises the first error one raised."""
     errors = []
 
     def guarded(part):
-        pin(1)
         try:
             run(part)
         except BaseException as exc:
             errors.append(exc)
 
-    threads = []
-    with _PINNED:
-        before = pin(1)
-        try:
-            for part in range(1, workers):
-                thread = threading.Thread(target=guarded, args=(part,))
-                thread.start()
-                threads.append(thread)
-            run(0)
-        finally:
-            for thread in threads:
-                thread.join()
-            pin(before)
+    threads = [threading.Thread(target=guarded, args=(part,)) for part in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        guarded(0)
+    finally:  # a failed start ends the call too, once the threads it started have ended
+        for thread in (thread for thread in threads if thread.is_alive()):
+            thread.join()
     if errors:
         raise errors[0]
 

@@ -13,6 +13,8 @@ from dipmix.cli import main
 from dipmix.nn import ModelParams, forward, load_model, save_model
 from dipmix.predictor import _blas_pin
 
+from test_predictor import blas_threads, caller_count, count_forwards  # noqa: F401 (a fixture)
+
 
 def generator(**fields):
     """A dataset override whose generator differs from tiny_config's in fields."""
@@ -409,48 +411,29 @@ def test_empty_output_dir_flag_exits_two_before_training(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def _blas_threads(pin) -> int:
-    count = pin(1)
-    pin(count)
-    return count
-
-
 @pytest.mark.skipif(_blas_pin() is None, reason="numpy's BLAS has no per-call thread count")
 @pytest.mark.parametrize("user", [None, "2"], ids=["default", "user-set"])
-def test_every_command_runs_on_one_blas_thread_unless_the_user_set_a_count(tmp_path, monkeypatch,
-                                                                          user):
-    """Every command runs on one BLAS thread, or on the count the caller had
-    when OPENBLAS_NUM_THREADS is set; main restores the caller's count after a
-    command succeeds and after it raises an InputError."""
-    pin = _blas_pin()
+def test_every_heavy_command_runs_on_one_blas_thread(tmp_path, monkeypatch, caller_count, user):
+    """train, raw eval and dip grid run every forward on one BLAS thread, whether
+    or not OPENBLAS_NUM_THREADS is set, and give the in-process caller back its
+    count."""
+    pin, count = caller_count
     if user is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
-    seen = []
-
-    def command(args):
-        seen.append(_blas_threads(pin))
-        return 0
-
-    def failing(args):
-        seen.append(_blas_threads(pin))
-        raise ConfigurationError("bad")
-
-    commands = (("gen-data", ["--out", "d.csv"]), ("train", ["cfg.json"]),
-                ("eval", ["--model", "m.json", "--data", "d.csv"]), ("bound", ["--data", "d.csv"]),
-                ("sweep", ["cfg.json", "--alphas", "1", "--s-values", "1"]),
-                ("grid", ["--model", "m.json", "--out-prefix", str(tmp_path / "g")]))
-    before = pin(2)  # the count OpenBLAS took from the variable, or its default
-    try:
-        for name, argv in commands:
-            for fake, code in ((command, 0), (failing, 2)):
-                monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), fake)
-                assert main([name, *argv]) == code
-                assert _blas_threads(pin) == 2  # restored for the in-process caller
-    finally:
-        pin(before)
-    assert seen == [1 if user is None else 2] * 2 * len(commands)
+    seen = count_forwards(monkeypatch, pin)
+    cfg_path, data = tiny_config(tmp_path, epochs=2), str(tmp_path / "d.csv")
+    model = ["--model", str(tmp_path / "run" / "model.json")]
+    assert main(["gen-data", "--n", "20", "--out", data]) == 0
+    # 8 x 8 grid points at S = 600 are 11 blocks of 6 points, spread over the workers
+    for argv in (["train", str(cfg_path)], ["eval", *model, "--data", data],
+                 ["grid", *model, "--res", "8", "--mode", "dip", "--s-test", "600",
+                  "--partner-data", data, "--out-prefix", str(tmp_path / "g")]):
+        seen.clear()
+        assert main(argv) == 0
+        assert seen and set(seen) == {1}
+        assert blas_threads(pin) == count
 
 
 def test_other_value_errors_propagate(tmp_path, monkeypatch):
@@ -756,14 +739,16 @@ class TestSweep:
                                                       ["1", "2", "label_mixing", "mean"]]
 
     @pytest.mark.parametrize("alpha,mode,trains", [
-        ("0", "none", [("none", 1)]),
+        ("0", "none", [("none", 3)]),
         ("1", "label_preserving", [("label_preserving", 1), ("label_preserving", 2)]),
     ], ids=["none", "label-preserving"])
     def test_each_model_trains_once(self, tmp_path, monkeypatch, alpha, mode, trains):
+        # only a mode that reads S can fail at S = 3 alone; one that ignores S trains at the first
         trained = []
         real = cli.run_training
         monkeypatch.setattr(cli, "run_training", lambda cfg, seed, train_set: (
-            diverge_at_s3(cfg) or trained.append((cfg["mix"]["mode"], cfg["mix"]["s"]))
+            (mode == "label_preserving" and diverge_at_s3(cfg))
+            or trained.append((cfg["mix"]["mode"], cfg["mix"]["s"]))
             or real(cfg, seed, train_set)))
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
                                mix={"mode": mode, "alpha": float(alpha), "s": 1})
@@ -772,11 +757,38 @@ class TestSweep:
         assert trained == trains
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
         cells = [progress[f"alpha={alpha},S={s},seed=0"] for s in (3, 1, 2)]
-        assert cells[0]["error"] == "DivergenceError: diverged at S=3"
-        assert [cell["S"] for cell in cells[1:]] == [1, 2]
-        scores = [{k: v for k, v in c.items() if k not in ("S", "scores_sha256")}
-                  for c in cells[1:]]
-        assert (scores[0] == scores[1]) == (mode == "none")  # S=2 reports S=1's scores
+        scores = [{k: v for k, v in c.items() if k not in ("S", "scores_sha256")} for c in cells]
+        if mode == "none":  # S = 1 and S = 2 report S = 3's scores
+            assert [cell["S"] for cell in cells] == [3, 1, 2]
+            assert scores[0] == scores[1] == scores[2]
+        else:
+            assert cells[0]["error"] == "DivergenceError: diverged at S=3"
+            assert [cell["S"] for cell in cells[1:]] == [1, 2] and scores[1] != scores[2]
+
+    @pytest.mark.parametrize("alpha,mode", [("0", "label_preserving"), ("1", "label_mixing")],
+                             ids=["alpha0", "label-mixing"])
+    def test_a_model_that_ignores_s_fails_once(self, tmp_path, monkeypatch, capsys, alpha, mode):
+        attempts = []
+
+        def diverge(cfg, seed, train_set):
+            attempts.append((cfg["mix"]["s"], seed))
+            raise DivergenceError("training diverged in epoch 0")
+
+        monkeypatch.setattr(cli, "run_training", diverge)
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               mix={"mode": mode, "alpha": 1.0, "s": 1})
+        args = ["sweep", str(cfg_path), "--alphas", alpha, "--s-values", "3,1,2",
+                "--seeds", "0,1"]
+        for run in (1, 2):  # a resumed sweep trains its failed cells again
+            assert main(args) == 0
+            assert attempts == [(3, 0), (3, 1)] * run
+            progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())
+            assert list(progress) == [f"alpha={alpha},S={s},seed={seed}"
+                                      for s in (3, 1, 2) for seed in (0, 1)]
+            error = "DivergenceError: training diverged in epoch 0"
+            assert all(cell == {"error": error} for cell in progress.values())
+            assert capsys.readouterr().err.count(f"failed: {error}\n") == 6
+            assert (tmp_path / "sweep" / "sweep.csv").read_text().count("\n") == 1
 
     def test_alphas_that_print_alike_stay_apart(self, tmp_path):
         cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"), epochs=2)
@@ -971,8 +983,9 @@ class TestSweep:
         monkeypatch.setattr(cli, "run_training",
                             lambda cfg, seed, train_set: diverge_at_s3(cfg)
                             or real(cfg, seed, train_set))
-        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"))
-        # the S=3 cells diverge; the S=1 cells still run
+        cfg_path = tiny_config(tmp_path, output_dir=str(tmp_path / "sweep"),
+                               mix={"mode": "label_preserving", "alpha": 1.0, "s": 1})
+        # the S=3 cells diverge; the S=1 cells, whose models differ, still run
         assert main(["sweep", str(cfg_path), "--alphas", "1", "--s-values", "3,1",
                      "--seeds", "0,1"]) == 0
         progress = json.loads((tmp_path / "sweep" / "sweep_progress.json").read_text())

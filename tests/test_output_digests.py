@@ -36,6 +36,7 @@ def test_two_runs_digest_every_output_alike():
     # S = 5000 and 10000 forward each row in two and three pieces of at most 4096 rows
     assert tool.S_VALUES == (1, 7, 500, 5000, 10000)
     expected |= {f"predict_dip_s{s}.npy" for s in tool.S_VALUES}
+    expected |= {"train_library.npy", "train_library.out"}  # the library's own BLAS rule
     expected |= {f"errors/{name}.err" for name, *_ in tool.BAD}
     # a rerun without standardization removes the earlier run's standardize.json
     expected |= {f"rerun/{name}" for name in ("model.json", "metrics.csv", "manifest.json")}

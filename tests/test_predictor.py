@@ -16,17 +16,23 @@ from dipmix import (
     BetaParams,
     ConfigurationError,
     Dataset,
+    DivergenceError,
+    MixConfig,
     NumericError,
+    OptimState,
     PredictorConfig,
     decision_grid,
     evaluate,
     forward,
+    gen_spirals,
     mix,
     mlp_init,
     predict_batch,
     sample_lambda,
+    standardize,
+    train,
 )
-from dipmix import predictor
+from dipmix import nn, predictor
 from dipmix.nn import ModelParams, load_model, log_softmax
 from dipmix.predictor import dip_logits
 
@@ -496,22 +502,21 @@ class TestWorkers:
 
     @pytest.mark.parametrize("n", [5000, 50000])
     def test_the_blas_thread_count_changes_no_raw_bit(self, n):
-        # the CLI predicts on one BLAS thread, a library caller on the count it has
+        # prediction holds one BLAS thread, so nn.forward is run at each count directly
         pin = predictor._blas_pin()
         if pin is None:
             pytest.skip("numpy ships no openblas_set_num_threads_local here")
         params = threaded_model("relu")
         x = np.random.default_rng(2).normal(size=(n, 2))
-        cfg = PredictorConfig("raw")
-        probs = []
+        logits = []
         original = pin(1)
         try:
             for count in (1, 2):
                 pin(count)
-                probs.append(predict_batch(params, x, cfg).tobytes())
+                logits.append(forward(params, x).tobytes())
         finally:
             pin(original)
-        assert probs[0] == probs[1]
+        assert logits[0] == logits[1]
 
     def test_without_the_pin_no_thread_starts(self, monkeypatch):
         params = threaded_model("tanh")
@@ -526,6 +531,161 @@ class TestWorkers:
         monkeypatch.setattr(predictor, "_blas_pin", lambda: None)
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert np.array_equal(predict_batch(params, x, cfg), threaded)
+
+
+def blas_threads(pin) -> int:
+    """The process's BLAS thread count, read by setting one and putting it back."""
+    count = pin(1)
+    pin(count)
+    return count
+
+
+@pytest.fixture
+def caller_count():
+    """The pin, with the BLAS thread count set to 2 for the test and the earlier
+    count restored after it, and that count."""
+    pin = predictor._blas_pin()
+    if pin is None:
+        pytest.skip("numpy ships no openblas_set_num_threads_local here")
+    original = pin(2)
+    try:
+        if blas_threads(pin) != 2:
+            pytest.skip("numpy's OpenBLAS runs one thread here")
+        yield pin, 2
+    finally:
+        pin(original)
+
+
+def count_forwards(monkeypatch, pin):
+    """The BLAS thread count at every forward from now on, training's included."""
+    seen = []
+    for module in (nn, predictor):  # dip_logits calls the forward it imported
+
+        def counted(*args, real=module._forward_cached):
+            seen.append(blas_threads(pin))
+            return real(*args)
+
+        monkeypatch.setattr(module, "_forward_cached", counted)
+    return seen
+
+
+def train_spirals(mode, seed=0, learning_rate=0.1):
+    ds, _ = standardize(gen_spirals(50, 0.05, 1.25, seed=0))
+    return train(mlp_init([2, 16, 2], "relu", seed=seed), ds, MixConfig(mode, 1.0, 2),
+                 OptimState(learning_rate, 0.9), 3, 32, np.random.default_rng(seed))
+
+
+def predict_calls():
+    """predict_batch calls of raw, one-block dip and many-block dip prediction."""
+    params = threaded_model("relu")
+    pool = np.random.default_rng(0).normal(size=(30, 2))
+    return [lambda cfg=cfg, n=n: predict_batch(params, pool[:n], cfg) for cfg, n in (
+        (PredictorConfig("raw"), 30), (PredictorConfig("dip", 7, BetaParams(2, 1), pool), 5),
+        (PredictorConfig("dip", 500, BetaParams(2, 1), pool), 30))]
+
+
+class TestOneBlasThread:
+    """Training and prediction compute on one BLAS thread and give the caller
+    back the count it had, however they end and however many run at once."""
+
+    @pytest.mark.parametrize("call", ["none", "label_mixing", "label_preserving", "raw",
+                                      "dip-one-block", "dip-many-blocks"])
+    def test_every_forward_runs_on_one_blas_thread(self, monkeypatch, caller_count, call):
+        pin, count = caller_count
+        seen = count_forwards(monkeypatch, pin)
+        calls = dict(zip(["raw", "dip-one-block", "dip-many-blocks"], predict_calls()))
+        calls.get(call, lambda: train_spirals(call))()
+        assert seen and set(seen) == {1}
+        assert blas_threads(pin) == count
+
+    def test_the_callers_count_is_restored_after_an_error(self, caller_count):
+        pin, count = caller_count
+        with pytest.raises(DivergenceError):
+            train_spirals("none", learning_rate=1000.0)
+        assert blas_threads(pin) == count
+        nan, pool = np.full((3, 2), np.nan), np.random.default_rng(0).normal(size=(30, 2))
+        for features, cfg in ((nan, PredictorConfig("raw")),
+                              (nan, PredictorConfig("dip", 500, BetaParams(2, 1), pool)),
+                              (pool, PredictorConfig("dip", 500, BetaParams(2, 1), pool * np.inf))):
+            with pytest.raises(NumericError):
+                predict_batch(threaded_model("relu"), features, cfg)
+            assert blas_threads(pin) == count
+
+    def test_concurrent_calls_do_not_wait_and_the_last_one_out_restores(self, monkeypatch,
+                                                                        caller_count):
+        pin, count = caller_count
+        sequential = [train_spirals("label_preserving", seed) for seed in (0, 1)]
+        met, barrier, first_done = set(), threading.Barrier(2, timeout=30), threading.Event()
+        real = predictor._forward_cached
+
+        def meeting(*args):
+            name = threading.current_thread().name
+            if name not in met:
+                met.add(name)
+                barrier.wait()  # both calls are inside at once: neither waits for the other
+                if name == "seed1":
+                    assert first_done.wait(timeout=30)  # held until seed 0 has returned
+            return real(*args)
+
+        monkeypatch.setattr(predictor, "_forward_cached", meeting)
+        results, errors, after_first = {}, [], []
+
+        def run(seed):
+            try:
+                results[seed] = train_spirals("label_preserving", seed)
+                if seed == 0:
+                    after_first.append(blas_threads(pin))
+                    first_done.set()
+            except BaseException as exc:
+                errors.append(exc)
+                first_done.set()
+
+        threads = [threading.Thread(target=run, args=(seed,), name=f"seed{seed}")
+                   for seed in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert after_first == [1]  # seed 1 still held one thread when seed 0 left
+        assert blas_threads(pin) == count
+        for seed, (params, metrics) in enumerate(sequential):
+            assert results[seed][0].flat.tobytes() == params.flat.tobytes()
+            assert results[seed][1] == metrics
+
+    def test_many_holders_at_once_keep_one_thread(self, caller_count):
+        # more holders than CPUs, switching often, so a lost update to the holder list would
+        # leave the count pinned, or restore it while a holder is still inside
+        pin, count = caller_count
+        inside, interval = [], sys.getswitchinterval()
+
+        def hold():
+            for _ in range(200):
+                with predictor._one_blas_thread():
+                    inside.append(blas_threads(pin))
+
+        threads = [threading.Thread(target=hold) for _ in range(4 * (os.cpu_count() or 1))]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inside) == 200 * len(threads) and set(inside) == {1}
+        assert predictor._holders == [] and blas_threads(pin) == count
+
+    def test_without_the_pin_nothing_is_pinned(self, monkeypatch, caller_count):
+        pin, count = caller_count
+        monkeypatch.setattr(predictor, "_blas_pin", lambda: None)
+        seen = count_forwards(monkeypatch, pin)
+        train_spirals("label_preserving")
+        for call in predict_calls():
+            call()
+        assert seen and set(seen) == {count}
 
 
 class TestEvaluate:

@@ -26,7 +26,9 @@ one tree print the same digests:
 - the failure path: a 2 x 2 ``sweep`` (alphas 0 and 1, S 1 and 3, seed 0) of
   the none-mode config at learning rate 1000, ``config_diverged.json``, into
   ``sweep_diverged/``: every cell diverges, so its progress file records four
-  ``DivergenceError`` cells and its ``sweep.csv`` holds the header alone;
+  ``DivergenceError`` cells and its ``sweep.csv`` holds the header alone. The
+  mode ignores S, so the S = 3 cells take the S = 1 cells' errors: two models
+  are trained;
 - ``predict_batch`` of the shipped perfbench model on the 120 spiral rows,
   raw and dip at S = 1, 7, 500, 5000 and 10000 (Beta(2, 1), the spirals as
   the pool), saved as ``.npy``. Only S = 500 (15 blocks of 8 rows), S = 5000
@@ -34,6 +36,11 @@ one tree print the same digests:
   they spread blocks over several threads. A forward takes at most 4096 rows,
   so S = 5000 forwards each row in two pieces (4096 + 904 rows) and S = 10000
   in three (4096 + 4096 + 1808);
+- ``train`` called through the library, not the CLI, at the interpreter's
+  default BLAS thread count: the label_preserving S = 3 config's [2, 16, 2]
+  net for 8 epochs on the standardized spirals, its parameters' bytes saved as
+  ``train_library.npy`` and its epoch metrics as ``train_library.out``, so
+  the path perfbench's training workloads measure is digested too;
 - ``dipmix --help`` and each ``dipmix <cmd> --help``, 80 columns wide, as
   ``help/dipmix.out`` and ``help/<cmd>.out``, so the CLI's flags, defaults and
   help text are digested too;
@@ -160,6 +167,14 @@ def run_matrix(model_path: str) -> None:
             code = run(f"../{name}", argv)
         Path(f"../{name}.err").write_text(f"{err.getvalue()}exit {code}\n", encoding="utf-8")
         os.chdir("../..")
+    train_set, _ = dipmix.standardize(dipmix.load_csv("spirals.csv"))
+    params, metrics = dipmix.train(
+        dipmix.mlp_init(CONFIG["model"]["layer_sizes"], CONFIG["model"]["activation"], seed=0),
+        train_set, dipmix.MixConfig("label_preserving", 1.0, 3),
+        dipmix.OptimState(**CONFIG["optim"]), CONFIG["epochs"], CONFIG["batch_size"],
+        np.random.default_rng([0, 1]))
+    np.save("train_library.npy", params.flat)
+    Path("train_library.out").write_text("".join(f"{row!r}\n" for row in metrics))
     params = dipmix.load_model(model_path)
     x = dipmix.load_csv("spirals.csv").features
     np.save("predict_raw.npy", dipmix.predict_batch(params, x, dipmix.PredictorConfig("raw")))
