@@ -148,7 +148,7 @@ def _logits(params: ModelParams, features, cfg: PredictorConfig) -> np.ndarray:
     logits = np.empty((len(features), params.n_outputs))
     # the biases are fixed for the call, so every forward adds them from the same rows
     bias_rows = [np.tile(b, (rows, 1)) for b in params.biases[:-1]]
-    workers = min(len(starts), _usable_cpus()) if _blas_pin() else 1
+    workers = max(1, min(len(starts), _usable_cpus())) if _blas_pin() else 1
 
     def run(part):
         work = _hidden_buffers(params, rows)  # every forward of this worker goes through these

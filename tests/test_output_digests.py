@@ -22,9 +22,15 @@ def load_tool():
     return tool
 
 
-def test_two_runs_digest_every_output_alike():
+@pytest.fixture(scope="module")
+def runs():
+    """The tool and two runs' digests of this tree's matrix, shared by the module."""
     tool = load_tool()
-    first, second = tool.digests(SRC), tool.digests(SRC)
+    return tool, tool.digests(SRC), tool.digests(SRC)
+
+
+def test_two_runs_digest_every_output_alike(runs):
+    tool, first, second = runs
     assert first == second
     expected = {"spirals.csv", "grid.csv", "grid.pgm", "bound.json", "bound.out", "predict_raw.npy",
                 "sweep/sweep.csv", "sweep/sweep_progress.json", "sweep_diverged/sweep.csv",
@@ -46,20 +52,28 @@ def test_two_runs_digest_every_output_alike():
     # a resumed sweep writes what a fresh one writes
     for name in ("sweep.csv", "sweep_progress.json"):
         assert first[f"sweep_resumed/{name}"] == first[f"sweep/{name}"]
+    # every CLI step keeps its standard error and exit code beside its standard output;
+    # of the successful ones only the diverged sweep prints there, one line per failed cell
+    steps = {path[:-len(".out")] for path in first
+             if path.endswith(".out") and not path.startswith("errors/")} - {"train_library"}
+    assert len(steps) == 25
+    for step in steps - {"sweep_diverged"}:
+        assert first[f"{step}.err"] == hashlib.sha256(b"exit 0\n").hexdigest(), step
+    assert first["sweep_diverged.err"] != hashlib.sha256(b"exit 0\n").hexdigest()
     # no bad invocation prints to standard output or writes a file beside its config
     names = {name for name, *_ in tool.BAD}
-    assert len(names) == len(tool.BAD) == 6
+    assert len(names) == len(tool.BAD) == 7
     written = [path for path in first if path.startswith("errors/") and path.count("/") > 1]
     assert sorted(written) == sorted(f"errors/{name}/config.json" for name in names)
     for name in names:
         assert first[f"errors/{name}.out"] == hashlib.sha256(b"").hexdigest()
 
 
-def test_help_of_every_command_is_digested(monkeypatch, capsys):
+def test_help_of_every_command_is_digested(runs, monkeypatch, capsys):
     """The CLI surface, every flag, default and help string, is part of the
     same-bytes check: each help file holds what ``dipmix <cmd> --help`` prints
     at 80 columns."""
-    digests = load_tool().digests(SRC)
+    _, digests, _ = runs
     monkeypatch.setenv("COLUMNS", "80")
     for command in ("dipmix", "gen-data", "train", "eval", "bound", "sweep", "grid"):
         with pytest.raises(SystemExit) as info:

@@ -532,6 +532,25 @@ class TestWorkers:
         monkeypatch.setattr(threading, "Thread", no_thread)
         assert np.array_equal(predict_batch(params, x, cfg), threaded)
 
+    @pytest.mark.parametrize("pinned", [True, False], ids=["pin", "no_pin"])
+    def test_zero_rows_give_zero_rows_on_the_calling_thread(self, monkeypatch, pinned):
+        # dip prediction runs at least one worker, however few blocks a call has
+        if pinned and predictor._blas_pin() is None:
+            pytest.skip("numpy ships no openblas_set_num_threads_local here")
+        params = threaded_model("tanh")
+        pool = np.random.default_rng(0).normal(size=(30, 2))
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        if not pinned:
+            monkeypatch.setattr(predictor, "_blas_pin", lambda: None)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for cfg in (PredictorConfig("raw"),
+                    PredictorConfig("dip", 500, BetaParams(2, 1), pool, seed=0)):
+            probs = predict_batch(params, np.empty((0, 2)), cfg)
+            assert probs.shape == (0, params.n_outputs)
+
 
 def blas_threads(pin) -> int:
     """The process's BLAS thread count, read by setting one and putting it back."""

@@ -45,15 +45,18 @@ one tree print the same digests:
   ``help/dipmix.out`` and ``help/<cmd>.out``, so the CLI's flags, defaults and
   help text are digested too;
 - the bad invocations of ``BAD``, each in its own directory ``errors/<name>/``
-  with a ``config.json`` of the none-mode config: its standard error and exit
-  code as ``errors/<name>.err``, so every reworded message and every input
-  that stops exiting 2 shows in a diff, as do the files such a run writes.
+  with a ``config.json`` of the none-mode config, so the files such a run
+  writes show in a diff too. Six exit 2; ``eval_missing_model`` exits 1.
   ``sweep_malformed_csv`` names that ``config.json`` as its ``dataset.csv``,
   whose first line is then no CSV header: the sweep exits 2 with the message
   ``train`` gives, once, and writes no ``out/``.
 
-Each command's standard output is kept as ``<step>.out``, so ``eval``'s JSON
-is digested too. The configs the run writes are listed as well.
+Every invocation runs one way: its standard output is kept as ``<step>.out``,
+so ``eval``'s JSON is digested too, and its standard error followed by
+``exit <code>`` as ``<step>.err``, so every reworded message and changed exit
+code shows in a diff, a successful step's too. A step that does not exit 0
+stops the matrix with its standard error. The configs the run writes are
+listed as well.
 ``manifest.json`` and ``sweep_progress.json`` hold the package version, so
 they differ between versions that compute the same numbers.
 """
@@ -98,6 +101,8 @@ BAD = (  # (name, config overrides, environment, argv), run in errors/<name>/
     ("sweep_malformed_csv", {"dataset": {**CONFIG["dataset"], "csv": "config.json"}}, {},
      ["sweep", "config.json", "--alphas", "0,1", "--s-values", "1", "--seeds", "0",
       "--output-dir", "out"]),
+    ("eval_missing_model", {}, {}, ["eval", "--model", "missing.json", "--data",
+                                    "../../spirals.csv"]),
 )
 
 
@@ -109,17 +114,23 @@ def run_matrix(model_path: str) -> None:
     from dipmix.cli import main
 
     def run(name, argv):
-        """main(argv)'s exit code, its standard output kept as <name>.out."""
-        with open(f"{name}.out", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        """main(argv)'s exit code; its standard output kept as <name>.out, its
+        standard error followed by ``exit <code>`` as <name>.err."""
+        err = io.StringIO()
+        with (open(f"{name}.out", "w", encoding="utf-8") as out, contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
             try:
-                return main(argv)
+                code = main(argv)
             except SystemExit as exc:  # --help prints, then exits
-                return exc.code
+                code = exc.code
+        Path(f"{name}.err").write_text(f"{err.getvalue()}exit {code}\n", encoding="utf-8")
+        return code
 
     def step(name, argv):
-        code = run(name, argv)
-        if code != 0:
-            sys.exit(f"dipmix {' '.join(argv)} exited {code}")
+        """run, and stop the matrix unless it exits 0."""
+        if run(name, argv) != 0:
+            err = Path(f"{name}.err").read_text(encoding="utf-8").rstrip()
+            sys.exit(f"dipmix {' '.join(argv)} failed:\n{err}")
 
     predictor = ["--s-test", "7", "--alpha", "1", "--partner-data", "spirals.csv"]
     step("gen-data", ["gen-data", "--n", "60", "--seed", "3", "--out", "spirals.csv"])
@@ -162,10 +173,8 @@ def run_matrix(model_path: str) -> None:
         Path("errors", name).mkdir(parents=True)
         os.chdir(Path("errors", name))
         Path("config.json").write_text(json.dumps({**bad_config, **overrides}))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, env):
-            code = run(f"../{name}", argv)
-        Path(f"../{name}.err").write_text(f"{err.getvalue()}exit {code}\n", encoding="utf-8")
+        with mock.patch.dict(os.environ, env):
+            run(f"../{name}", argv)
         os.chdir("../..")
     train_set, _ = dipmix.standardize(dipmix.load_csv("spirals.csv"))
     params, metrics = dipmix.train(
